@@ -3,13 +3,12 @@
 from .kexp import d_e_kappa, e_kappa, log_e_kappa, scaled_limit_residual
 from .measures import (Grid, GridMeasure, from_masses, mean_and_std, pdf_values,
                        refine, uniform, variational_distance)
-from .utility import (BilinearKernel, BilinearUtility, CompetitionParams,
-                      CompetitionUtility, bilinear_utility, competition_utility,
-                      kernel_from_function, lipschitz_ratio_sample, ramp_tail_mass)
+from .utility import (BilinearUtility, CompetitionParams, CompetitionUtility,
+                      lipschitz_ratio_sample, ramp_tail_mass)
 from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicConfig,
                        Termination, TerminationKind, Trajectory,
-                       eta_convergence_table, euler_step, limit_weights,
-                       logit_weights, rhs, run_to_stationary, run_until, weights)
+                       eta_convergence_table, euler_step, run_to_stationary,
+                       run_until, weights)
 from .calibration import (EmpiricalSample, FitResult, FitSpec, NonStationaryError,
                           empirical_pdf, empirical_stats, fit_objective, fit_search)
 from .dataio import (CatchDataset, ConfigError, RunConfig, bundled_catches_path,

@@ -9,11 +9,12 @@ made reproducible as a deterministic multi-level coordinate grid search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicConfig, TerminationKind, run_to_stationary
+from .dynamics import DegenerateWeightsError, DynamicConfig, TerminationKind, run_to_stationary
 from .measures import Grid, mean_and_std, uniform
 from .utility import CompetitionParams, CompetitionUtility
 
@@ -93,13 +94,24 @@ class FitSpec:
             raise ValueError(f"unknown free parameters: {sorted(unknown)}")
         for name in self.free:
             lo, hi = self.bounds[name]
-            if not lo < hi:
-                raise ValueError(f"bounds for {name} must have positive length")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"bounds for {name} must be finite with positive length")
+            if name in ("a", "b") and lo < 0.0:
+                raise ValueError(f"{name} bounds must be >= 0")
             if name == "kappa" and not (0.0 <= lo and hi <= 1.0):
                 raise ValueError("kappa bounds must lie within [0, 1]")
             if name == "eta" and lo <= 0.0:
                 raise ValueError("eta bounds must be positive")
-        if self.levels < 0 or self.points_per_dim < 2 or not 0.0 < self.shrink < 1.0:
+        if self.fixed_eta is None and "eta" not in self.free:
+            kappa_lo = self.bounds["kappa"][0] if "kappa" in self.free else self.fixed_kappa
+            if kappa_lo <= 0.0:
+                raise ValueError("the vanishing-noise limit requires kappa > 0")
+        for name in ("levels", "points_per_dim", "max_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
+        if (self.levels < 0 or self.points_per_dim < 2 or self.max_steps < 1
+                or not 0.0 < self.shrink < 1.0):
             raise ValueError("invalid search schedule")
 
 
@@ -117,17 +129,23 @@ def _build_point(spec: FitSpec, assignment: dict) -> tuple[CompetitionParams, fl
     return params, eta, kappa
 
 
-def fit_objective(params: CompetitionParams, config: DynamicConfig,
-                  target: tuple[float, float], max_steps: int = 1_000_000) -> float:
-    """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2 where (m, s) are the
-    stationary moments from the uniform initial condition."""
+def _evaluate(params: CompetitionParams, config: DynamicConfig, target: tuple[float, float],
+              max_steps: int) -> tuple[float, tuple[float, float]]:
+    """The objective and the stationary moments (m, s) of one parameter point."""
     model = CompetitionUtility(config.grid, params)
     traj = run_to_stationary(config, model, uniform(config.grid), max_steps)
     if traj.termination.kind is not TerminationKind.STATIONARY:
         raise NonStationaryError(f"no stationary state within {max_steps} steps")
     mean, std = mean_and_std(traj.final_measure)
     m_hat, s_hat = target
-    return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2
+    return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std)
+
+
+def fit_objective(params: CompetitionParams, config: DynamicConfig,
+                  target: tuple[float, float], max_steps: int = 1_000_000) -> float:
+    """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2 where (m, s) are the
+    stationary moments from the uniform initial condition."""
+    return _evaluate(params, config, target, max_steps)[0]
 
 
 @dataclass(frozen=True)
@@ -162,30 +180,23 @@ def fit_search(spec: FitSpec, target: tuple[float, float], grid: Grid,
     best_obj = np.inf
     best_moments = (np.nan, np.nan)
     evaluations = []
-    failures = 0
 
     for _level in range(spec.levels + 1):
         axes = [np.linspace(bounds[p][0], bounds[p][1], spec.points_per_dim) for p in free]
         for combo in itertools.product(*axes) if free else [()]:
             assignment = dict(zip(free, map(float, combo)))
             params, eta, kappa = _build_point(spec, assignment)
+            config = DynamicConfig(kappa, eta, grid, dt, delta)
             try:
-                config = DynamicConfig(kappa, eta, grid, dt, delta)
-                model = CompetitionUtility(grid, params)
-                traj = run_to_stationary(config, model, uniform(grid), spec.max_steps)
-                if traj.termination.kind is not TerminationKind.STATIONARY:
-                    raise NonStationaryError(f"no stationary state within {spec.max_steps} steps")
-                mean, std = mean_and_std(traj.final_measure)
-                obj = ((mean - target[0]) / target[0]) ** 2 + ((std - target[1]) / target[1]) ** 2
-            except (NonStationaryError, RuntimeError, ValueError) as exc:
-                failures += 1
+                obj, moments = _evaluate(params, config, target, spec.max_steps)
+            except (NonStationaryError, DegenerateWeightsError) as exc:
                 evaluations.append((assignment, None, repr(exc)))
                 continue
             evaluations.append((assignment, obj, None))
             if obj < best_obj:
                 best_obj = obj
                 best_assignment = assignment
-                best_moments = (mean, std)
+                best_moments = moments
         if not np.isfinite(best_obj):
             raise RuntimeError("fit_search: every evaluation failed")
         # shrink around the current best, staying inside the original box

@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import dataio
 from .calibration import NonStationaryError, empirical_stats, fit_search
@@ -112,6 +111,17 @@ def _run_guarded(subcommand: str, args, body) -> int:
     return EXIT_OK
 
 
+def _number_list(option: str, text: str) -> list[float]:
+    """Parse a comma-separated list of finite numbers from a CLI option."""
+    try:
+        values = [float(s) for s in text.split(",")]
+        if all(math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise dataio.ConfigError([f"{option}: comma-separated finite numbers required (got {text!r})"])
+
+
 def cmd_simulate(args) -> int:
     def body(run_config, manifest):
         times = [t for t in run_config.record_times if t > 0]
@@ -176,8 +186,8 @@ def cmd_fit(args) -> int:
 
 def cmd_convergence_eta(args) -> int:
     def body(run_config, manifest):
-        etas = sorted((float(s) for s in args.etas.split(",")), reverse=True)
-        times = [float(s) for s in args.times.split(",")]
+        etas = sorted(_number_list("--etas", args.etas), reverse=True)
+        times = _number_list("--times", args.times)
         model = CompetitionUtility(run_config.dynamic.grid, run_config.utility)
         rows = eta_convergence_table(run_config.dynamic, model,
                                      uniform(run_config.dynamic.grid), etas, times)
@@ -190,7 +200,7 @@ def cmd_convergence_eta(args) -> int:
 
 def cmd_sweep_kappa(args) -> int:
     def body(run_config, manifest):
-        kappas = [float(s) for s in args.kappas.split(",")]
+        kappas = _number_list("--kappas", args.kappas)
         base = run_config.dynamic
         if base.eta is None:
             raise dataio.ConfigError(["dynamic.eta: sweep-kappa needs positive noise"])

@@ -8,6 +8,7 @@ bit-identical and parsing the file recovers the exact doubles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import EmpiricalSample, FitSpec
-from .dynamics import DynamicConfig, Trajectory
+from .dynamics import DynamicConfig, Trajectory, lattice_step
 from .measures import Grid, GridMeasure, pdf_values
 from .utility import CompetitionParams
 
@@ -153,8 +154,10 @@ def load_run_config(path) -> RunConfig:
             return None
         return value
 
-    is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-    n = check("grid.n", 500, lambda v: isinstance(v, int) and v >= 2, "integer >= 2 required")
+    # json accepts Infinity and NaN; no config number may be non-finite
+    is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+    n = check("grid.n", 500, lambda v: is_int(v) and v >= 2, "integer >= 2 required")
     kappa = check("dynamic.kappa", None, lambda v: is_num(v) and 0.0 <= v <= 1.0,
                   "number in [0, 1] required")
     eta = _get(doc, "dynamic.eta")
@@ -171,7 +174,7 @@ def load_run_config(path) -> RunConfig:
                "number in (0, 1] required")
     delta = check("dynamic.delta", 1e-11, lambda v: is_num(v) and v > 0.0,
                   "positive number required")
-    max_steps = check("dynamic.max_steps", 1_000_000, lambda v: isinstance(v, int) and v >= 1,
+    max_steps = check("dynamic.max_steps", 1_000_000, lambda v: is_int(v) and v >= 1,
                       "integer >= 1 required")
     a = check("utility.a", 0.27, lambda v: is_num(v) and v >= 0, "number >= 0 required")
     b = check("utility.b", 0.23, lambda v: is_num(v) and v >= 0, "number >= 0 required")
@@ -188,14 +191,26 @@ def load_run_config(path) -> RunConfig:
     if not (isinstance(record_times, list) and all(is_num(t) and t >= 0 for t in record_times)):
         problems.append(f"record_times: list of numbers >= 0 required (got {record_times!r})")
         record_times = []
+    if dt is not None:
+        for t in record_times:
+            try:
+                lattice_step(t, dt)
+            except ValueError as exc:
+                problems.append(f"record_times: {exc}")
 
     fit_spec = None
     if "fit" in doc and not problems:
         fit_doc = doc["fit"]
         try:
+            if not isinstance(fit_doc, dict):
+                raise TypeError(f"object required (got {fit_doc!r})")
+            free, bounds = fit_doc.get("free", []), fit_doc.get("bounds", {})
+            if not (isinstance(free, list) and isinstance(bounds, dict)):
+                raise TypeError("free must be a list of names and bounds an object "
+                                f"(got {free!r}, {bounds!r})")
             fit_spec = FitSpec(
-                free=tuple(fit_doc.get("free", ())),
-                bounds={k: tuple(v) for k, v in fit_doc.get("bounds", {}).items()},
+                free=tuple(free),
+                bounds={k: tuple(v) for k, v in bounds.items()},
                 fixed_params=CompetitionParams(a=a, b=b, c=c, d=d, alpha=alpha, epsilon=epsilon),
                 fixed_eta=eta_value,
                 fixed_kappa=kappa,

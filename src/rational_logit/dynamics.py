@@ -5,13 +5,18 @@ with fixed-step forward Euler. The softmax weights use the
 kappa-exponential for positive noise eta, or the normalized positive-part
 power max{U, 0}^(1/kappa) in the vanishing-noise limit. All weight
 computations run in log space so no finite utility can overflow them.
+
+The loops step raw (N,) mass arrays; each Euler step is a convex
+combination of two simplex points, so the iterates stay on the simplex by
+construction. Only recorded snapshots and final states are wrapped (and
+validated) as GridMeasures.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +30,7 @@ __all__ = [
     "TerminationKind",
     "Termination",
     "Trajectory",
-    "logit_weights",
-    "limit_weights",
     "weights",
-    "rhs",
     "euler_step",
     "run_until",
     "run_to_stationary",
@@ -62,14 +64,14 @@ class DynamicConfig:
 
     def __post_init__(self):
         validate_kappa(self.kappa)
-        if self.eta is not None and self.eta <= 0.0:
-            raise ValueError("eta must be positive (or None for the limit equation)")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError("eta must be finite and positive (or None for the limit equation)")
         if self.eta is None and self.kappa == 0.0:
             raise ValueError("the vanishing-noise limit requires kappa > 0")
         if not 0.0 < self.dt <= 1.0:
             raise ValueError("dt must lie in (0, 1] to keep Euler steps on the simplex")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError("delta must be finite and positive")
 
 
 class TerminationKind(enum.Enum):
@@ -100,77 +102,61 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-def _logit_weight_vector(kappa: float, eta: float, u: np.ndarray) -> np.ndarray:
-    logw = log_e_kappa(kappa, u / eta)
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
+def weights(config: DynamicConfig, u) -> np.ndarray:
+    """The weight map U -> w(U), as a mass vector on the simplex.
 
-
-def _limit_weight_vector(kappa: float, u: np.ndarray) -> np.ndarray:
-    pos = np.maximum(u, 0.0)
-    if not np.any(pos > 0.0):
-        raise DegenerateWeightsError()
-    with np.errstate(divide="ignore"):
-        logw = np.log(pos) / kappa
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
-
-
-def _weight_vector(config: DynamicConfig, u: np.ndarray) -> np.ndarray:
+    Positive noise: e_kappa(U_i/eta) / sum_j e_kappa(U_j/eta), the
+    classical softmax at kappa = 0. Vanishing-noise limit: max{U_i, 0}^(1/kappa),
+    normalized. Computed in log space (shift by the max) so no finite
+    utility can overflow.
+    """
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("utility vector must be finite")
     if config.eta is None:
-        return _limit_weight_vector(config.kappa, u)
-    return _logit_weight_vector(config.kappa, config.eta, u)
+        pos = np.maximum(u, 0.0)
+        if not np.any(pos > 0.0):
+            raise DegenerateWeightsError()
+        with np.errstate(divide="ignore"):
+            logw = np.log(pos) / config.kappa
+    else:
+        logw = log_e_kappa(config.kappa, u / config.eta)
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
 
 
-def logit_weights(config: DynamicConfig, u) -> GridMeasure:
-    """Softmax weights e_kappa(U_i/eta) / sum_j e_kappa(U_j/eta).
-
-    At kappa = 0 this is the classical exponential softmax. Computed in log
-    space (shift by the max) so finite utilities can never overflow.
-    """
-    if config.eta is None:
-        raise ValueError("logit_weights requires positive noise; use limit_weights")
-    u = np.asarray(u, dtype=float)
-    return GridMeasure(config.grid, _logit_weight_vector(config.kappa, config.eta, u))
-
-
-def limit_weights(config: DynamicConfig, u) -> GridMeasure:
-    """Vanishing-noise weights max{U_i, 0}^(1/kappa), normalized."""
-    if config.kappa == 0.0:
-        raise ValueError("limit weights are undefined at kappa = 0")
-    u = np.asarray(u, dtype=float)
-    return GridMeasure(config.grid, _limit_weight_vector(config.kappa, u))
-
-
-def weights(config: DynamicConfig, u) -> GridMeasure:
-    """Dispatch on the noise mode of the config."""
-    return GridMeasure(config.grid, _weight_vector(config, np.asarray(u, dtype=float)))
-
-
-def rhs(config: DynamicConfig, model, mu: GridMeasure) -> np.ndarray:
-    """Right-hand side weights(U(mu)) - mu; components sum to 0."""
-    return _weight_vector(config, model.values(mu)) - mu.mass
-
-
-def euler_step(config: DynamicConfig, model, mu: GridMeasure) -> GridMeasure:
-    """mu' = (1 - dt) mu + dt * weights(U(mu)): an exact convex combination,
+def euler_step(config: DynamicConfig, model, mass: np.ndarray) -> np.ndarray:
+    """m' = (1 - dt) m + dt * weights(U(m)): an exact convex combination,
     so the simplex is preserved whenever dt <= 1."""
-    w = _weight_vector(config, model.values(mu))
-    return GridMeasure(config.grid, (1.0 - config.dt) * mu.mass + config.dt * w)
+    return (1.0 - config.dt) * mass + config.dt * weights(config, model.values(mass))
+
+
+def _euler_iterates(config: DynamicConfig, model, mass: np.ndarray, n_steps: int):
+    """Yield the Euler iterates m_1, ..., m_n_steps of m_0 = mass. A degenerate
+    weight map is re-raised with the 0-based index of the failing step."""
+    for k in range(n_steps):
+        try:
+            mass = euler_step(config, model, mass)
+        except DegenerateWeightsError:
+            raise DegenerateWeightsError(step=k) from None
+        yield mass
+
+
+def lattice_step(t: float, dt: float) -> int:
+    """The step index k with k * dt = t; ValueError if t is off the lattice."""
+    k = round(t / dt)
+    if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"record time {t} is not a multiple of dt={dt}")
+    return k
 
 
 def _snap_steps(record_times, dt: float, n_steps: int) -> dict[int, float]:
     """Map requested times to Euler step indices (nearest multiple of dt)."""
     snapped = {}
     for t in record_times:
-        k = round(t / dt)
+        k = lattice_step(t, dt)
         if not 0 <= k <= n_steps:
             raise ValueError(f"record time {t} outside [0, t_final]")
-        if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"record time {t} is not a multiple of dt={dt}")
         snapped[k] = float(t)
     return snapped
 
@@ -185,14 +171,9 @@ def run_until(config: DynamicConfig, model, init: GridMeasure, t_final: float,
     n_steps = round(t_final / config.dt)
     record = _snap_steps(record_times, config.dt, n_steps)
     snapshots = [(0.0, init)]
-    mu = init
-    for k in range(1, n_steps + 1):
-        try:
-            mu = euler_step(config, model, mu)
-        except DegenerateWeightsError:
-            raise DegenerateWeightsError(step=k - 1) from None
+    for k, mass in enumerate(_euler_iterates(config, model, init.mass, n_steps), start=1):
         if k in record:
-            snapshots.append((record[k], mu))
+            snapshots.append((record[k], GridMeasure(config.grid, mass)))
     return Trajectory(tuple(snapshots), Termination(TerminationKind.REACHED_FINAL_TIME))
 
 
@@ -204,17 +185,13 @@ def run_to_stationary(config: DynamicConfig, model, init: GridMeasure,
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     n = config.grid.n_cells
-    mu = init
-    for k in range(max_steps):
-        try:
-            nxt = euler_step(config, model, mu)
-        except DegenerateWeightsError:
-            raise DegenerateWeightsError(step=k) from None
-        if n * float(np.max(np.abs(nxt.mass - mu.mass))) <= config.delta:
-            snaps = ((0.0, init), ((k + 1) * config.dt, nxt))
+    mass = init.mass
+    for k, nxt in enumerate(_euler_iterates(config, model, mass, max_steps)):
+        if n * float(np.max(np.abs(nxt - mass))) <= config.delta:
+            snaps = ((0.0, init), ((k + 1) * config.dt, GridMeasure(config.grid, nxt)))
             return Trajectory(snaps, Termination(TerminationKind.STATIONARY, step=k))
-        mu = nxt
-    snaps = ((0.0, init), (max_steps * config.dt, mu))
+        mass = nxt
+    snaps = ((0.0, init), (max_steps * config.dt, GridMeasure(config.grid, mass)))
     return Trajectory(snaps, Termination(TerminationKind.REACHED_FINAL_TIME, step=max_steps))
 
 

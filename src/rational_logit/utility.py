@@ -1,9 +1,11 @@
 """Utility models U(x; mu) evaluated at cell midpoints.
 
-Two concrete models:
+Two concrete models, each with `values(mass)` taking the (N,) cell-mass
+vector and returning the (N,) utility vector:
 
 * BilinearUtility: U(x; mu) = integral of f(x, y) mu(dy), midpoint rule, so
-  one N x N kernel matrix times the mass vector.
+  one N x N kernel matrix times the mass vector. The dense reference the
+  tests compare other models against.
 * CompetitionUtility: quadratic harvesting cost, pairwise difference reward,
   and an award for the upper-alpha tail, the tail mass regularized by a ramp
   of width epsilon.
@@ -11,6 +13,7 @@ Two concrete models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,48 +21,12 @@ import numpy as np
 from .measures import Grid, GridMeasure, variational_distance
 
 __all__ = [
-    "BilinearKernel",
     "BilinearUtility",
     "CompetitionParams",
     "CompetitionUtility",
-    "kernel_from_function",
-    "bilinear_utility",
     "ramp_tail_mass",
-    "competition_utility",
     "lipschitz_ratio_sample",
 ]
-
-
-@dataclass(frozen=True)
-class BilinearKernel:
-    """Precomputed kernel matrix k[j, k] = f(x_{j-1/2}, x_{k-1/2})."""
-
-    grid: Grid
-    k_matrix: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.k_matrix, dtype=float)
-        n = self.grid.n_cells
-        if k.shape != (n, n):
-            raise ValueError(f"kernel matrix has shape {k.shape}, expected ({n}, {n})")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("kernel matrix entries must be finite")
-        k = k.copy()
-        k.flags.writeable = False
-        object.__setattr__(self, "k_matrix", k)
-
-
-def kernel_from_function(grid: Grid, f) -> BilinearKernel:
-    """Tabulate f(x, y) on the midpoint lattice once per (f, N) pair."""
-    x = grid.midpoints
-    return BilinearKernel(grid, f(x[:, None], x[None, :]))
-
-
-def bilinear_utility(kernel: BilinearKernel, mu: GridMeasure) -> np.ndarray:
-    """U_j = sum_k k_matrix[j, k] * mass_k (cell width absorbed in masses)."""
-    if kernel.grid != mu.grid:
-        raise ValueError("bilinear_utility: grid mismatch")
-    return kernel.k_matrix @ mu.mass
 
 
 def ramp_tail_mass(grid: Grid, mu: GridMeasure, x: float, epsilon: float) -> float:
@@ -92,33 +59,38 @@ class CompetitionParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"CompetitionParams: {name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"CompetitionParams: {name} must be finite and >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("CompetitionParams: alpha must lie in (0, 1)")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ValueError("CompetitionParams: epsilon must be positive")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("CompetitionParams: epsilon must be finite and positive")
 
     def resolve_epsilon(self, grid: Grid) -> float:
         return self.epsilon if self.epsilon is not None else grid.cell_width
 
 
-def _abs_power(diff: np.ndarray, c: float) -> np.ndarray:
-    # |0|^0 defined as 1 so c = 0 degenerates to a constant reward
-    if c == 0.0:
-        return np.ones_like(diff)
-    return np.abs(diff) ** c
-
-
 class BilinearUtility:
-    """Utility model backed by a single kernel matrix."""
+    """U_j = sum_k f(x_j, x_k) * mass_k on the midpoint lattice (cell width
+    absorbed in the masses), with f tabulated once into a kernel matrix."""
 
-    def __init__(self, kernel: BilinearKernel):
-        self.grid = kernel.grid
-        self.kernel = kernel
+    def __init__(self, grid: Grid, f):
+        x = grid.midpoints
+        kernel = np.array(f(x[:, None], x[None, :]), dtype=float)
+        n = grid.n_cells
+        if kernel.shape != (n, n):
+            raise ValueError(f"kernel matrix has shape {kernel.shape}, expected ({n}, {n})")
+        if not np.all(np.isfinite(kernel)):
+            raise ValueError("kernel matrix entries must be finite")
+        kernel.flags.writeable = False
+        self.grid = grid
+        self._kernel = kernel
 
-    def values(self, mu: GridMeasure) -> np.ndarray:
-        return bilinear_utility(self.kernel, mu)
+    def values(self, mass: np.ndarray) -> np.ndarray:
+        if np.shape(mass) != (self.grid.n_cells,):
+            raise ValueError(f"BilinearUtility: grid mismatch, mass has shape {np.shape(mass)}")
+        return self._kernel @ mass
 
 
 class CompetitionUtility:
@@ -126,7 +98,8 @@ class CompetitionUtility:
 
     Each evaluation is two matrix-vector products: the bilinear part
     f(x, y) = -a x^2 + b |x - y|^c, then d * max(alpha - tail_mass, 0)
-    with the tail mass a ramp-matrix product.
+    with the tail mass a ramp-matrix product. Both N x N matrices are
+    built in place, so the build holds no third one.
     """
 
     def __init__(self, grid: Grid, params: CompetitionParams):
@@ -134,23 +107,27 @@ class CompetitionUtility:
         self.params = params
         self.epsilon = params.resolve_epsilon(grid)
         x = grid.midpoints
-        kmat = -params.a * x[:, None] ** 2 + params.b * _abs_power(x[:, None] - x[None, :], params.c)
-        self.kernel = BilinearKernel(grid, kmat)
-        ramp = np.clip((x[None, :] - x[:, None] + self.epsilon) / self.epsilon, 0.0, 1.0)
+        kernel = x[:, None] - x[None, :]
+        if params.c == 0.0:
+            kernel.fill(1.0)  # |0|^0 taken as 1, so c = 0 is a constant reward
+        else:
+            np.abs(kernel, out=kernel)
+            kernel **= params.c
+        kernel *= params.b
+        kernel += -params.a * x[:, None] ** 2
+        ramp = x[None, :] - x[:, None]
+        ramp += self.epsilon
+        ramp /= self.epsilon
+        np.clip(ramp, 0.0, 1.0, out=ramp)
+        kernel.flags.writeable = False
         ramp.flags.writeable = False
-        self._ramp_matrix = ramp
+        self._kernel = kernel
+        self._ramp = ramp
 
-    def values(self, mu: GridMeasure) -> np.ndarray:
-        if mu.grid != self.grid:
-            raise ValueError("competition_utility: grid mismatch")
-        base = self.kernel.k_matrix @ mu.mass
-        tail = self._ramp_matrix @ mu.mass
+    def values(self, mass: np.ndarray) -> np.ndarray:
+        base = self._kernel @ mass
+        tail = self._ramp @ mass
         return base + self.params.d * np.maximum(self.params.alpha - tail, 0.0)
-
-
-def competition_utility(params: CompetitionParams, grid: Grid, mu: GridMeasure) -> np.ndarray:
-    """One-shot evaluation; loops should build a CompetitionUtility instead."""
-    return CompetitionUtility(grid, params).values(mu)
 
 
 def lipschitz_ratio_sample(model, mu: GridMeasure, nu: GridMeasure) -> float:
@@ -162,4 +139,4 @@ def lipschitz_ratio_sample(model, mu: GridMeasure, nu: GridMeasure) -> float:
     dist = variational_distance(mu, nu)
     if dist == 0.0:
         raise ValueError("lipschitz_ratio_sample: measures must differ")
-    return float(np.max(np.abs(model.values(mu) - model.values(nu)))) / dist
+    return float(np.max(np.abs(model.values(mu.mass) - model.values(nu.mass)))) / dist

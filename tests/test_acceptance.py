@@ -13,13 +13,12 @@ import pytest
 from rational_logit.calibration import empirical_stats
 from rational_logit.dataio import bundled_catches_path, load_catches, normalize
 from rational_logit.dynamics import (DynamicConfig, TerminationKind, euler_step,
-                                     eta_convergence_table, logit_weights,
-                                     run_until, run_to_stationary)
+                                     eta_convergence_table, run_until,
+                                     run_to_stationary, weights)
 from rational_logit.kexp import d_e_kappa, e_kappa, scaled_limit_residual
 from rational_logit.measures import (Grid, pdf_values, refine, uniform,
                                      variational_distance)
-from rational_logit.utility import (BilinearUtility, CompetitionParams,
-                                    CompetitionUtility, kernel_from_function)
+from rational_logit.utility import BilinearUtility, CompetitionParams, CompetitionUtility
 
 N = 500
 DT = 0.001
@@ -139,13 +138,13 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
 
     # (a) simplex preservation over 10^4 Euler steps
     config = DynamicConfig(1.0, 0.01, GRID, DT, DELTA)
-    mu = uniform(GRID)
+    mass = uniform(GRID).mass
     worst = 0.0
     for _ in range(10_000):
-        mu = euler_step(config, fitted_model, mu)
-        worst = max(worst, abs(float(mu.mass.sum()) - 1.0))
-        if mu.mass.min() < 0.0:
-            worst = max(worst, -float(mu.mass.min()))
+        mass = euler_step(config, fitted_model, mass)
+        worst = max(worst, abs(float(mass.sum()) - 1.0))
+        if mass.min() < 0.0:
+            worst = max(worst, -float(mass.min()))
     if worst > 1e-12:
         problems.append(f"(a) simplex drift {worst:.2e}")
 
@@ -157,7 +156,7 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
         u = rng.uniform(-3.0, 3.0, size=50)
         direct = np.exp(u / 0.1)
         direct /= direct.sum()
-        worst = max(worst, float(np.max(np.abs(logit_weights(cfg0, u).mass - direct))))
+        worst = max(worst, float(np.max(np.abs(weights(cfg0, u) - direct))))
     if worst > 1e-12:
         problems.append(f"(b) softmax mismatch {worst:.2e}")
 
@@ -184,7 +183,7 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
     def solve(n_cells):
         g = Grid(n_cells)
         cfg = DynamicConfig(1.0, 0.05, g, DT, DELTA)
-        model = BilinearUtility(kernel_from_function(g, f))
+        model = BilinearUtility(g, f)
         return run_until(cfg, model, uniform(g), 1.0, [1.0]).final_measure
     ref = solve(800)
     dists = [variational_distance(refine(solve(n), 800 // n), ref)
@@ -207,8 +206,8 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
     # detected stationary state
     for (kappa, eta), (config, traj, _) in stationary_runs.items():
         mu = traj.final_measure
-        nxt = euler_step(config, fitted_model, mu)
-        residual = N * float(np.max(np.abs(nxt.mass - mu.mass)))
+        nxt = euler_step(config, fitted_model, mu.mass)
+        residual = N * float(np.max(np.abs(nxt - mu.mass)))
         if residual > DELTA:
             problems.append(f"(g) residual {residual:.2e} at kappa={kappa} eta={eta}")
 

@@ -151,6 +151,18 @@ class TestFitSearch:
         with pytest.raises(ValueError):
             FitSpec(free=("zzz",), bounds={"zzz": (0.0, 1.0)})
 
+    def test_rejects_negative_a_b_bounds(self):
+        # CompetitionParams would reject those points one by one
+        for name in ("a", "b"):
+            with pytest.raises(ValueError, match=f"{name} bounds"):
+                FitSpec(free=(name,), bounds={name: (-0.1, 0.3)})
+
+    def test_rejects_zero_kappa_under_limit(self):
+        # DynamicConfig would reject the kappa = 0 point of the limit equation
+        with pytest.raises(ValueError, match="limit"):
+            FitSpec(free=("kappa",), bounds={"kappa": (0.0, 1.0)}, fixed_eta=None)
+        FitSpec(free=("kappa",), bounds={"kappa": (0.1, 1.0)}, fixed_eta=None)
+
     def test_all_failures_reported(self):
         spec = FitSpec(free=("a",), bounds={"a": (0.1, 0.5)}, levels=0,
                        points_per_dim=2, max_steps=1)

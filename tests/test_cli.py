@@ -64,6 +64,43 @@ class TestSimulate:
         assert code == 3
 
 
+FIT = {"free": ["a"], "bounds": {"a": [0.2, 0.3]}, "levels": 0, "points_per_dim": 2}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("subcommand, overrides", [
+        ("stationary", {"dynamic.eta": float("inf")}),
+        ("stationary", {"utility.a": float("inf")}),
+        ("simulate", {"record_times": [0.005]}),  # off the dt = 0.01 lattice
+        ("stationary", {"dynamic.max_steps": True}),
+        ("fit", {"fit": {**FIT, "levels": 1.5}}),
+        ("fit", {"fit": {**FIT, "points_per_dim": 2.5}}),
+        ("fit", {"fit": {**FIT, "free": "a"}}),
+        ("fit", {"fit": {**FIT, "bounds": [0.2, 0.3]}}),
+        ("fit", {"fit": 5}),
+    ], ids=["eta-infinity", "a-infinity", "record-time-off-lattice", "max-steps-bool",
+            "fit-levels-fraction", "fit-points-fraction", "fit-free-string",
+            "fit-bounds-list", "fit-not-object"])
+    def test_exits_1_with_manifest(self, tmp_path, subcommand, overrides):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+        assert read_manifest(out)["status"] == "config-error"
+
+    @pytest.mark.parametrize("subcommand, option", [
+        ("convergence-eta", "--etas"),
+        ("convergence-eta", "--times"),
+        ("sweep-kappa", "--kappas"),
+    ])
+    def test_non_numeric_list_option(self, tmp_path, config_path, subcommand, option):
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(config_path), "--out", str(out),
+                     option, "abc"]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        assert option in manifest["error"]
+
+
 class TestStationary:
     def test_outputs(self, tmp_path, config_path):
         out = tmp_path / "out"

@@ -8,15 +8,13 @@ from hypothesis.extra import numpy as hnp
 
 from rational_logit.dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicConfig,
                                      TerminationKind, eta_convergence_table, euler_step,
-                                     limit_weights, logit_weights, rhs,
                                      run_to_stationary, run_until, weights)
 from rational_logit.measures import Grid, GridMeasure, from_masses, uniform, variational_distance
-from rational_logit.utility import (BilinearUtility, CompetitionParams, CompetitionUtility,
-                                    kernel_from_function)
+from rational_logit.utility import BilinearUtility, CompetitionParams, CompetitionUtility
 
 
 def constant_model(grid, value=1.0):
-    return BilinearUtility(kernel_from_function(grid, lambda x, y: np.full_like(x * y, value)))
+    return BilinearUtility(grid, lambda x, y: np.full_like(x * y, value))
 
 
 class TestConfig:
@@ -38,61 +36,62 @@ class TestConfig:
         with pytest.raises(ValueError):
             DynamicConfig(1.0, -0.1, Grid(4))
 
+    @pytest.mark.parametrize("field", ["eta", "delta"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DynamicConfig(1.0, **{"eta": 0.1, "grid": Grid(4), field: value})
+
 
 class TestLogitWeights:
     def test_constant_utility_gives_uniform(self):
         cfg = DynamicConfig(0.7, 0.3, Grid(8))
-        w = logit_weights(cfg, np.full(8, 2.5))
-        np.testing.assert_allclose(w.mass, 1.0 / 8.0, atol=1e-15)
+        w = weights(cfg, np.full(8, 2.5))
+        np.testing.assert_allclose(w, 1.0 / 8.0, atol=1e-15)
 
     def test_two_cell_frozen_value(self):
         # e_1(0.75) = 2, weights (1, 2) -> (1/3, 2/3)
         cfg = DynamicConfig(1.0, 1.0, Grid(2))
-        w = logit_weights(cfg, np.array([0.0, 0.75]))
-        np.testing.assert_allclose(w.mass, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-14)
+        w = weights(cfg, np.array([0.0, 0.75]))
+        np.testing.assert_allclose(w, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-14)
 
     @given(hnp.arrays(np.float64, 16, elements=st.floats(-5.0, 5.0)),
            st.floats(0.01, 1.0))
     @settings(max_examples=200)
     def test_kappa_zero_matches_softmax(self, u, eta):
         cfg = DynamicConfig(0.0, eta, Grid(16))
-        w = logit_weights(cfg, u).mass
+        w = weights(cfg, u)
         ref = np.exp(u / eta - np.max(u / eta))
         ref /= ref.sum()
         np.testing.assert_allclose(w, ref, atol=1e-12)
 
     def test_huge_utilities_do_not_overflow(self):
         cfg = DynamicConfig(0.0, 1e-4, Grid(4))
-        w = logit_weights(cfg, np.array([0.0, 1.0, 2.0, 3.0]))
-        assert np.all(np.isfinite(w.mass))
-        assert w.mass[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_limit_mode(self):
-        cfg = DynamicConfig(1.0, LIMIT_NOISE, Grid(4))
-        with pytest.raises(ValueError):
-            logit_weights(cfg, np.zeros(4))
+        w = weights(cfg, np.array([0.0, 1.0, 2.0, 3.0]))
+        assert np.all(np.isfinite(w))
+        assert w[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLimitWeights:
     def test_linear_case(self):
         cfg = DynamicConfig(1.0, LIMIT_NOISE, Grid(3))
-        w = limit_weights(cfg, np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(w.mass, [1 / 6, 2 / 6, 3 / 6], rtol=1e-14)
+        w = weights(cfg, np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(w, [1 / 6, 2 / 6, 3 / 6], rtol=1e-14)
 
     def test_square_case(self):
         cfg = DynamicConfig(0.5, LIMIT_NOISE, Grid(2))
-        w = limit_weights(cfg, np.array([1.0, 2.0]))
-        np.testing.assert_allclose(w.mass, [0.2, 0.8], rtol=1e-14)
+        w = weights(cfg, np.array([1.0, 2.0]))
+        np.testing.assert_allclose(w, [0.2, 0.8], rtol=1e-14)
 
     def test_negative_part_clipped(self):
         cfg = DynamicConfig(1.0, LIMIT_NOISE, Grid(3))
-        w = limit_weights(cfg, np.array([-1.0, 0.0, 2.0]))
-        np.testing.assert_allclose(w.mass, [0.0, 0.0, 1.0], atol=1e-15)
+        w = weights(cfg, np.array([-1.0, 0.0, 2.0]))
+        np.testing.assert_allclose(w, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_all_nonpositive_is_degenerate(self):
         cfg = DynamicConfig(1.0, LIMIT_NOISE, Grid(3))
         with pytest.raises(DegenerateWeightsError):
-            limit_weights(cfg, np.array([-1.0, -0.5, 0.0]))
+            weights(cfg, np.array([-1.0, -0.5, 0.0]))
 
 
 class TestRhsAndEuler:
@@ -100,7 +99,8 @@ class TestRhsAndEuler:
         g = Grid(8)
         cfg = DynamicConfig(0.5, 0.2, g)
         model = constant_model(g)
-        np.testing.assert_allclose(rhs(cfg, model, uniform(g)), 0.0, atol=1e-15)
+        mass = uniform(g).mass
+        np.testing.assert_allclose(weights(cfg, model.values(mass)) - mass, 0.0, atol=1e-15)
 
     def test_rhs_sums_to_zero(self):
         g = Grid(32)
@@ -109,7 +109,7 @@ class TestRhsAndEuler:
         rng = np.random.default_rng(0)
         for _ in range(20):
             mu = from_masses(g, rng.random(32))
-            assert abs(rhs(cfg, model, mu).sum()) <= 1e-12
+            assert abs((weights(cfg, model.values(mu.mass)) - mu.mass).sum()) <= 1e-12
 
     def test_point_mass_relaxes_to_uniform_rate(self):
         g = Grid(8)
@@ -118,7 +118,8 @@ class TestRhsAndEuler:
         raw = np.zeros(8)
         raw[3] = 1.0
         mu = GridMeasure(g, raw)
-        np.testing.assert_allclose(rhs(cfg, model, mu), 1.0 / 8.0 - mu.mass, atol=1e-14)
+        np.testing.assert_allclose(weights(cfg, model.values(mu.mass)) - mu.mass,
+                                   1.0 / 8.0 - mu.mass, atol=1e-14)
 
     def test_full_replacement_at_dt_one(self):
         g = Grid(8)
@@ -126,15 +127,15 @@ class TestRhsAndEuler:
         model = constant_model(g)
         raw = np.zeros(8)
         raw[0] = 1.0
-        out = euler_step(cfg, model, GridMeasure(g, raw))
-        np.testing.assert_allclose(out.mass, 1.0 / 8.0, atol=1e-14)
+        out = euler_step(cfg, model, GridMeasure(g, raw).mass)
+        np.testing.assert_allclose(out, 1.0 / 8.0, atol=1e-14)
 
     def test_stationary_point_is_fixed(self):
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g)
         model = constant_model(g)
-        out = euler_step(cfg, model, uniform(g))
-        np.testing.assert_allclose(out.mass, 1.0 / 8.0, atol=1e-15)
+        out = euler_step(cfg, model, uniform(g).mass)
+        np.testing.assert_allclose(out, 1.0 / 8.0, atol=1e-15)
 
     def test_mass_drift_over_many_steps(self):
         g = Grid(16)
@@ -142,11 +143,11 @@ class TestRhsAndEuler:
         model = constant_model(g)
         raw = np.zeros(16)
         raw[0] = 1.0
-        mu = GridMeasure(g, raw)
+        mass = GridMeasure(g, raw).mass
         for _ in range(10_000):
-            mu = euler_step(cfg, model, mu)
-        assert abs(mu.mass.sum() - 1.0) <= 1e-12
-        assert np.all(mu.mass >= 0.0)
+            mass = euler_step(cfg, model, mass)
+        assert abs(mass.sum() - 1.0) <= 1e-12
+        assert np.all(mass >= 0.0)
 
 
 class TestRunUntil:
@@ -193,7 +194,7 @@ class TestRunUntil:
         # strictly negative utility everywhere: first step already fails
         g = Grid(8)
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g)
-        model = BilinearUtility(kernel_from_function(g, lambda x, y: -1.0 - x * y))
+        model = BilinearUtility(g, lambda x, y: -1.0 - x * y)
         with pytest.raises(DegenerateWeightsError) as err:
             run_until(cfg, model, uniform(g), 1.0, [1.0])
         assert err.value.step == 0
@@ -224,10 +225,23 @@ class TestRunToStationary:
         mu = traj.final_measure
         # the stationarity check controls the per-step PDF change, which is
         # exactly dt * N * |rhs|; the detected state must satisfy that bound
-        residual = rhs(cfg, model, mu)
+        residual = weights(cfg, model.values(mu.mass)) - mu.mass
         assert g.n_cells * cfg.dt * np.max(np.abs(residual)) <= cfg.delta
-        w = weights(cfg, model.values(mu))
+        w = GridMeasure(g, weights(cfg, model.values(mu.mass)))
         assert variational_distance(w, mu) <= cfg.delta / cfg.dt
+
+    def test_nonfinite_utility_rejected_by_both_loops(self):
+        # the weight map's finite check is the only per-step guard on U
+        class NaNUtility:
+            def values(self, mass):
+                return np.full_like(mass, np.nan)
+
+        g = Grid(8)
+        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
+        with pytest.raises(ValueError, match="utility vector must be finite"):
+            run_until(cfg, NaNUtility(), uniform(g), 1.0, [1.0])
+        with pytest.raises(ValueError, match="utility vector must be finite"):
+            run_to_stationary(cfg, NaNUtility(), uniform(g), 10)
 
     def test_simplex_preserved_along_the_way(self):
         g = Grid(32)

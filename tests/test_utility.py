@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rational_logit.measures import Grid, GridMeasure, from_masses, uniform
-from rational_logit.utility import (BilinearKernel, BilinearUtility, CompetitionParams,
-                                    CompetitionUtility, bilinear_utility,
-                                    competition_utility, kernel_from_function,
+from rational_logit.utility import (BilinearUtility, CompetitionParams, CompetitionUtility,
                                     lipschitz_ratio_sample, ramp_tail_mass)
 
 
@@ -23,53 +21,53 @@ def measure_strategy(n):
 class TestBilinearUtility:
     def test_constant_kernel(self):
         g = Grid(10)
-        kernel = kernel_from_function(g, lambda x, y: np.ones_like(x * y))
-        np.testing.assert_allclose(bilinear_utility(kernel, uniform(g)), 1.0, atol=1e-15)
+        kernel = BilinearUtility(g, lambda x, y: np.ones_like(x * y))
+        np.testing.assert_allclose(kernel.values(uniform(g).mass), 1.0, atol=1e-15)
 
     def test_mean_kernel_on_uniform(self):
         g = Grid(500)
-        kernel = kernel_from_function(g, lambda x, y: y + 0.0 * x)
-        np.testing.assert_allclose(bilinear_utility(kernel, uniform(g)), 0.5, atol=1e-12)
+        kernel = BilinearUtility(g, lambda x, y: y + 0.0 * x)
+        np.testing.assert_allclose(kernel.values(uniform(g).mass), 0.5, atol=1e-12)
 
     def test_product_kernel_point_mass(self):
         g = Grid(8)
-        kernel = kernel_from_function(g, lambda x, y: x * y)
+        kernel = BilinearUtility(g, lambda x, y: x * y)
         for k in range(8):
             raw = np.zeros(8)
             raw[k] = 1.0
             mu = GridMeasure(g, raw)
             # direct summation oracle
             oracle = np.array([g.midpoints[j] * g.midpoints[k] for j in range(8)])
-            np.testing.assert_allclose(bilinear_utility(kernel, mu), oracle, atol=1e-15)
+            np.testing.assert_allclose(kernel.values(mu.mass), oracle, atol=1e-15)
 
     def test_direct_summation_oracle(self):
         g = Grid(6)
         rng = np.random.default_rng(7)
-        kernel = kernel_from_function(g, lambda x, y: np.sin(3 * x) * y ** 2 + x)
+        kernel = BilinearUtility(g, lambda x, y: np.sin(3 * x) * y ** 2 + x)
         mu = random_measure(6, rng)
         x = g.midpoints
         oracle = [sum((np.sin(3 * x[j]) * x[k] ** 2 + x[j]) * mu.mass[k] for k in range(6))
                   for j in range(6)]
-        np.testing.assert_allclose(bilinear_utility(kernel, mu), oracle, rtol=1e-13)
+        np.testing.assert_allclose(kernel.values(mu.mass), oracle, rtol=1e-13)
 
     def test_grid_mismatch(self):
-        kernel = kernel_from_function(Grid(4), lambda x, y: x + y)
+        kernel = BilinearUtility(Grid(4), lambda x, y: x + y)
         with pytest.raises(ValueError, match="grid mismatch"):
-            bilinear_utility(kernel, uniform(Grid(5)))
+            kernel.values(uniform(Grid(5)).mass)
 
     def test_rejects_nonfinite_kernel(self):
         with pytest.raises(ValueError):
-            BilinearKernel(Grid(2), np.array([[1.0, np.inf], [0.0, 0.0]]))
+            BilinearUtility(Grid(2), lambda x, y: np.array([[1.0, np.inf], [0.0, 0.0]]))
 
     @given(measure_strategy(6), measure_strategy(6), st.floats(0.0, 1.0))
     @settings(max_examples=100)
     def test_linear_in_measure(self, mu, nu, lam):
         g = Grid(6)
-        kernel = kernel_from_function(g, lambda x, y: x - 2.0 * y + x * y)
+        kernel = BilinearUtility(g, lambda x, y: x - 2.0 * y + x * y)
         mix = GridMeasure(g, lam * mu.mass + (1.0 - lam) * nu.mass)
-        expected = (lam * bilinear_utility(kernel, mu)
-                    + (1.0 - lam) * bilinear_utility(kernel, nu))
-        np.testing.assert_allclose(bilinear_utility(kernel, mix), expected, atol=1e-12)
+        expected = (lam * kernel.values(mu.mass)
+                    + (1.0 - lam) * kernel.values(nu.mass))
+        np.testing.assert_allclose(kernel.values(mix.mass), expected, atol=1e-12)
 
 
 class TestRampTailMass:
@@ -122,7 +120,7 @@ class TestCompetitionUtility:
         # cost ~ 0 at x ~ 0, tail mass ~ 1 so no award: U ~ b * E|0 - y| = b/2
         g = Grid(500)
         params = CompetitionParams(a=0.27, b=0.23, c=1.0, d=1.0, alpha=0.2)
-        u = competition_utility(params, g, uniform(g))
+        u = CompetitionUtility(g, params).values(uniform(g).mass)
         assert u[0] == pytest.approx(0.115, abs=1e-3)
 
     def test_cost_only(self):
@@ -130,14 +128,14 @@ class TestCompetitionUtility:
         rng = np.random.default_rng(11)
         params = CompetitionParams(a=0.4, b=0.0, d=0.0)
         for mu in (uniform(g), random_measure(50, rng)):
-            np.testing.assert_allclose(competition_utility(params, g, mu),
+            np.testing.assert_allclose(CompetitionUtility(g, params).values(mu.mass),
                                        -0.4 * g.midpoints ** 2, atol=1e-15)
 
     def test_award_only_on_uniform(self):
         # tail mass ~ 1 - x, so the award kicks in above x = 1 - alpha
         g = Grid(500)
         params = CompetitionParams(a=0.0, b=0.0, d=1.0, alpha=0.2)
-        u = competition_utility(params, g, uniform(g))
+        u = CompetitionUtility(g, params).values(uniform(g).mass)
         x = g.midpoints
         # midpoint-rule oracle on the ramp sum
         eps = g.cell_width
@@ -152,11 +150,11 @@ class TestCompetitionUtility:
         g = Grid(40)
         rng = np.random.default_rng(5)
         params = CompetitionParams(a=0.3, b=0.7, c=1.5, d=0.0)
-        kernel = kernel_from_function(g, lambda x, y: -0.3 * x ** 2 + 0.7 * np.abs(x - y) ** 1.5)
+        kernel = BilinearUtility(g, lambda x, y: -0.3 * x ** 2 + 0.7 * np.abs(x - y) ** 1.5)
         for _ in range(5):
             mu = random_measure(40, rng)
-            np.testing.assert_allclose(competition_utility(params, g, mu),
-                                       bilinear_utility(kernel, mu), atol=1e-12)
+            np.testing.assert_allclose(CompetitionUtility(g, params).values(mu.mass),
+                                       kernel.values(mu.mass), atol=1e-12)
 
     def test_bounded_by_coarse_bound(self):
         g = Grid(30)
@@ -164,14 +162,14 @@ class TestCompetitionUtility:
         params = CompetitionParams(a=0.27, b=0.23, c=1.0, d=1.0, alpha=0.2)
         bound = params.a + params.b + params.d
         for _ in range(20):
-            u = competition_utility(params, g, random_measure(30, rng))
+            u = CompetitionUtility(g, params).values(random_measure(30, rng).mass)
             assert np.all(np.abs(u) <= bound + 1e-12)
 
     def test_zero_exponent_convention(self):
         # |0|^0 == 1: c = 0 turns the reward into a constant b
         g = Grid(4)
         params = CompetitionParams(a=0.0, b=0.5, c=0.0, d=0.0)
-        np.testing.assert_allclose(competition_utility(params, g, uniform(g)), 0.5,
+        np.testing.assert_allclose(CompetitionUtility(g, params).values(uniform(g).mass), 0.5,
                                    atol=1e-15)
 
     def test_epsilon_defaults_to_cell_width(self):
@@ -187,17 +185,23 @@ class TestCompetitionUtility:
         with pytest.raises(ValueError):
             CompetitionParams(epsilon=0.0)
 
+    @pytest.mark.parametrize("field", ["a", "b", "c", "d", "epsilon"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_nonfinite_params(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CompetitionParams(**{field: value})
+
     def test_deterministic(self):
         g = Grid(20)
         mu = random_measure(20, np.random.default_rng(1))
         model = CompetitionUtility(g, CompetitionParams())
-        np.testing.assert_array_equal(model.values(mu), model.values(mu))
+        np.testing.assert_array_equal(model.values(mu.mass), model.values(mu.mass))
 
 
 class TestLipschitzRatio:
     def test_constant_kernel_gives_zero(self):
         g = Grid(10)
-        model = BilinearUtility(kernel_from_function(g, lambda x, y: np.full_like(x * y, 3.0)))
+        model = BilinearUtility(g, lambda x, y: np.full_like(x * y, 3.0))
         rng = np.random.default_rng(2)
         for _ in range(10):
             mu, nu = random_measure(10, rng), random_measure(10, rng)
@@ -205,8 +209,7 @@ class TestLipschitzRatio:
 
     def test_bounded_kernel_bounds_ratio(self):
         g = Grid(16)
-        kernel = kernel_from_function(g, lambda x, y: np.sin(5 * x * y))  # |f| <= 1
-        model = BilinearUtility(kernel)
+        model = BilinearUtility(g, lambda x, y: np.sin(5 * x * y))  # |f| <= 1
         rng = np.random.default_rng(4)
         for _ in range(50):
             mu, nu = random_measure(16, rng), random_measure(16, rng)
@@ -224,6 +227,6 @@ class TestLipschitzRatio:
 
     def test_rejects_equal_measures(self):
         g = Grid(4)
-        model = BilinearUtility(kernel_from_function(g, lambda x, y: x + y))
+        model = BilinearUtility(g, lambda x, y: x + y)
         with pytest.raises(ValueError):
             lipschitz_ratio_sample(model, uniform(g), uniform(g))
