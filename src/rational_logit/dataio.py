@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -28,6 +28,7 @@ __all__ = [
     "load_catches",
     "save_catches",
     "normalize",
+    "lattice_problems",
     "load_run_config",
     "write_measure_csv",
     "write_trajectory_csv",
@@ -116,7 +117,11 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a CLI run needs: dynamic config, utility parameters,
-    initial condition name, snapshot times, and the step budget."""
+    initial condition name, snapshot times, and the step budget.
+
+    `resolved` is the configuration document as the loader accepted it,
+    defaults filled in; it is a record for the run manifest and selects no
+    behaviour. Loading it again gives an equal RunConfig."""
 
     dynamic: DynamicConfig
     utility: CompetitionParams
@@ -124,6 +129,7 @@ class RunConfig:
     record_times: tuple
     max_steps: int
     fit: FitSpec | None = None
+    resolved: dict = field(default_factory=dict, repr=False)
 
 
 def _get(doc: dict, dotted: str, default=None):
@@ -135,24 +141,47 @@ def _get(doc: dict, dotted: str, default=None):
     return node
 
 
+def lattice_problems(label: str, times, dt: float) -> list[str]:
+    """One `label: ...` problem per time that is not a whole number of dt steps."""
+    problems = []
+    for t in times:
+        try:
+            lattice_step(t, dt)
+        except ValueError as exc:
+            problems.append(f"{label}: {exc}")
+    return problems
+
+
 def load_run_config(path) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
     Collects every field problem before raising, so a bad config reports
-    all of its errors at once.
+    all of its errors at once. Every accepted value, defaults included, is
+    recorded in `RunConfig.resolved`.
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError([f"not valid JSON: {exc}"]) from None
+    if not isinstance(doc, dict):
+        raise ConfigError([f"top level: JSON object required (got {doc!r})"])
     problems: list[str] = []
+    resolved: dict = {}
+
+    def accept(dotted, value):
+        node = resolved
+        *parents, leaf = dotted.split(".")
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+        return value
 
     def check(dotted, default, validator, message):
         value = _get(doc, dotted, default)
         if value is None or not validator(value):
             problems.append(f"{dotted}: {message} (got {value!r})")
             return None
-        return value
+        return accept(dotted, value)
 
     # json accepts Infinity and NaN; no config number may be non-finite
     is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
@@ -160,16 +189,15 @@ def load_run_config(path) -> RunConfig:
     n = check("grid.n", 500, lambda v: is_int(v) and v >= 2, "integer >= 2 required")
     kappa = check("dynamic.kappa", None, lambda v: is_num(v) and 0.0 <= v <= 1.0,
                   "number in [0, 1] required")
-    eta = _get(doc, "dynamic.eta")
+    eta = accept("dynamic.eta", _get(doc, "dynamic.eta"))
+    eta_value = None
     if eta == "limit":
-        eta_value = None
         if kappa == 0.0:
             problems.append('dynamic.eta: "limit" requires dynamic.kappa > 0')
     elif is_num(eta) and eta > 0:
         eta_value = float(eta)
     else:
         problems.append(f'dynamic.eta: positive number or "limit" required (got {eta!r})')
-        eta_value = None
     dt = check("dynamic.dt", 0.001, lambda v: is_num(v) and 0.0 < v <= 1.0,
                "number in (0, 1] required")
     delta = check("dynamic.delta", 1e-11, lambda v: is_num(v) and v > 0.0,
@@ -183,20 +211,16 @@ def load_run_config(path) -> RunConfig:
     alpha = check("utility.alpha", 0.2, lambda v: is_num(v) and 0.0 < v < 1.0,
                   "number in (0, 1) required")
     epsilon = _get(doc, "utility.epsilon")
-    if epsilon is not None and not (is_num(epsilon) and epsilon > 0):
-        problems.append(f"utility.epsilon: positive number required (got {epsilon!r})")
-        epsilon = None
+    if epsilon is not None:
+        epsilon = check("utility.epsilon", None, lambda v: is_num(v) and v > 0,
+                        "positive number required")
     init = check("init", "uniform", lambda v: v == "uniform", 'only "uniform" is supported')
-    record_times = _get(doc, "record_times", [1.0, 10.0])
+    record_times = accept("record_times", _get(doc, "record_times", [1.0, 10.0]))
     if not (isinstance(record_times, list) and all(is_num(t) and t >= 0 for t in record_times)):
         problems.append(f"record_times: list of numbers >= 0 required (got {record_times!r})")
         record_times = []
     if dt is not None:
-        for t in record_times:
-            try:
-                lattice_step(t, dt)
-            except ValueError as exc:
-                problems.append(f"record_times: {exc}")
+        problems += lattice_problems("record_times", record_times, dt)
 
     fit_spec = None
     if "fit" in doc and not problems:
@@ -208,17 +232,19 @@ def load_run_config(path) -> RunConfig:
             if not (isinstance(free, list) and isinstance(bounds, dict)):
                 raise TypeError("free must be a list of names and bounds an object "
                                 f"(got {free!r}, {bounds!r})")
+            schedule = {"levels": fit_doc.get("levels", 2),
+                        "points_per_dim": fit_doc.get("points_per_dim", 5),
+                        "shrink": fit_doc.get("shrink", 0.5),
+                        "max_steps": fit_doc.get("max_steps", max_steps)}
             fit_spec = FitSpec(
                 free=tuple(free),
                 bounds={k: tuple(v) for k, v in bounds.items()},
                 fixed_params=CompetitionParams(a=a, b=b, c=c, d=d, alpha=alpha, epsilon=epsilon),
                 fixed_eta=eta_value,
                 fixed_kappa=kappa,
-                levels=fit_doc.get("levels", 2),
-                points_per_dim=fit_doc.get("points_per_dim", 5),
-                shrink=fit_doc.get("shrink", 0.5),
-                max_steps=fit_doc.get("max_steps", max_steps),
+                **schedule,
             )
+            accept("fit", {"free": free, "bounds": bounds, **schedule})
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"fit: {exc}")
 
@@ -230,7 +256,7 @@ def load_run_config(path) -> RunConfig:
                                alpha=float(alpha),
                                epsilon=float(epsilon) if epsilon is not None else None)
     return RunConfig(dynamic, params, init, tuple(float(t) for t in record_times),
-                     int(max_steps), fit_spec)
+                     int(max_steps), fit_spec, resolved)
 
 
 def write_measure_csv(path, mu: GridMeasure) -> None:

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rational_logit.cli import main
+from rational_logit.dataio import load_run_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 COARSE = {
     "grid": {"n": 50},
@@ -62,6 +66,19 @@ class TestSimulate:
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(out)])
         assert code == 3
+        assert read_manifest(out)["status"] == "io-error"
+
+    def test_unexpected_exception_exits_4_with_manifest(self, tmp_path, config_path,
+                                                        monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("injected")
+
+        monkeypatch.setattr("rational_logit.cli.run_until", broken)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 4
+        manifest = read_manifest(out)
+        assert manifest["status"] == "internal-error"
+        assert "KeyError" in manifest["error"] and "injected" in manifest["error"]
 
 
 FIT = {"free": ["a"], "bounds": {"a": [0.2, 0.3]}, "levels": 0, "points_per_dim": 2}
@@ -99,6 +116,48 @@ class TestConfigErrors:
         manifest = read_manifest(out)
         assert manifest["status"] == "config-error"
         assert option in manifest["error"]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--times", "0.005"),  # off the dt = 0.01 lattice
+        ("--times", "0"),
+        ("--times", "-1,1"),
+        ("--etas", "0"),
+        ("--etas", "-0.1"),
+        ("--etas", "0.1,0.1"),
+    ])
+    def test_convergence_eta_list_rules(self, tmp_path, config_path, option, value):
+        out = tmp_path / "out"
+        assert main(["convergence-eta", "--config", str(config_path), "--out", str(out),
+                     f"{option}={value}"]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        assert option in manifest["error"]
+
+    @pytest.mark.parametrize("text", ["5", "null", b"\xff\xfe"],
+                             ids=["number", "null", "not-utf8"])
+    def test_config_not_a_json_object(self, tmp_path, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+        out = tmp_path / "out"
+        assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == 1
+        assert read_manifest(out)["status"] == "config-error"
+
+    @pytest.mark.parametrize("data_text, code, status", [
+        ("yr,catch\n2000,1\n", 1, "config-error"),
+        (None, 3, "io-error"),
+    ], ids=["malformed", "missing"])
+    def test_data_file(self, tmp_path, data_text, code, status):
+        data = tmp_path / "data.csv"
+        if data_text is not None:
+            data.write_text(data_text)
+        cfg = write_config(tmp_path, {"fit": {"free": [], "bounds": {}, "levels": 0}})
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out),
+                     "--data", str(data)]) == code
+        manifest = read_manifest(out)
+        assert manifest["status"] == status
+        if code == 1:
+            assert "--data" in manifest["error"]
 
 
 class TestStationary:
@@ -206,3 +265,39 @@ class TestSweepKappa:
         cfg = write_config(tmp_path, {"dynamic.eta": "limit"})
         out = tmp_path / "out"
         assert main(["sweep-kappa", "--config", str(cfg), "--out", str(out)]) == 1
+
+
+class TestManifest:
+    def test_outputs_relative_to_out(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        assert main(["stationary", "--config", str(config_path), "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        assert manifest["outputs"] == ["stationary_pdf.csv", "moments.json"]
+        assert manifest["inputs"] == [str(config_path)]
+
+    @pytest.mark.parametrize("source", [
+        CONFIGS / "fitted.json",
+        CONFIGS / "fit_ab.json",
+        {"dynamic": {"kappa": 0.5, "eta": "limit"}, "utility": {"epsilon": 0.01}},
+    ], ids=["fitted", "fit_ab", "sparse"])
+    def test_config_round_trip(self, tmp_path, source):
+        # The manifest records the config before the run starts, so a run
+        # stopped by a bad --etas list records it too and keeps this fast.
+        if isinstance(source, dict):
+            path = tmp_path / "sparse.json"
+            path.write_text(json.dumps(source))
+        else:
+            path = source
+        out = tmp_path / "out"
+        main(["convergence-eta", "--config", str(path), "--out", str(out), "--etas", "0"])
+        recorded = read_manifest(out)["config"]
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(recorded))
+        assert load_run_config(again) == load_run_config(path)
+        assert load_run_config(again).resolved == recorded
+        if isinstance(source, dict):
+            assert recorded["dynamic"]["eta"] == "limit"
+            assert recorded["utility"]["epsilon"] == 0.01
+            assert recorded["grid"]["n"] == 500
+        else:
+            assert "epsilon" not in recorded["utility"]
