@@ -3,8 +3,9 @@
 
 Runs the CLI subcommands with the shipped fitted configuration:
 stationary PDF + moments, eta-convergence table, kappa sweep, transient
-trajectories at several noise levels, and the empirical-vs-model PDF
-comparison table. Takes a few minutes at full resolution.
+trajectories at several noise levels, the empirical-vs-model PDF
+comparison table, and the criterion-6b grid-refinement table of the
+eta=0.01-to-limit stationary gap. Takes about a minute.
 """
 
 from __future__ import annotations
@@ -15,14 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from rational_logit import (CompetitionParams, CompetitionUtility, DynamicConfig,
-                            Grid, bundled_catches_path, empirical_pdf, load_catches,
-                            normalize, run_to_stationary, uniform, write_pdf_table)
+from rational_logit import (LIMIT_NOISE, CompetitionParams, CompetitionUtility,
+                            DynamicConfig, Grid, bundled_catches_path, empirical_pdf,
+                            load_catches, load_run_config, normalize, pdf_values,
+                            run_to_stationary, uniform, variational_distance,
+                            write_pdf_table)
 from rational_logit.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "fitted.json"
 OUT = ROOT / "out" / "exhibits"
+REFINEMENT_N = (250, 500, 1000, 2000, 4000)
 
 
 def coarsen_pdf(mass: np.ndarray, bins: int) -> np.ndarray:
@@ -38,6 +42,25 @@ def transient_config(eta) -> Path:
     path = OUT / f"transient_config_eta_{eta}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
+
+
+def limit_gap_refinement(path: Path) -> None:
+    """Stationary eta=0.01 and limit states of the fitted config at each
+    REFINEMENT_N, with their gap in the PDF max-norm and the variational norm."""
+    run_config = load_run_config(CONFIG)
+    base = run_config.dynamic
+    lines = ["n_cells,steps_eta_0.01,steps_limit,max_norm_gap,variational_gap"]
+    for n in REFINEMENT_N:
+        grid = Grid(n)
+        model = CompetitionUtility(grid, run_config.utility)
+        small, limit = (run_to_stationary(DynamicConfig(base.kappa, eta, grid, base.dt, base.delta),
+                                          model, uniform(grid), run_config.max_steps)
+                        for eta in (0.01, LIMIT_NOISE))
+        mu, nu = small.final_measure, limit.final_measure
+        gap = float(np.max(np.abs(pdf_values(mu) - pdf_values(nu))))
+        lines.append(f"{n},{small.termination.step},{limit.termination.step},"
+                     f"{gap!r},{variational_distance(mu, nu)!r}")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def main() -> int:
@@ -61,6 +84,7 @@ def main() -> int:
     write_pdf_table(OUT / "empirical_vs_model_pdf.csv", centers,
                     [empirical_pdf(sample, bins), coarsen_pdf(traj.final_measure.mass, bins)],
                     names=["pdf_empirical", "pdf_model"])
+    limit_gap_refinement(OUT / "limit_gap_refinement.csv")
     print(f"exhibits written under {OUT}")
     return rc
 

@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Time the competition utility and one Euler step across grid sizes.
+
+For each N, prints the CompetitionUtility build time, the bytes the built
+model holds (tracemalloc), and the median microseconds of one
+`values(mass)` call and one `euler_step` at the fitted parameters
+(kappa = 1, eta = 0.01), as one JSON document. Run it against two source
+trees on one machine to compare them:
+
+    PYTHONPATH=src python scripts/time_layers.py --sizes 500,2000,8000
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import time
+import tracemalloc
+
+from rational_logit import (CompetitionParams, CompetitionUtility, DynamicConfig, Grid,
+                            euler_step, uniform)
+
+
+def median_us(fn, samples: int = 7, sample_seconds: float = 0.1) -> float:
+    """Median over `samples` timed batches of the per-call microseconds."""
+    calls, t0 = 0, time.perf_counter()
+    while time.perf_counter() - t0 < sample_seconds:
+        fn()
+        calls += 1
+    per_call = []
+    for _ in range(samples):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        per_call.append((time.perf_counter() - t0) / calls * 1e6)
+    return statistics.median(per_call)
+
+
+def time_size(n: int) -> dict:
+    grid = Grid(n)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    model = CompetitionUtility(grid, CompetitionParams())
+    build_s = time.perf_counter() - t0
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    config = DynamicConfig(1.0, 0.01, grid)
+    mass = uniform(grid).mass
+    return {"build_s": build_s, "build_peak_bytes": peak, "held_bytes": held,
+            "values_us": median_us(lambda: model.values(mass)),
+            "euler_step_us": median_us(lambda: euler_step(config, model, mass))}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default="500,2000,8000", help="comma list of grid sizes N")
+    args = parser.parse_args()
+    print(json.dumps({n: time_size(int(n)) for n in args.sizes.split(",")}, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -4,7 +4,7 @@ from .kexp import d_e_kappa, e_kappa, log_e_kappa, scaled_limit_residual
 from .measures import (Grid, GridMeasure, from_masses, mean_and_std, pdf_values,
                        refine, uniform, variational_distance)
 from .utility import (BilinearUtility, CompetitionParams, CompetitionUtility,
-                      lipschitz_ratio_sample, ramp_tail_mass)
+                      lipschitz_ratio_sample)
 from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicConfig,
                        Termination, TerminationKind, Trajectory,
                        eta_convergence_table, euler_step, run_to_stationary,
@@ -12,7 +12,7 @@ from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicConfig,
 from .calibration import (EmpiricalSample, FitResult, FitSpec, NonStationaryError,
                           empirical_pdf, empirical_stats, fit_objective, fit_search)
 from .dataio import (CatchDataset, ConfigError, RunConfig, bundled_catches_path,
-                     load_catches, load_run_config, normalize, save_catches,
+                     load_catches, load_run_config, normalize,
                      write_convergence_csv, write_measure_csv, write_pdf_table,
                      write_trajectory_csv)
 

@@ -147,7 +147,10 @@ def _convergence_eta(args, run_config, manifest):
 
 
 def _sweep_kappa(args, run_config, manifest):
-    kappas = _number_list("--kappas", args.kappas)
+    # + 0.0 turns -0 into 0, so no column name or failure key reads -0
+    kappas = [k + 0.0 for k in _number_list("--kappas", args.kappas)]
+    if len(set(kappas)) < len(kappas):
+        raise dataio.ConfigError([f"--kappas: distinct numbers required (got {args.kappas!r})"])
     base = run_config.dynamic
     if base.eta is None:
         raise dataio.ConfigError(["dynamic.eta: sweep-kappa needs positive noise"])

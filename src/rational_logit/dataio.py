@@ -26,7 +26,6 @@ __all__ = [
     "RunConfig",
     "bundled_catches_path",
     "load_catches",
-    "save_catches",
     "normalize",
     "lattice_problems",
     "load_run_config",
@@ -86,13 +85,6 @@ def load_catches(path) -> CatchDataset:
             raise ValueError(f"{path}:{lineno}: negative catch {catch}")
         by_year.setdefault(year, []).append(catch)
     return CatchDataset(tuple((y, tuple(c)) for y, c in by_year.items()))
-
-
-def save_catches(path, dataset: CatchDataset) -> None:
-    lines = ["year,catch"]
-    for year, catches in dataset.records:
-        lines += [f"{year},{c}" for c in catches]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def normalize(dataset: CatchDataset) -> EmpiricalSample:

@@ -8,7 +8,9 @@ vector and returning the (N,) utility vector:
   tests compare other models against.
 * CompetitionUtility: quadratic harvesting cost, pairwise difference reward,
   and an award for the upper-alpha tail, the tail mass regularized by a ramp
-  of width epsilon.
+  of width epsilon. It holds no matrix: both sums depend only on the cell
+  offset, so `values` costs O(N) by cumulative sums (c in {0, 1},
+  epsilon <= 1/N) or O(N log N) by one FFT Toeplitz product, in O(N) memory.
 """
 
 from __future__ import annotations
@@ -24,21 +26,8 @@ __all__ = [
     "BilinearUtility",
     "CompetitionParams",
     "CompetitionUtility",
-    "ramp_tail_mass",
     "lipschitz_ratio_sample",
 ]
-
-
-def ramp_tail_mass(grid: Grid, mu: GridMeasure, x: float, epsilon: float) -> float:
-    """Regularized upper-tail mass of mu above x.
-
-    The sharp indicator 1_{(x, 1]} is replaced by the ramp
-    clip((y - x + epsilon)/epsilon, 0, 1) evaluated at cell midpoints.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("ramp_tail_mass: epsilon must be positive")
-    ramp = np.clip((grid.midpoints - x + epsilon) / epsilon, 0.0, 1.0)
-    return float(ramp @ mu.mass)
 
 
 @dataclass(frozen=True)
@@ -94,40 +83,68 @@ class BilinearUtility:
 
 
 class CompetitionUtility:
-    """Cost + difference reward + regularized award, precomputed matrices.
+    """Cost + difference reward + regularized award, in O(N) memory.
 
-    Each evaluation is two matrix-vector products: the bilinear part
-    f(x, y) = -a x^2 + b |x - y|^c, then d * max(alpha - tail_mass, 0)
-    with the tail mass a ramp-matrix product. Both N x N matrices are
-    built in place, so the build holds no third one.
+    U_i = -a x_i^2 sum_j m_j + b sum_j |x_i - x_j|^c m_j + d max(alpha - tail_i, 0)
+    with tail_i = sum_j clip((x_j - x_i + epsilon)/epsilon, 0, 1) m_j.
+
+    On the uniform grid both sums depend only on the offset i - j. The ramp
+    is 1 for j >= i, so the tail is the suffix sum of m, plus the ramp's
+    lower lags 1 .. ceil(N epsilon) - 1 when epsilon > 1/N. The reward is
+    b sum_j m_j at c = 0 and a two-sided double cumulative sum at c = 1.
+    Any other c, and the lower ramp lags, take one zero-padded FFT Toeplitz
+    product against kernel spectra computed here. So `values` costs O(N)
+    for c in {0, 1} with epsilon <= 1/N, and O(N log N) otherwise.
     """
 
     def __init__(self, grid: Grid, params: CompetitionParams):
         self.grid = grid
         self.params = params
         self.epsilon = params.resolve_epsilon(grid)
-        x = grid.midpoints
-        kernel = x[:, None] - x[None, :]
-        if params.c == 0.0:
-            kernel.fill(1.0)  # |0|^0 taken as 1, so c = 0 is a constant reward
-        else:
-            np.abs(kernel, out=kernel)
-            kernel **= params.c
-        kernel *= params.b
-        kernel += -params.a * x[:, None] ** 2
-        ramp = x[None, :] - x[:, None]
-        ramp += self.epsilon
-        ramp /= self.epsilon
-        np.clip(ramp, 0.0, 1.0, out=ramp)
-        kernel.flags.writeable = False
-        ramp.flags.writeable = False
-        self._kernel = kernel
-        self._ramp = ramp
+        n = grid.n_cells
+        self._cost = -params.a * grid.midpoints ** 2
+        lag = np.arange(n) * grid.cell_width  # |x_i - x_j| at offset |i - j|
+        ramp = np.clip((self.epsilon - lag) / self.epsilon, 0.0, 1.0)
+        ramp[0] = 0.0  # lag 0 is in the suffix sum
+        self._wide = bool(np.any(ramp > 0.0))
+        kernels = []  # (lower, upper): T[i, j] = lower[i - j] if i >= j else upper[j - i]
+        if params.c not in (0.0, 1.0):
+            reward = params.b * lag ** params.c
+            kernels.append((reward, reward))
+        if self._wide:
+            kernels.append((ramp, np.zeros(n)))
+        self._fft_size = 1 << (2 * n - 2).bit_length()  # smallest power of 2 >= 2n - 1
+        self._spectra = (np.stack([_circulant_spectrum(lower, upper, self._fft_size)
+                                   for lower, upper in kernels]) if kernels else None)
 
     def values(self, mass: np.ndarray) -> np.ndarray:
-        base = self._kernel @ mass
-        tail = self._ramp @ mass
-        return base + self.params.d * np.maximum(self.params.alpha - tail, 0.0)
+        p, n = self.params, self.grid.n_cells
+        upper = np.cumsum(mass[::-1])[::-1]  # sum_{j >= i} m_j
+        total = upper[0]
+        if self._spectra is not None:
+            spectrum = self._spectra * np.fft.rfft(mass, self._fft_size)
+            lagged = np.fft.irfft(spectrum, self._fft_size)[:, :n]
+        if p.c == 0.0:
+            reward = p.b * total  # |0|^0 taken as 1, so c = 0 is a constant reward
+        elif p.c == 1.0:
+            dist = np.zeros(n)  # sum_j |i - j| m_j
+            dist[1:] = np.cumsum(np.cumsum(mass[:-1]))
+            dist[:-1] += np.cumsum(upper[:0:-1])[::-1]
+            reward = (p.b * self.grid.cell_width) * dist
+        else:
+            reward = lagged[0]
+        tail = upper + lagged[-1] if self._wide else upper
+        return self._cost * total + reward + p.d * np.maximum(p.alpha - tail, 0.0)
+
+
+def _circulant_spectrum(lower: np.ndarray, upper: np.ndarray, size: int) -> np.ndarray:
+    """rfft of the first column of the size x size circulant that embeds the
+    n x n Toeplitz matrix T[i, j] = lower[i - j] (i >= j), upper[j - i] (j > i)."""
+    n = lower.size
+    column = np.zeros(size)
+    column[:n] = lower
+    column[size - n + 1:] = upper[:0:-1]
+    return np.fft.rfft(column)
 
 
 def lipschitz_ratio_sample(model, mu: GridMeasure, nu: GridMeasure) -> float:

@@ -133,6 +133,15 @@ class TestConfigErrors:
         assert manifest["status"] == "config-error"
         assert option in manifest["error"]
 
+    @pytest.mark.parametrize("value", ["0.5,0.5", "0.5,0.5,-0", "0,-0", "1,2,2"])
+    def test_sweep_kappa_repeated(self, tmp_path, config_path, value):
+        out = tmp_path / "out"
+        assert main(["sweep-kappa", "--config", str(config_path), "--out", str(out),
+                     f"--kappas={value}"]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        assert "--kappas" in manifest["error"]
+
     @pytest.mark.parametrize("text", ["5", "null", b"\xff\xfe"],
                              ids=["number", "null", "not-utf8"])
     def test_config_not_a_json_object(self, tmp_path, text):
@@ -258,6 +267,13 @@ class TestSweepKappa:
                      "--kappas", "0,2,1"]) == 0
         manifest = read_manifest(out)
         assert "2" in manifest["failures"]
+        lines = (out / "kappa_sweep_pdf.csv").read_text().splitlines()
+        assert lines[0] == "x_mid,pdf_kappa_0,pdf_kappa_1"
+
+    def test_negative_zero_column_name(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        assert main(["sweep-kappa", "--config", str(config_path), "--out", str(out),
+                     "--kappas=-0,1"]) == 0
         lines = (out / "kappa_sweep_pdf.csv").read_text().splitlines()
         assert lines[0] == "x_mid,pdf_kappa_0,pdf_kappa_1"
 

@@ -6,14 +6,21 @@ import pytest
 
 from rational_logit.dataio import (CatchDataset, ConfigError, bundled_catches_path,
                                    load_catches, load_run_config, normalize,
-                                   save_catches, write_convergence_csv,
-                                   write_measure_csv, write_pdf_table,
-                                   write_trajectory_csv)
+                                   write_convergence_csv, write_measure_csv,
+                                   write_pdf_table, write_trajectory_csv)
 from rational_logit.dynamics import ConvergenceRow, DynamicConfig, run_until
 from rational_logit.measures import Grid, GridMeasure, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 ASSET_SHA256 = "2c6c23642492e5060d55e06dc2a6697a0209d009bf10a5114847bf41d4cd90aa"
+
+
+def save_catches(path, dataset: CatchDataset) -> None:
+    """Write a CatchDataset back as the `year,catch` CSV that load_catches reads."""
+    lines = ["year,catch"]
+    for year, catches in dataset.records:
+        lines += [f"{year},{c}" for c in catches]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestBundledAsset:

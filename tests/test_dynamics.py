@@ -9,12 +9,29 @@ from hypothesis.extra import numpy as hnp
 from rational_logit.dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicConfig,
                                      TerminationKind, eta_convergence_table, euler_step,
                                      run_to_stationary, run_until, weights)
-from rational_logit.measures import Grid, GridMeasure, from_masses, uniform, variational_distance
+from rational_logit.measures import (Grid, GridMeasure, from_masses, pdf_values, uniform,
+                                     variational_distance)
 from rational_logit.utility import BilinearUtility, CompetitionParams, CompetitionUtility
 
 
 def constant_model(grid, value=1.0):
     return BilinearUtility(grid, lambda x, y: np.full_like(x * y, value))
+
+
+class DenseCompetition:
+    """The competition utility from a dense reward matrix and a dense ramp
+    matrix: the oracle of CompetitionUtility's prefix-sum and FFT paths."""
+
+    def __init__(self, grid, params):
+        a, b, c = params.a, params.b, params.c
+        eps = params.resolve_epsilon(grid)
+        self.params = params
+        self._reward = BilinearUtility(grid, lambda x, y: -a * x ** 2 + b * np.abs(x - y) ** c)
+        self._ramp = BilinearUtility(grid, lambda x, y: np.clip((y - x + eps) / eps, 0.0, 1.0))
+
+    def values(self, mass):
+        tail = self._ramp.values(mass)
+        return self._reward.values(mass) + self.params.d * np.maximum(self.params.alpha - tail, 0.0)
 
 
 class TestConfig:
@@ -242,6 +259,18 @@ class TestRunToStationary:
             run_until(cfg, NaNUtility(), uniform(g), 1.0, [1.0])
         with pytest.raises(ValueError, match="utility vector must be finite"):
             run_to_stationary(cfg, NaNUtility(), uniform(g), 10)
+
+    @pytest.mark.parametrize("c, eps_cells", [(1.0, 1), (1.5, 3)])
+    def test_same_stop_as_dense_oracle(self, c, eps_cells):
+        g = Grid(64)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-10)
+        params = CompetitionParams(c=c, epsilon=eps_cells / g.n_cells)
+        fast = run_to_stationary(cfg, CompetitionUtility(g, params), uniform(g), 100_000)
+        dense = run_to_stationary(cfg, DenseCompetition(g, params), uniform(g), 100_000)
+        assert fast.termination == dense.termination
+        assert fast.termination.kind is TerminationKind.STATIONARY
+        np.testing.assert_allclose(pdf_values(fast.final_measure), pdf_values(dense.final_measure),
+                                   rtol=0, atol=1e-12)
 
     def test_simplex_preserved_along_the_way(self):
         g = Grid(32)

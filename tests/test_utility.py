@@ -6,7 +6,32 @@ from hypothesis.extra import numpy as hnp
 
 from rational_logit.measures import Grid, GridMeasure, from_masses, uniform
 from rational_logit.utility import (BilinearUtility, CompetitionParams, CompetitionUtility,
-                                    lipschitz_ratio_sample, ramp_tail_mass)
+                                    lipschitz_ratio_sample)
+
+
+def ramp_tail_mass(grid: Grid, mu: GridMeasure, x: float, epsilon: float) -> float:
+    """Regularized upper-tail mass of mu above x, the scalar reference of
+    CompetitionUtility's tail: the sharp indicator 1_{(x, 1]} is replaced by
+    the ramp clip((y - x + epsilon)/epsilon, 0, 1) at the cell midpoints."""
+    if epsilon <= 0.0:
+        raise ValueError("ramp_tail_mass: epsilon must be positive")
+    ramp = np.clip((grid.midpoints - x + epsilon) / epsilon, 0.0, 1.0)
+    return float(ramp @ mu.mass)
+
+
+# ramp widths as functions of N: the default 1/N, a few cells, and wide ramps
+EPSILONS = {"1/N": lambda n: None, "3/N": lambda n: 3.0 / n,
+            "0.1": lambda n: 0.1, "2.0": lambda n: 2.0}
+
+
+def dense_competition_values(grid: Grid, params: CompetitionParams, mu: GridMeasure):
+    """The competition utility from a dense N x N reward matrix and the
+    scalar ramp tail at every midpoint."""
+    a, b, c = params.a, params.b, params.c
+    reward = BilinearUtility(grid, lambda x, y: -a * x ** 2 + b * np.abs(x - y) ** c)
+    eps = params.resolve_epsilon(grid)
+    tail = np.array([ramp_tail_mass(grid, mu, xi, eps) for xi in grid.midpoints])
+    return reward.values(mu.mass) + params.d * np.maximum(params.alpha - tail, 0.0)
 
 
 def random_measure(n, rng):
@@ -190,6 +215,31 @@ class TestCompetitionUtility:
     def test_rejects_nonfinite_params(self, field, value):
         with pytest.raises(ValueError, match=field):
             CompetitionParams(**{field: value})
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 501])
+    @pytest.mark.parametrize("eps", list(EPSILONS))
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
+    def test_matches_dense_oracle(self, c, eps, n):
+        g = Grid(n)
+        params = CompetitionParams(a=0.3, b=0.7, c=c, d=1.0, alpha=0.5, epsilon=EPSILONS[eps](n))
+        model = CompetitionUtility(g, params)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            mu = random_measure(n, rng)
+            np.testing.assert_allclose(model.values(mu.mass),
+                                       dense_competition_values(g, params, mu), rtol=0, atol=1e-13)
+
+    def test_wide_grid_closed_form(self):
+        # dense N x N float64 matrices would take 26.8 GiB each here
+        n = 60_000
+        g = Grid(n)
+        params = CompetitionParams()
+        u = CompetitionUtility(g, params).values(uniform(g).mass)
+        i = np.arange(n, dtype=float)
+        offsets = (i * (i + 1) + (n - 1 - i) * (n - i)) / 2.0  # sum_j |i - j|
+        closed = (-params.a * g.midpoints ** 2 + params.b * offsets / n ** 2
+                  + params.d * np.maximum(params.alpha - (n - i) / n, 0.0))
+        np.testing.assert_allclose(u, closed, rtol=0, atol=1e-12)
 
     def test_deterministic(self):
         g = Grid(20)
