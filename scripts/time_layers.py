@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Time the competition utility and one Euler step across grid sizes.
+"""Time the competition utility, one Euler step and one stationary solve
+across grid sizes.
 
 For each N, prints the CompetitionUtility build time, the bytes the built
-model holds (tracemalloc), and the median microseconds of one
-`values(mass)` call and one `euler_step` at the fitted parameters
-(kappa = 1, eta = 0.01), as one JSON document. Run it against two source
-trees on one machine to compare them:
+model holds (tracemalloc), the median microseconds of one `values(mass)`
+call and one `euler_step`, and the seconds, iterations and solver of one
+`solve_stationary` from the uniform start, all at the fitted parameters
+(kappa = 1, eta = 0.01, dt = 1e-3, delta = 1e-11), as one JSON document.
+For N <= EULER_MAX_N it also times the Euler `run_to_stationary` reference
+and gives its step count. Run it against two source trees on one machine
+to compare them:
 
     PYTHONPATH=src python scripts/time_layers.py --sizes 500,2000,8000
 """
@@ -19,7 +23,9 @@ import time
 import tracemalloc
 
 from rational_logit import (CompetitionParams, CompetitionUtility, DynamicConfig, Grid,
-                            euler_step, uniform)
+                            euler_step, run_to_stationary, solve_stationary, uniform)
+
+EULER_MAX_N = 2000  # about 18,000 steps per solve; larger grids take minutes
 
 
 def median_us(fn, samples: int = 7, sample_seconds: float = 0.1) -> float:
@@ -37,6 +43,13 @@ def median_us(fn, samples: int = 7, sample_seconds: float = 0.1) -> float:
     return statistics.median(per_call)
 
 
+def timed_solve(solve, config, model):
+    """Seconds and result of one stationary solve from the uniform start."""
+    t0 = time.perf_counter()
+    result = solve(config, model, uniform(config.grid), 1_000_000)
+    return time.perf_counter() - t0, result
+
+
 def time_size(n: int) -> dict:
     grid = Grid(n)
     tracemalloc.start()
@@ -47,9 +60,16 @@ def time_size(n: int) -> dict:
     tracemalloc.stop()
     config = DynamicConfig(1.0, 0.01, grid)
     mass = uniform(grid).mass
-    return {"build_s": build_s, "build_peak_bytes": peak, "held_bytes": held,
-            "values_us": median_us(lambda: model.values(mass)),
-            "euler_step_us": median_us(lambda: euler_step(config, model, mass))}
+    row = {"build_s": build_s, "build_peak_bytes": peak, "held_bytes": held,
+           "values_us": median_us(lambda: model.values(mass)),
+           "euler_step_us": median_us(lambda: euler_step(config, model, mass))}
+    seconds, result = timed_solve(solve_stationary, config, model)
+    row.update(stationary_s=seconds, stationary_iterations=result.termination.step,
+               stationary_solver=result.solver)
+    if n <= EULER_MAX_N:
+        seconds, result = timed_solve(run_to_stationary, config, model)
+        row.update(euler_stationary_s=seconds, euler_steps=result.termination.step)
+    return row
 
 
 def main() -> None:

@@ -6,9 +6,9 @@ from .measures import (Grid, GridMeasure, from_masses, mean_and_std, pdf_values,
 from .utility import (BilinearUtility, CompetitionParams, CompetitionUtility,
                       lipschitz_ratio_sample)
 from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicConfig,
-                       Termination, TerminationKind, Trajectory,
+                       StationarySolution, Termination, TerminationKind, Trajectory,
                        eta_convergence_table, euler_step, run_to_stationary,
-                       run_until, weights)
+                       run_until, solve_stationary, weights)
 from .calibration import (EmpiricalSample, FitResult, FitSpec, NonStationaryError,
                           empirical_pdf, empirical_stats, fit_objective, fit_search)
 from .dataio import (CatchDataset, ConfigError, RunConfig, bundled_catches_path,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DegenerateWeightsError, DynamicConfig, TerminationKind, run_to_stationary
+from .dynamics import DegenerateWeightsError, DynamicConfig, TerminationKind, solve_stationary
 from .measures import Grid, mean_and_std, uniform
 from .utility import CompetitionParams, CompetitionUtility
 
@@ -34,8 +34,8 @@ FREE_PARAM_ORDER = ("a", "b", "eta", "kappa")
 
 
 class NonStationaryError(RuntimeError):
-    """The dynamic did not reach the stationarity threshold within the
-    allotted number of steps."""
+    """Neither Anderson mixing nor the Euler fallback reached the
+    stationarity threshold within the allotted number of steps."""
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,11 @@ def _evaluate(params: CompetitionParams, config: DynamicConfig, target: tuple[fl
               max_steps: int) -> tuple[float, tuple[float, float]]:
     """The objective and the stationary moments (m, s) of one parameter point."""
     model = CompetitionUtility(config.grid, params)
-    traj = run_to_stationary(config, model, uniform(config.grid), max_steps)
-    if traj.termination.kind is not TerminationKind.STATIONARY:
-        raise NonStationaryError(f"no stationary state within {max_steps} steps")
-    mean, std = mean_and_std(traj.final_measure)
+    solution = solve_stationary(config, model, uniform(config.grid), max_steps)
+    if solution.termination.kind is not TerminationKind.STATIONARY:
+        raise NonStationaryError(f"no stationary state within {max_steps} steps "
+                                 f"({solution.fallback})")
+    mean, std = mean_and_std(solution.final_measure)
     m_hat, s_hat = target
     return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std)
 

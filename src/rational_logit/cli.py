@@ -3,7 +3,7 @@
 Subcommands map one-to-one to the reproducible exhibits:
 
   simulate         transient run, trajectory CSV at the configured times
-  stationary       iterate to the stationarity threshold, PDF + moments
+  stationary       solve for the stationary state, PDF + moments
   fit              calibrate free parameters against the catch data
   convergence-eta  max-norm PDF error table of eta > 0 runs vs the limit run
   sweep-kappa      stationary PDFs side by side for a list of kappa values
@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import dataio
 from .calibration import empirical_stats, fit_search
-from .dynamics import (DegenerateWeightsError, DynamicConfig, TerminationKind,
-                       eta_convergence_table, run_to_stationary, run_until)
+from .dynamics import (DynamicConfig, TerminationKind, eta_convergence_table, run_until,
+                       solve_stationary)
 from .measures import mean_and_std, pdf_values, uniform
 from .utility import CompetitionUtility
 
@@ -94,16 +94,18 @@ def _simulate(args, run_config, manifest):
 
 
 def _stationary(args, run_config, manifest):
-    traj = run_to_stationary(run_config.dynamic, _model(run_config),
-                             uniform(run_config.dynamic.grid), run_config.max_steps)
-    mu = traj.final_measure
+    solution = solve_stationary(run_config.dynamic, _model(run_config),
+                                uniform(run_config.dynamic.grid), run_config.max_steps)
+    mu = solution.final_measure
     mean, std = mean_and_std(mu)
-    stationary = traj.termination.kind is TerminationKind.STATIONARY
+    stationary = solution.termination.kind is TerminationKind.STATIONARY
     dataio.write_measure_csv(manifest.output("stationary_pdf.csv"), mu)
     moments = {"mean": mean, "std": std, "stationary": stationary,
-               "steps": traj.termination.step}
+               "solver": solution.solver, "steps": solution.termination.step}
     manifest.output("moments.json").write_text(json.dumps(moments, indent=2) + "\n")
-    manifest.doc["termination"] = traj.termination.kind.value
+    manifest.doc["termination"] = solution.termination.kind.value
+    manifest.doc["solver"] = solution.solver
+    manifest.doc["fallback"] = solution.fallback
     if not stationary:
         manifest.doc["warning"] = f"not stationary within {run_config.max_steps} steps"
 
@@ -139,6 +141,9 @@ def _convergence_eta(args, run_config, manifest):
     if min(times) < 0 or max(times) <= 0:
         problems.append(f"--times: numbers >= 0 with a positive maximum required "
                         f"(got {args.times!r})")
+    if run_config.dynamic.kappa == 0.0:
+        problems.append("dynamic.kappa: convergence-eta compares against the vanishing-noise "
+                        "limit, which requires kappa > 0 (got 0.0)")
     if problems:
         raise dataio.ConfigError(problems)
     rows = eta_convergence_table(run_config.dynamic, _model(run_config),
@@ -147,34 +152,34 @@ def _convergence_eta(args, run_config, manifest):
 
 
 def _sweep_kappa(args, run_config, manifest):
-    # + 0.0 turns -0 into 0, so no column name or failure key reads -0
+    # + 0.0 turns -0 into 0, so no column name or record key reads -0
     kappas = [k + 0.0 for k in _number_list("--kappas", args.kappas)]
     if len(set(kappas)) < len(kappas):
         raise dataio.ConfigError([f"--kappas: distinct numbers required (got {args.kappas!r})"])
+    if not all(0.0 <= k <= 1.0 for k in kappas):
+        raise dataio.ConfigError([f"--kappas: numbers in [0, 1] required (got {args.kappas!r})"])
     base = run_config.dynamic
     if base.eta is None:
         raise dataio.ConfigError(["dynamic.eta: sweep-kappa needs positive noise"])
     model = _model(run_config)
-    columns, names, failures = [], [], {}
+    columns, solvers = [], {}
     for kappa in kappas:
-        try:
-            config = DynamicConfig(kappa, base.eta, base.grid, base.dt, base.delta)
-            traj = run_to_stationary(config, model, uniform(base.grid), run_config.max_steps)
-            columns.append(pdf_values(traj.final_measure))
-            names.append(f"pdf_kappa_{kappa:g}")
-        except (DegenerateWeightsError, ValueError) as exc:
-            failures[f"{kappa:g}"] = str(exc)
-    manifest.doc["failures"] = failures
-    if not columns:
-        raise RuntimeError("sweep-kappa: every kappa failed: " + json.dumps(failures))
+        config = DynamicConfig(kappa, base.eta, base.grid, base.dt, base.delta)
+        solution = solve_stationary(config, model, uniform(base.grid), run_config.max_steps)
+        columns.append(pdf_values(solution.final_measure))
+        solvers[f"{kappa:g}"] = {
+            "solver": solution.solver, "steps": solution.termination.step,
+            "stationary": solution.termination.kind is TerminationKind.STATIONARY,
+            "fallback": solution.fallback}
+    manifest.doc["solvers"] = solvers
     dataio.write_pdf_table(manifest.output("kappa_sweep_pdf.csv"), base.grid.midpoints,
-                           columns, names)
+                           columns, [f"pdf_kappa_{kappa:g}" for kappa in kappas])
 
 
 # name: (run(args, run_config, manifest), help, {option: (default, help)})
 SUBCOMMANDS = {
     "simulate": (_simulate, "transient run at the configured record times", {}),
-    "stationary": (_stationary, "iterate to the stationarity threshold", {}),
+    "stationary": (_stationary, "solve for the stationary state", {}),
     "fit": (_fit, "calibrate free parameters to the catch data",
             {"--data": (None, "year,catch CSV (default: bundled dataset)")}),
     "convergence-eta": (_convergence_eta, "error table of eta > 0 runs vs the limit run",

@@ -178,6 +178,7 @@ def load_run_config(path) -> RunConfig:
     # json accepts Infinity and NaN; no config number may be non-finite
     is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
     is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+    is_pair = lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_num, v))
     n = check("grid.n", 500, lambda v: is_int(v) and v >= 2, "integer >= 2 required")
     kappa = check("dynamic.kappa", None, lambda v: is_num(v) and 0.0 <= v <= 1.0,
                   "number in [0, 1] required")
@@ -224,6 +225,11 @@ def load_run_config(path) -> RunConfig:
             if not (isinstance(free, list) and isinstance(bounds, dict)):
                 raise TypeError("free must be a list of names and bounds an object "
                                 f"(got {free!r}, {bounds!r})")
+            names = list(bounds) + [p for p in free if p not in bounds]
+            bad_bounds = [f"fit.bounds.{p}: [lo, hi] pair required (got {bounds.get(p)!r})"
+                          for p in names if not is_pair(bounds.get(p))]
+            if bad_bounds:
+                raise ConfigError(bad_bounds)
             schedule = {"levels": fit_doc.get("levels", 2),
                         "points_per_dim": fit_doc.get("points_per_dim", 5),
                         "shrink": fit_doc.get("shrink", 0.5),
@@ -237,6 +243,8 @@ def load_run_config(path) -> RunConfig:
                 **schedule,
             )
             accept("fit", {"free": free, "bounds": bounds, **schedule})
+        except ConfigError as exc:
+            problems += exc.problems
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"fit: {exc}")
 

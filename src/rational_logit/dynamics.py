@@ -10,12 +10,22 @@ The loops step raw (N,) mass arrays; each Euler step is a convex
 combination of two simplex points, so the iterates stay on the simplex by
 construction. Only recorded snapshots and final states are wrapped (and
 validated) as GridMeasures.
+
+A stationary state is the fixed point mass = weights(U(mass)).
+`solve_stationary` finds it by Anderson mixing on that fixed-point
+equation, clipping each iterate to the simplex, and falls back to the
+Euler `run_to_stationary` (recording why) when mixing misses the threshold
+within its budget, leaves no positive finite mass, or meets a degenerate
+limit weight map. `run_to_stationary` stays the reference the tests compare
+against; `run_until` and the eta table keep Euler because there the
+transient is the object of study.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +44,19 @@ __all__ = [
     "euler_step",
     "run_until",
     "run_to_stationary",
+    "StationarySolution",
+    "solve_stationary",
     "eta_convergence_table",
 ]
 
 # sentinel for the vanishing-noise limit equation (eta = 0)
 LIMIT_NOISE = None
+
+# Anderson mixing: number of past differences kept, the mixing weight on
+# the fixed-point residual, and the iteration cap before the Euler fallback
+ANDERSON_DEPTH = 5
+ANDERSON_BETA = 0.05
+ANDERSON_MAX_ITERATIONS = 2000
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -193,6 +211,83 @@ def run_to_stationary(config: DynamicConfig, model, init: GridMeasure,
         mass = nxt
     snaps = ((0.0, init), (max_steps * config.dt, GridMeasure(config.grid, mass)))
     return Trajectory(snaps, Termination(TerminationKind.REACHED_FINAL_TIME, step=max_steps))
+
+
+@dataclass(frozen=True)
+class StationarySolution:
+    """A stationary solve: the final measure, how it terminated (`step`
+    counts the iterations of the solver that produced it), that solver's
+    name ("anderson" or "euler"), and why Anderson mixing gave way to Euler
+    (None when it did not)."""
+
+    final_measure: GridMeasure
+    termination: Termination
+    solver: str
+    fallback: str | None = None
+
+
+class _AndersonStalled(RuntimeError):
+    """Anderson mixing missed the threshold or left the simplex; the
+    message is the fallback reason."""
+
+
+def _anderson(config: DynamicConfig, model, mass: np.ndarray,
+              max_iterations: int) -> tuple[np.ndarray, int]:
+    """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m.
+
+    Returns the first iterate with N max|f| <= delta and its iteration
+    count. Every update is clipped to >= 0 and renormalized, so each
+    iterate stays on the simplex; _AndersonStalled is raised when the
+    budget runs out or an update leaves no positive finite mass.
+    """
+    n = config.grid.n_cells
+    dx, df = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
+    prev = None
+    for k in range(max_iterations + 1):
+        f = weights(config, model.values(mass)) - mass
+        if n * float(np.max(np.abs(f))) <= config.delta:
+            return mass, k
+        if k == max_iterations:
+            break
+        if prev is not None:
+            dx.append(mass - prev[0])
+            df.append(f - prev[1])
+        prev = mass, f
+        nxt = mass + ANDERSON_BETA * f
+        if dx:
+            dfm = np.column_stack(df)
+            gamma = np.linalg.lstsq(dfm, f, rcond=None)[0]
+            nxt -= (np.column_stack(dx) + ANDERSON_BETA * dfm) @ gamma
+        nxt = np.maximum(nxt, 0.0)
+        total = float(nxt.sum())
+        if not (math.isfinite(total) and total > 0.0):
+            raise _AndersonStalled(f"Anderson update {k + 1} left no positive finite mass")
+        mass = nxt / total
+    raise _AndersonStalled(f"Anderson mixing missed delta within {max_iterations} iterations")
+
+
+def solve_stationary(config: DynamicConfig, model, init: GridMeasure,
+                     max_steps: int) -> StationarySolution:
+    """The stationary state mass = weights(U(mass)) reached from `init`.
+
+    Anderson mixing runs for at most min(max_steps, ANDERSON_MAX_ITERATIONS)
+    iterations and stops at N max|w(U(m)) - m| <= delta, a test 1/dt
+    stricter than the per-step Euler test of `run_to_stationary`. If it
+    misses, leaves no positive finite mass, or the limit weight map
+    degenerates, `run_to_stationary` runs from `init` with the full
+    max_steps, and `fallback` says why.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    try:
+        mass, iterations = _anderson(config, model, init.mass,
+                                     min(max_steps, ANDERSON_MAX_ITERATIONS))
+    except (_AndersonStalled, DegenerateWeightsError) as exc:
+        traj = run_to_stationary(config, model, init, max_steps)
+        return StationarySolution(traj.final_measure, traj.termination, "euler", str(exc))
+    return StationarySolution(GridMeasure(config.grid, mass),
+                              Termination(TerminationKind.STATIONARY, step=iterations),
+                              "anderson")
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from rational_logit.calibration import empirical_stats
 from rational_logit.dataio import bundled_catches_path, load_catches, normalize
 from rational_logit.dynamics import (DynamicConfig, TerminationKind, euler_step,
                                      eta_convergence_table, run_until,
-                                     run_to_stationary, weights)
+                                     run_to_stationary, solve_stationary, weights)
 from rational_logit.kexp import d_e_kappa, e_kappa, scaled_limit_residual
-from rational_logit.measures import (Grid, pdf_values, refine, uniform,
+from rational_logit.measures import (Grid, mean_and_std, pdf_values, refine, uniform,
                                      variational_distance)
 from rational_logit.utility import BilinearUtility, CompetitionParams, CompetitionUtility
 
@@ -266,3 +266,33 @@ def test_parameter_continuity_triangle(fitted_model):
     gap = np.max(np.abs(p_big - p_small))
     via_limit = np.max(np.abs(p_big - p_limit)) + np.max(np.abs(p_small - p_limit))
     assert gap <= via_limit + 1e-12
+
+
+def assert_matches_euler(config, model, euler_measure):
+    """solve_stationary against an Euler stationary state of the same config:
+    moments within 1e-9, PDF max-norm within 1e-7, and the per-step Euler
+    residual of criterion 5(g) within delta at the returned point."""
+    solution = solve_stationary(config, model, uniform(config.grid), 1_000_000)
+    assert solution.solver == "anderson" and solution.fallback is None
+    assert solution.termination.kind is TerminationKind.STATIONARY
+    mu = solution.final_measure
+    np.testing.assert_allclose(mean_and_std(mu), mean_and_std(euler_measure), rtol=0, atol=1e-9)
+    assert float(np.max(np.abs(pdf_values(mu) - pdf_values(euler_measure)))) <= 1e-7
+    n = config.grid.n_cells
+    assert n * float(np.max(np.abs(euler_step(config, model, mu.mass) - mu.mass))) <= config.delta
+
+
+def test_anderson_matches_euler_reference(fitted_model, stationary_runs):
+    for config, traj, _ in stationary_runs.values():
+        assert_matches_euler(config, fitted_model, traj.final_measure)
+
+
+@pytest.mark.parametrize("n_cells", [64, 501])
+@pytest.mark.parametrize("a, b", [(0.2, 0.15), (0.35, 0.3)])  # corners of fit_ab.json's box
+def test_anderson_matches_euler_on_fit_box(n_cells, a, b):
+    grid = Grid(n_cells)
+    config = DynamicConfig(1.0, 0.01, grid, DT, DELTA)
+    model = CompetitionUtility(grid, CompetitionParams(a=a, b=b))
+    euler = run_to_stationary(config, model, uniform(grid), 1_000_000)
+    assert euler.termination.kind is TerminationKind.STATIONARY
+    assert_matches_euler(config, model, euler.final_measure)

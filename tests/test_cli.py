@@ -142,6 +142,29 @@ class TestConfigErrors:
         assert manifest["status"] == "config-error"
         assert "--kappas" in manifest["error"]
 
+    @pytest.mark.parametrize("value", ["0,2,1", "2", "-0.5"])
+    def test_sweep_kappa_out_of_range(self, tmp_path, config_path, value):
+        out = tmp_path / "out"
+        assert main(["sweep-kappa", "--config", str(config_path), "--out", str(out),
+                     f"--kappas={value}"]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        assert "--kappas" in manifest["error"]
+        assert not (out / "kappa_sweep_pdf.csv").exists()
+
+    @pytest.mark.parametrize("bounds", [
+        {}, {"a": 0.2}, {"a": [0.2]}, {"a": [0.1, 0.2, 0.3]}, {"a": ["lo", 0.3]},
+        {"a": [0.2, 0.3], "b": 0.5},
+    ], ids=["missing", "scalar", "one-value", "three-values", "not-numbers", "extra-scalar"])
+    def test_fit_bound_pair_required(self, tmp_path, bounds):
+        cfg = write_config(tmp_path, {"fit": {**FIT, "bounds": bounds}})
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        name = "b" if "b" in bounds else "a"
+        assert f"fit.bounds.{name}: [lo, hi] pair required" in manifest["error"]
+
     @pytest.mark.parametrize("text", ["5", "null", b"\xff\xfe"],
                              ids=["number", "null", "not-utf8"])
     def test_config_not_a_json_object(self, tmp_path, text):
@@ -175,9 +198,25 @@ class TestStationary:
         assert main(["stationary", "--config", str(config_path), "--out", str(out)]) == 0
         moments = json.loads((out / "moments.json").read_text())
         assert moments["stationary"] is True
+        assert moments["solver"] == "anderson" and moments["steps"] > 0
         assert 0.0 <= moments["mean"] <= 1.0
         assert (out / "stationary_pdf.csv").exists()
-        assert read_manifest(out)["termination"] == "stationary"
+        manifest = read_manifest(out)
+        assert manifest["termination"] == "stationary"
+        assert manifest["solver"] == "anderson" and manifest["fallback"] is None
+
+    def test_budget_exhausted_exits_0_with_warning(self, tmp_path):
+        cfg = write_config(tmp_path, {"dynamic.max_steps": 5})
+        out = tmp_path / "out"
+        assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == 0
+        moments = json.loads((out / "moments.json").read_text())
+        assert moments["stationary"] is False
+        assert moments["solver"] == "euler" and moments["steps"] == 5
+        manifest = read_manifest(out)
+        assert manifest["status"] == "ok"
+        assert manifest["termination"] == "reached_final_time"
+        assert "5 steps" in manifest["warning"]
+        assert "missed delta within 5 iterations" in manifest["fallback"]
 
     def test_deterministic_outputs(self, tmp_path, config_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -234,11 +273,14 @@ class TestConvergenceEta:
         assert lines[1].endswith(",")  # largest eta has no rate
 
     def test_rejects_kappa_zero(self, tmp_path):
+        # the limit reference needs kappa > 0: an input mistake, not a solver failure
         cfg = write_config(tmp_path, {"dynamic.kappa": 0.0})
         out = tmp_path / "out"
         code = main(["convergence-eta", "--config", str(cfg), "--out", str(out)])
-        assert code == 2
-        assert read_manifest(out)["status"] == "solver-error"
+        assert code == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        assert "dynamic.kappa" in manifest["error"]
 
 
 class TestSweepKappa:
@@ -261,14 +303,24 @@ class TestSweepKappa:
                     (out_stat / "stationary_pdf.csv").read_text().splitlines()[1:]]
         assert sweep_pdf == stat_pdf
 
-    def test_per_kappa_failure_recorded(self, tmp_path, config_path):
+    def test_per_kappa_solver_recorded(self, tmp_path, config_path):
         out = tmp_path / "out"
         assert main(["sweep-kappa", "--config", str(config_path), "--out", str(out),
-                     "--kappas", "0,2,1"]) == 0
-        manifest = read_manifest(out)
-        assert "2" in manifest["failures"]
-        lines = (out / "kappa_sweep_pdf.csv").read_text().splitlines()
-        assert lines[0] == "x_mid,pdf_kappa_0,pdf_kappa_1"
+                     "--kappas", "0,1"]) == 0
+        solvers = read_manifest(out)["solvers"]
+        assert list(solvers) == ["0", "1"]
+        for record in solvers.values():
+            assert record["solver"] == "anderson" and record["fallback"] is None
+            assert record["stationary"] is True and record["steps"] > 0
+
+    def test_per_kappa_fallback_recorded(self, tmp_path):
+        cfg = write_config(tmp_path, {"dynamic.max_steps": 5})
+        out = tmp_path / "out"
+        assert main(["sweep-kappa", "--config", str(cfg), "--out", str(out),
+                     "--kappas", "0.5"]) == 0
+        record = read_manifest(out)["solvers"]["0.5"]
+        assert record["solver"] == "euler" and record["stationary"] is False
+        assert record["steps"] == 5 and "missed delta" in record["fallback"]
 
     def test_negative_zero_column_name(self, tmp_path, config_path):
         out = tmp_path / "out"

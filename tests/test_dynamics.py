@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rational_logit.dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicConfig,
-                                     TerminationKind, eta_convergence_table, euler_step,
-                                     run_to_stationary, run_until, weights)
+from rational_logit import dynamics
+from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE,
+                                     DegenerateWeightsError, DynamicConfig, TerminationKind,
+                                     eta_convergence_table, euler_step, run_to_stationary,
+                                     run_until, solve_stationary, weights)
 from rational_logit.measures import (Grid, GridMeasure, from_masses, pdf_values, uniform,
                                      variational_distance)
 from rational_logit.utility import BilinearUtility, CompetitionParams, CompetitionUtility
@@ -280,6 +282,103 @@ class TestRunToStationary:
         mu = traj.final_measure
         assert np.all(mu.mass >= 0.0)
         assert abs(mu.mass.sum() - 1.0) <= 1e-12
+
+
+class TestSolveStationary:
+    def test_immediate_stationarity(self):
+        g = Grid(8)
+        cfg = DynamicConfig(1.0, 0.5, g)
+        solution = solve_stationary(cfg, constant_model(g), uniform(g), 100)
+        assert solution.solver == "anderson" and solution.fallback is None
+        assert solution.termination == dynamics.Termination(TerminationKind.STATIONARY, step=0)
+
+    def test_residual_within_delta_at_returned_point(self):
+        g = Grid(64)
+        cfg = DynamicConfig(0.5, 0.02, g, dt=0.01, delta=1e-10)
+        model = CompetitionUtility(g, CompetitionParams())
+        solution = solve_stationary(cfg, model, uniform(g), 100_000)
+        assert solution.solver == "anderson"
+        mass = solution.final_measure.mass
+        residual = weights(cfg, model.values(mass)) - mass
+        assert g.n_cells * np.max(np.abs(residual)) <= cfg.delta
+        assert np.all(mass >= 0.0) and abs(mass.sum() - 1.0) <= 1e-12
+
+    def test_repeatable_bit_for_bit(self):
+        g = Grid(64)
+        cfg = DynamicConfig(1.0, 0.01, g, dt=0.01, delta=1e-10)
+        model = CompetitionUtility(g, CompetitionParams())
+        first, second = (solve_stationary(cfg, model, uniform(g), 100_000) for _ in range(2))
+        assert first.termination == second.termination
+        assert np.array_equal(first.final_measure.mass, second.final_measure.mass)
+
+    @pytest.mark.parametrize("max_steps", [5, ANDERSON_MAX_ITERATIONS + 10])
+    def test_unreachable_delta_falls_back_to_euler(self, max_steps):
+        g = Grid(16)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300)
+        model = CompetitionUtility(g, CompetitionParams())
+        solution = solve_stationary(cfg, model, uniform(g), max_steps)
+        reference = run_to_stationary(cfg, model, uniform(g), max_steps)
+        assert solution.solver == "euler"
+        budget = min(max_steps, ANDERSON_MAX_ITERATIONS)
+        assert f"missed delta within {budget} iterations" in solution.fallback
+        assert solution.termination == reference.termination
+        assert solution.termination.kind is TerminationKind.REACHED_FINAL_TIME
+        assert np.array_equal(solution.final_measure.mass, reference.final_measure.mass)
+
+    def test_update_without_finite_mass_falls_back(self, monkeypatch):
+        g = Grid(16)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9)
+        model = CompetitionUtility(g, CompetitionParams())
+        monkeypatch.setattr(dynamics.np.linalg, "lstsq",
+                            lambda a, b, rcond: (np.full(a.shape[1], np.nan),))
+        solution = solve_stationary(cfg, model, uniform(g), 100_000)
+        assert solution.solver == "euler"
+        assert solution.fallback == "Anderson update 2 left no positive finite mass"
+        assert solution.termination.kind is TerminationKind.STATIONARY
+
+    def test_degenerate_weights_mid_iteration_fall_back(self):
+        class FlickeringUtility:
+            """Competition utility, except that the fourth evaluation is
+            negative everywhere, so the limit weight map degenerates once."""
+
+            def __init__(self, grid):
+                self.inner = CompetitionUtility(grid, CompetitionParams())
+                self.calls = 0
+
+            def values(self, mass):
+                self.calls += 1
+                u = self.inner.values(mass)
+                return -np.abs(u) - 1.0 if self.calls == 4 else u
+
+        g = Grid(32)
+        cfg = DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.01, delta=1e-9)
+        solution = solve_stationary(cfg, FlickeringUtility(g), uniform(g), 100_000)
+        assert solution.solver == "euler"
+        assert "nonpositive" in solution.fallback
+        assert solution.termination.kind is TerminationKind.STATIONARY
+
+    def test_degenerate_start_raises_from_euler(self):
+        g = Grid(8)
+        cfg = DynamicConfig(1.0, LIMIT_NOISE, g)
+        model = BilinearUtility(g, lambda x, y: -1.0 - x * y)
+        with pytest.raises(DegenerateWeightsError) as info:
+            solve_stationary(cfg, model, uniform(g), 10)
+        assert info.value.step == 0
+
+    def test_nonfinite_utility_rejected(self):
+        class NaNUtility:
+            def values(self, mass):
+                return np.full_like(mass, np.nan)
+
+        g = Grid(8)
+        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
+        with pytest.raises(ValueError, match="utility vector must be finite"):
+            solve_stationary(cfg, NaNUtility(), uniform(g), 10)
+
+    def test_rejects_empty_budget(self):
+        g = Grid(8)
+        with pytest.raises(ValueError, match="max_steps"):
+            solve_stationary(DynamicConfig(1.0, 0.5, g), constant_model(g), uniform(g), 0)
 
 
 class TestEtaConvergenceTable:
