@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time the competition utility, one Euler step and one stationary solve
-across grid sizes.
+"""Time the competition utility, the weight map, one Euler step and one
+stationary solve across grid sizes.
 
 For each N, prints the CompetitionUtility build time, the bytes the built
 model holds (tracemalloc), the median microseconds of one `values(mass)`
-call and one `euler_step`, and the seconds, iterations and solver of one
-`solve_stationary` from the uniform start, all at the fitted parameters
-(kappa = 1, eta = 0.01, dt = 1e-3, delta = 1e-11), as one JSON document.
+call, one `weights` call and one `euler_step`, and the seconds, iterations
+and solver of one `solve_stationary` from the uniform start, all at the
+fitted parameters (kappa = 1, eta = 0.01, dt = 1e-3, delta = 1e-11), as
+one JSON document. `batched_step_us` is one Euler step of the eta table's
+(5, N) stack: the limit row and etas 0.1, 0.01, 1e-3, 1e-4 under one
+DynamicBatch.
 For N <= EULER_MAX_N it also times the Euler `run_to_stationary` reference
 and gives its step count. Run it against two source trees on one machine
 to compare them:
@@ -22,10 +25,14 @@ import statistics
 import time
 import tracemalloc
 
-from rational_logit import (CompetitionParams, CompetitionUtility, DynamicConfig, Grid,
-                            euler_step, run_to_stationary, solve_stationary, uniform)
+import numpy as np
+
+from rational_logit import (LIMIT_NOISE, CompetitionParams, CompetitionUtility, DynamicBatch,
+                            DynamicConfig, Grid, euler_step, run_to_stationary,
+                            solve_stationary, uniform, weights)
 
 EULER_MAX_N = 2000  # about 18,000 steps per solve; larger grids take minutes
+BATCH_ETAS = (LIMIT_NOISE, 0.1, 0.01, 1e-3, 1e-4)  # the eta table's rows
 
 
 def median_us(fn, samples: int = 7, sample_seconds: float = 0.1) -> float:
@@ -60,9 +67,14 @@ def time_size(n: int) -> dict:
     tracemalloc.stop()
     config = DynamicConfig(1.0, 0.01, grid)
     mass = uniform(grid).mass
+    u = model.values(mass)
+    batch = DynamicBatch(DynamicConfig(1.0, eta, grid) for eta in BATCH_ETAS)
+    stack = np.repeat(mass[None, :], len(BATCH_ETAS), axis=0)
     row = {"build_s": build_s, "build_peak_bytes": peak, "held_bytes": held,
            "values_us": median_us(lambda: model.values(mass)),
-           "euler_step_us": median_us(lambda: euler_step(config, model, mass))}
+           "weights_us": median_us(lambda: weights(config, u)),
+           "euler_step_us": median_us(lambda: euler_step(config, model, mass)),
+           "batched_step_us": median_us(lambda: euler_step(batch, model, stack))}
     seconds, result = timed_solve(solve_stationary, config, model)
     row.update(stationary_s=seconds, stationary_iterations=result.termination.step,
                stationary_solver=result.solver)

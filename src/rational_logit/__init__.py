@@ -5,7 +5,7 @@ from .measures import (Grid, GridMeasure, from_masses, mean_and_std, pdf_values,
                        refine, uniform, variational_distance)
 from .utility import (BilinearUtility, CompetitionParams, CompetitionUtility,
                       lipschitz_ratio_sample)
-from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicConfig,
+from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicBatch, DynamicConfig,
                        StationarySolution, Termination, TerminationKind, Trajectory,
                        eta_convergence_table, euler_step, run_to_stationary,
                        run_until, solve_stationary, weights)

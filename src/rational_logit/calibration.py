@@ -93,7 +93,10 @@ class FitSpec:
         if unknown:
             raise ValueError(f"unknown free parameters: {sorted(unknown)}")
         for name in self.free:
-            lo, hi = self.bounds[name]
+            try:
+                lo, hi = self.bounds.get(name)
+            except (TypeError, ValueError):
+                raise ValueError(f"bounds for {name}: [lo, hi] pair required") from None
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bounds for {name} must be finite with positive length")
             if name in ("a", "b") and lo < 0.0:

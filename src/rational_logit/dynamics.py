@@ -6,10 +6,16 @@ kappa-exponential for positive noise eta, or the normalized positive-part
 power max{U, 0}^(1/kappa) in the vanishing-noise limit. All weight
 computations run in log space so no finite utility can overflow them.
 
-The loops step raw (N,) mass arrays; each Euler step is a convex
-combination of two simplex points, so the iterates stay on the simplex by
-construction. Only recorded snapshots and final states are wrapped (and
-validated) as GridMeasures.
+One Euler loop steps raw mass arrays: an (N,) vector under one
+DynamicConfig, or a (B, N) stack of independent runs under a DynamicBatch,
+whose rows share the grid and dt but each have their own kappa and eta (a
+row may be a limit row). At N in the hundreds a step is bound by per-call
+numpy overhead, so a stack of five runs steps in the time of two or three
+single runs, and each row gets the same bits it would get on its own:
+every sum runs along the last axis, in the same order. Each Euler step is
+a convex combination of two simplex points, so the iterates stay on the
+simplex by construction. Only recorded snapshots and final states are
+wrapped (and validated) as GridMeasures.
 
 A stationary state is the fixed point mass = weights(U(mass)).
 `solve_stationary` finds it by Anderson mixing on that fixed-point
@@ -18,25 +24,28 @@ Euler `run_to_stationary` (recording why) when mixing misses the threshold
 within its budget, leaves no positive finite mass, or meets a degenerate
 limit weight map. `run_to_stationary` stays the reference the tests compare
 against; `run_until` and the eta table keep Euler because there the
-transient is the object of study.
+transient is the object of study. `run_until` steps one run; the eta table
+steps its limit reference and every eta together, as the rows of one stack.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kexp import log_e_kappa, validate_kappa
+from .kexp import log_e_kappa_unchecked, validate_kappa
 from .measures import Grid, GridMeasure, pdf_values
 
 __all__ = [
     "LIMIT_NOISE",
     "DegenerateWeightsError",
     "DynamicConfig",
+    "DynamicBatch",
     "TerminationKind",
     "Termination",
     "Trajectory",
@@ -57,6 +66,12 @@ LIMIT_NOISE = None
 ANDERSON_DEPTH = 5
 ANDERSON_BETA = 0.05
 ANDERSON_MAX_ITERATIONS = 2000
+
+# rows x cells of one Euler stack in the eta table. Past about 64 KiB per
+# float64 array, the allocator hands the step's freed temporaries back to
+# the operating system, and the page faults of the next step cost more than
+# batching saves (glibc malloc; measured at N = 2000 to 8000)
+STACK_CELLS = 8192
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -92,6 +107,34 @@ class DynamicConfig:
             raise ValueError("delta must be finite and positive")
 
 
+class DynamicBatch:
+    """The DynamicConfigs of the rows of a (B, N) mass stack, stepped as one.
+
+    The rows share the grid and dt; kappa and eta are per row, and a row may
+    be a limit row (eta = None). Each config was checked when it was built,
+    so the rows are only grouped here, once per run: each group is a run of
+    consecutive rows sharing kappa and the noise kind, held as (row slice,
+    kappa, eta), with eta None for limit rows and a (rows, 1) column
+    otherwise.
+    """
+
+    def __init__(self, configs):
+        self.configs = tuple(configs)
+        if not self.configs:
+            raise ValueError("a batch needs at least one row")
+        first = self.configs[0]
+        if any(c.grid != first.grid or c.dt != first.dt for c in self.configs):
+            raise ValueError("the rows of a batch must share the grid and dt")
+        self.grid, self.dt = first.grid, first.dt
+        self.groups, start = [], 0
+        for (kappa, limit), rows in itertools.groupby(self.configs,
+                                                      key=lambda c: (c.kappa, c.eta is None)):
+            rows = list(rows)
+            eta = None if limit else np.array([[c.eta] for c in rows])
+            self.groups.append((slice(start, start + len(rows)), kappa, eta))
+            start += len(rows)
+
+
 class TerminationKind(enum.Enum):
     REACHED_FINAL_TIME = "reached_final_time"
     STATIONARY = "stationary"
@@ -120,38 +163,68 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-def weights(config: DynamicConfig, u) -> np.ndarray:
-    """The weight map U -> w(U), as a mass vector on the simplex.
+def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
+    """The weight map U -> w(U), row by row along the last axis.
 
-    Positive noise: e_kappa(U_i/eta) / sum_j e_kappa(U_j/eta), the
-    classical softmax at kappa = 0. Vanishing-noise limit: max{U_i, 0}^(1/kappa),
-    normalized. Computed in log space (shift by the max) so no finite
-    utility can overflow.
+    `config` is a DynamicConfig for an (N,) utility vector, or a
+    DynamicBatch whose rows of a (B, N) stack each take their own kappa
+    and eta. Positive noise: e_kappa(U_i/eta) / sum_j e_kappa(U_j/eta),
+    the classical softmax at kappa = 0. Vanishing-noise limit:
+    max{U_i, 0}^(1/kappa), normalized; a limit row with no positive
+    utility raises DegenerateWeightsError. Computed in log space (shift
+    each row by its max) so no finite utility can overflow.
     """
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("utility vector must be finite")
-    if config.eta is None:
-        pos = np.maximum(u, 0.0)
-        if not np.any(pos > 0.0):
-            raise DegenerateWeightsError()
-        with np.errstate(divide="ignore"):
-            logw = np.log(pos) / config.kappa
+    if isinstance(config, DynamicBatch):
+        if u.shape != (len(config.configs), config.grid.n_cells):
+            raise ValueError(f"utility stack has shape {u.shape}, the batch has "
+                             f"{len(config.configs)} rows of {config.grid.n_cells} cells")
+        groups = config.groups
     else:
-        logw = log_e_kappa(config.kappa, u / config.eta)
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
+        groups = [(..., config.kappa, config.eta)]
+    if len(groups) == 1:
+        _, kappa, eta = groups[0]
+        logw = _log_weights(kappa, eta, u)
+    else:
+        logw = np.empty_like(u)
+        for rows, kappa, eta in groups:
+            logw[rows] = _log_weights(kappa, eta, u[rows])
+    stack = u.ndim > 1  # keep a column per row; a vector's scalar is cheaper
+    logw -= logw.max(axis=-1, keepdims=stack)
+    w = np.exp(logw, out=logw)
+    w /= w.sum(axis=-1, keepdims=stack)
+    return w
 
 
-def euler_step(config: DynamicConfig, model, mass: np.ndarray) -> np.ndarray:
+def _log_weights(kappa: float, eta, u: np.ndarray) -> np.ndarray:
+    """Unshifted log weights of utility rows sharing kappa: the limit map
+    when eta is None, else ln e_kappa(u/eta) for a scalar or column eta."""
+    if eta is None:
+        positive = u > 0.0
+        if not positive.any(axis=-1).all():
+            raise DegenerateWeightsError()
+        logw = np.full_like(u, -np.inf)
+        np.log(u, out=logw, where=positive)
+        logw /= kappa
+        return logw
+    z = u / eta
+    return z if kappa == 0.0 else log_e_kappa_unchecked(kappa, z)
+
+
+def euler_step(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray) -> np.ndarray:
     """m' = (1 - dt) m + dt * weights(U(m)): an exact convex combination,
-    so the simplex is preserved whenever dt <= 1."""
+    so the simplex is preserved whenever dt <= 1. `config` and `mass` are a
+    DynamicConfig and an (N,) vector, or a DynamicBatch and a (B, N) stack."""
     return (1.0 - config.dt) * mass + config.dt * weights(config, model.values(mass))
 
 
-def _euler_iterates(config: DynamicConfig, model, mass: np.ndarray, n_steps: int):
-    """Yield the Euler iterates m_1, ..., m_n_steps of m_0 = mass. A degenerate
-    weight map is re-raised with the 0-based index of the failing step."""
+def _euler_iterates(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray,
+                    n_steps: int):
+    """Yield the Euler iterates m_1, ..., m_n_steps of m_0 = mass, an (N,)
+    vector or a (B, N) stack. A degenerate weight map is re-raised with the
+    0-based index of the failing step."""
     for k in range(n_steps):
         try:
             mass = euler_step(config, model, mass)
@@ -179,19 +252,27 @@ def _snap_steps(record_times, dt: float, n_steps: int) -> dict[int, float]:
     return snapped
 
 
+def _recorded(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, t_final: float,
+              record_times):
+    """Yield (t, m_k) for each requested time t = k dt > 0 (snapped to the
+    step lattice), stepping m_0 = mass with Euler up to t_final."""
+    if t_final <= 0.0:
+        raise ValueError("t_final must be positive")
+    n_steps = round(t_final / config.dt)
+    record = _snap_steps(record_times, config.dt, n_steps)
+    for k, mass in enumerate(_euler_iterates(config, model, mass, n_steps), start=1):
+        if k in record:
+            yield record[k], mass
+
+
 def run_until(config: DynamicConfig, model, init: GridMeasure, t_final: float,
               record_times) -> Trajectory:
     """Integrate to t_final with fixed-step Euler, recording at the
     requested times (snapped to the step lattice). The initial condition at
     t = 0 is always the first snapshot."""
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
-    n_steps = round(t_final / config.dt)
-    record = _snap_steps(record_times, config.dt, n_steps)
     snapshots = [(0.0, init)]
-    for k, mass in enumerate(_euler_iterates(config, model, init.mass, n_steps), start=1):
-        if k in record:
-            snapshots.append((record[k], GridMeasure(config.grid, mass)))
+    for t, mass in _recorded(config, model, init.mass, t_final, record_times):
+        snapshots.append((t, GridMeasure(config.grid, mass)))
     return Trajectory(tuple(snapshots), Termination(TerminationKind.REACHED_FINAL_TIME))
 
 
@@ -302,10 +383,11 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
                           etas, times) -> list[ConvergenceRow]:
     """Max-norm PDF error of positive-noise runs against the limit run.
 
-    One limit-equation reference per configuration, recorded at all
-    requested times; each eta then runs the same Euler scheme. The observed
-    order between consecutive etas, log(err_a/err_b)/log(eta_a/eta_b), is
-    reported on the row of the smaller eta.
+    The limit-equation reference and every eta run step together, as the
+    rows of one Euler stack (several stacks when the rows hold more than
+    STACK_CELLS cells), and are compared at the requested times. The
+    observed order between consecutive etas, log(err_a/err_b)/log(eta_a/eta_b),
+    is reported on the row of the smaller eta.
     """
     etas = [float(e) for e in etas]
     times = sorted(float(t) for t in times)
@@ -315,19 +397,19 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
         raise ValueError("etas must be strictly decreasing")
     if base.kappa == 0.0:
         raise ValueError("eta convergence study requires kappa > 0")
-    t_final = max(times)
 
-    ref_cfg = DynamicConfig(base.kappa, LIMIT_NOISE, base.grid, base.dt, base.delta)
-    ref = {t: pdf_values(m) for t, m in run_until(ref_cfg, model, init, t_final, times).snapshots
-           if t in times}
-
-    errors: dict[tuple[float, float], float] = {}
-    for eta in etas:
-        cfg = DynamicConfig(base.kappa, eta, base.grid, base.dt, base.delta)
-        traj = run_until(cfg, model, init, t_final, times)
-        for t, m in traj.snapshots:
-            if t in ref:
-                errors[(eta, t)] = float(np.max(np.abs(pdf_values(m) - ref[t])))
+    configs = [DynamicConfig(base.kappa, eta, base.grid, base.dt, base.delta)
+               for eta in (LIMIT_NOISE, *etas)]
+    per_stack = max(1, STACK_CELLS // base.grid.n_cells)
+    pdfs: dict[float, list] = {t: [] for t in times}  # limit row first, then the etas
+    for start in range(0, len(configs), per_stack):
+        batch = DynamicBatch(configs[start:start + per_stack])
+        stack = np.repeat(init.mass[None, :], len(batch.configs), axis=0)
+        for t, masses in [(0.0, stack), *_recorded(batch, model, stack, max(times), times)]:
+            if t in pdfs:
+                pdfs[t].extend(pdf_values(GridMeasure(base.grid, mass)) for mass in masses)
+    errors = {(eta, t): float(np.max(np.abs(pdf - ref)))
+              for t, (ref, *runs) in pdfs.items() for eta, pdf in zip(etas, runs)}
 
     rows = []
     for i, eta in enumerate(etas):

@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "validate_kappa",
     "log_e_kappa",
+    "log_e_kappa_unchecked",
     "e_kappa",
     "d_e_kappa",
     "scaled_limit_residual",
@@ -41,16 +42,31 @@ def log_e_kappa(kappa: float, z):
     z = np.asarray(z, dtype=float)
     if np.any(np.isnan(z)):
         raise ValueError("log_e_kappa: NaN input")
-    if kappa == 0.0:
+    if kappa == 0.0 or z.size == 0:
         out = z.copy()
     else:
-        w = kappa * z
-        with np.errstate(invalid="ignore"):
-            # series asinh(w)/kappa = z*(1 - w^2/6 + ...) where w is so small
-            # that asinh(w)/kappa would lose precision (or w underflowed)
-            out = np.where(np.abs(w) < 1e-8, z * (1.0 - w * w / 6.0),
-                           np.arcsinh(w) / kappa)
+        out = log_e_kappa_unchecked(kappa, z.reshape(-1)).reshape(z.shape)
     return out if out.ndim else float(out)
+
+
+def log_e_kappa_unchecked(kappa: float, z: np.ndarray) -> np.ndarray:
+    """ln e_kappa(z) = asinh(kappa*z)/kappa without the checks of log_e_kappa.
+
+    For callers that checked their inputs once: kappa lies in (0, 1] and z
+    is a non-empty float array of at least one dimension with no NaN. Where
+    |kappa*z| < 1e-8, asinh(kappa*z)/kappa would lose precision (or
+    kappa*z underflowed), so those entries alone take the series
+    z*(1 - (kappa z)^2/6).
+    """
+    w = kappa * z
+    out = np.arcsinh(w)
+    out /= kappa
+    magnitude = np.abs(w)
+    if magnitude.min() < 1e-8:
+        small = magnitude < 1e-8
+        ws = w[small]
+        out[small] = z[small] * (1.0 - ws * ws / 6.0)
+    return out
 
 
 def e_kappa(kappa: float, z):

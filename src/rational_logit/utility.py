@@ -1,7 +1,8 @@
 """Utility models U(x; mu) evaluated at cell midpoints.
 
 Two concrete models, each with `values(mass)` taking the (N,) cell-mass
-vector and returning the (N,) utility vector:
+vector and returning the (N,) utility vector; `CompetitionUtility` also
+maps a (B, N) stack of mass rows to the (B, N) stack of their utilities:
 
 * BilinearUtility: U(x; mu) = integral of f(x, y) mu(dy), midpoint rule, so
   one N x N kernel matrix times the mass vector. The dense reference the
@@ -118,22 +119,25 @@ class CompetitionUtility:
                                    for lower, upper in kernels]) if kernels else None)
 
     def values(self, mass: np.ndarray) -> np.ndarray:
+        """U of an (N,) mass vector, or of each row of a (B, N) stack. The
+        sums run along the last axis, so a row of a stack gets the same
+        bits as the same row on its own."""
         p, n = self.params, self.grid.n_cells
-        upper = np.cumsum(mass[::-1])[::-1]  # sum_{j >= i} m_j
-        total = upper[0]
+        upper = mass[..., ::-1].cumsum(-1)[..., ::-1]  # sum_{j >= i} m_j
+        total = upper[..., :1]
         if self._spectra is not None:
-            spectrum = self._spectra * np.fft.rfft(mass, self._fft_size)
-            lagged = np.fft.irfft(spectrum, self._fft_size)[:, :n]
+            spectrum = self._spectra * np.fft.rfft(mass, self._fft_size)[..., None, :]
+            lagged = np.fft.irfft(spectrum, self._fft_size)[..., :n]
         if p.c == 0.0:
             reward = p.b * total  # |0|^0 taken as 1, so c = 0 is a constant reward
         elif p.c == 1.0:
-            dist = np.zeros(n)  # sum_j |i - j| m_j
-            dist[1:] = np.cumsum(np.cumsum(mass[:-1]))
-            dist[:-1] += np.cumsum(upper[:0:-1])[::-1]
+            dist = np.zeros(mass.shape)  # sum_j |i - j| m_j
+            dist[..., 1:] = mass[..., :-1].cumsum(-1).cumsum(-1)
+            dist[..., :-1] += upper[..., :0:-1].cumsum(-1)[..., ::-1]
             reward = (p.b * self.grid.cell_width) * dist
         else:
-            reward = lagged[0]
-        tail = upper + lagged[-1] if self._wide else upper
+            reward = lagged[..., 0, :]
+        tail = upper + lagged[..., -1, :] if self._wide else upper
         return self._cost * total + reward + p.d * np.maximum(p.alpha - tail, 0.0)
 
 

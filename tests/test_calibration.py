@@ -157,6 +157,11 @@ class TestFitSearch:
             with pytest.raises(ValueError, match=f"{name} bounds"):
                 FitSpec(free=(name,), bounds={name: (-0.1, 0.3)})
 
+    @pytest.mark.parametrize("bounds", [{}, {"b": (0.1, 0.3)}, {"a": (0.1,)}, {"a": 0.2}])
+    def test_rejects_missing_or_malformed_bounds(self, bounds):
+        with pytest.raises(ValueError, match=r"bounds for a: \[lo, hi\] pair required"):
+            FitSpec(free=("a",), bounds=bounds)
+
     def test_rejects_zero_kappa_under_limit(self):
         # DynamicConfig would reject the kappa = 0 point of the limit equation
         with pytest.raises(ValueError, match="limit"):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rational_logit import dynamics
-from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE,
-                                     DegenerateWeightsError, DynamicConfig, TerminationKind,
-                                     eta_convergence_table, euler_step, run_to_stationary,
-                                     run_until, solve_stationary, weights)
+from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE, STACK_CELLS,
+                                     DegenerateWeightsError, DynamicBatch, DynamicConfig,
+                                     TerminationKind, eta_convergence_table, euler_step,
+                                     run_to_stationary, run_until, solve_stationary, weights)
 from rational_logit.measures import (Grid, GridMeasure, from_masses, pdf_values, uniform,
                                      variational_distance)
 from rational_logit.utility import BilinearUtility, CompetitionParams, CompetitionUtility
@@ -34,6 +34,45 @@ class DenseCompetition:
     def values(self, mass):
         tail = self._ramp.values(mass)
         return self._reward.values(mass) + self.params.d * np.maximum(self.params.alpha - tail, 0.0)
+
+
+class FadingUtility:
+    """U_i = mean(m) - 0.6 in every cell, for an (N,) vector or each row of
+    a stack. From a point mass at the right edge every run relaxes toward
+    uniform, so a limit run degenerates once its mean falls to 0.6."""
+
+    def __init__(self, grid):
+        self.x = grid.midpoints
+
+    def values(self, mass):
+        return np.repeat((mass @ self.x - 0.6)[..., None], self.x.size, axis=-1)
+
+
+class NaNRowUtility:
+    """The competition utility, except that row `row` of a stack is NaN."""
+
+    def __init__(self, grid, row):
+        self.inner = CompetitionUtility(grid, CompetitionParams())
+        self.row = row
+
+    def values(self, mass):
+        u = self.inner.values(mass)
+        if u.ndim == 2 and len(u) > self.row:
+            u[self.row] = np.nan
+        return u
+
+
+def per_eta_reference(base, model, init, etas, times):
+    """The eta table's errors from one run_until per eta against one
+    run_until of the limit equation: the reference of the batched table."""
+    def pdfs(eta):
+        cfg = DynamicConfig(base.kappa, eta, base.grid, base.dt, base.delta)
+        traj = run_until(cfg, model, init, max(times), times)
+        return {t: pdf_values(m) for t, m in traj.snapshots if t in times}
+
+    ref = pdfs(LIMIT_NOISE)
+    return {(eta, t): float(np.max(np.abs(pdf - ref[t])))
+            for eta in etas for t, pdf in pdfs(eta).items()}
 
 
 class TestConfig:
@@ -111,6 +150,72 @@ class TestLimitWeights:
         cfg = DynamicConfig(1.0, LIMIT_NOISE, Grid(3))
         with pytest.raises(DegenerateWeightsError):
             weights(cfg, np.array([-1.0, -0.5, 0.0]))
+
+
+class TestBatch:
+    # kappa 0 and kappa 0.5 noise rows, limit rows at the start and in the
+    # middle, and repeated kappas, so rows fall into several groups
+    ROWS = [(1.0, LIMIT_NOISE), (1.0, 0.1), (1.0, 1e-4), (0.5, LIMIT_NOISE), (0.0, 0.05),
+            (0.5, 0.01), (0.5, 0.02)]
+
+    def batch(self, grid):
+        return DynamicBatch(DynamicConfig(kappa, eta, grid) for kappa, eta in self.ROWS)
+
+    def test_groups_runs_of_rows(self):
+        batch = self.batch(Grid(8))
+        assert [(g[0], g[1], g[2] is None) for g in batch.groups] == [
+            (slice(0, 1), 1.0, True), (slice(1, 3), 1.0, False), (slice(3, 4), 0.5, True),
+            (slice(4, 5), 0.0, False), (slice(5, 7), 0.5, False)]
+
+    def test_weights_rows_match_single_configs_bit_for_bit(self):
+        g = Grid(64)
+        batch = self.batch(g)
+        u = np.random.default_rng(3).normal(0.1, 1.0, (len(self.ROWS), 64))
+        w = weights(batch, u)
+        for row, cfg, ui in zip(w, batch.configs, u):
+            np.testing.assert_array_equal(row, weights(cfg, ui))
+
+    def test_euler_rows_match_single_steps_bit_for_bit(self):
+        g = Grid(64)
+        batch = self.batch(g)
+        model = CompetitionUtility(g, CompetitionParams())
+        stack = np.repeat(uniform(g).mass[None, :], len(self.ROWS), axis=0)
+        singles = list(stack)
+        for _ in range(50):
+            stack = euler_step(batch, model, stack)
+            singles = [euler_step(cfg, model, m) for cfg, m in zip(batch.configs, singles)]
+        for row, single in zip(stack, singles):
+            np.testing.assert_array_equal(row, single)
+
+    def test_rejects_empty_and_mixed_rows(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            DynamicBatch([])
+        with pytest.raises(ValueError, match="share the grid and dt"):
+            DynamicBatch([DynamicConfig(1.0, 0.1, Grid(8)), DynamicConfig(1.0, 0.1, Grid(9))])
+        with pytest.raises(ValueError, match="share the grid and dt"):
+            DynamicBatch([DynamicConfig(1.0, 0.1, Grid(8)),
+                          DynamicConfig(1.0, 0.1, Grid(8), dt=0.01)])
+
+    def test_rejects_stack_of_other_shape(self):
+        g = Grid(8)
+        batch = self.batch(g)
+        for u in (np.ones(8), np.ones((len(self.ROWS) - 1, 8)), np.ones((len(self.ROWS), 9))):
+            with pytest.raises(ValueError, match="utility stack has shape"):
+                weights(batch, u)
+
+    def test_degenerate_limit_row_raises(self):
+        g = Grid(8)
+        batch = DynamicBatch([DynamicConfig(1.0, 0.1, g), DynamicConfig(1.0, LIMIT_NOISE, g)])
+        u = np.stack([np.ones(8), -np.ones(8)])
+        with pytest.raises(DegenerateWeightsError):
+            weights(batch, u)
+
+    def test_nan_in_one_row_stops_the_step(self):
+        g = Grid(16)
+        batch = self.batch(g)
+        stack = np.repeat(uniform(g).mass[None, :], len(self.ROWS), axis=0)
+        with pytest.raises(ValueError, match="utility vector must be finite"):
+            euler_step(batch, NaNRowUtility(g, row=2), stack)
 
 
 class TestRhsAndEuler:
@@ -404,6 +509,39 @@ class TestEtaConvergenceTable:
         base = DynamicConfig(1.0, 0.05, g, dt=0.01)
         with pytest.raises(ValueError):
             eta_convergence_table(base, constant_model(g), uniform(g), [0.01, 0.1], [0.5])
+
+    @pytest.mark.parametrize("n, dt, times", [(64, 0.01, [0.5, 1.0]),
+                                              (STACK_CELLS // 2 - 1, 0.1, [0.0, 0.3, 0.5])])
+    def test_matches_per_eta_run_until_reference(self, n, dt, times):
+        # the first case steps all five rows as one stack; the second holds
+        # two rows per stack, so the limit row and the etas span three stacks
+        g = Grid(n)
+        base = DynamicConfig(1.0, 0.01, g, dt=dt)
+        model = CompetitionUtility(g, CompetitionParams())
+        etas = [0.1, 0.01, 1e-3, 1e-4]
+        rows = eta_convergence_table(base, model, uniform(g), etas, times)
+        reference = per_eta_reference(base, model, uniform(g), etas, times)
+        assert {(r.eta, r.time): r.error for r in rows} == reference
+
+    def test_limit_row_degenerating_mid_run_keeps_its_step(self):
+        g = Grid(16)
+        base = DynamicConfig(1.0, 0.1, g, dt=0.1)
+        raw = np.zeros(16)
+        raw[-1] = 1.0
+        init = GridMeasure(g, raw)
+        with pytest.raises(DegenerateWeightsError) as single:
+            run_until(DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.1), FadingUtility(g), init, 2.0,
+                      [2.0])
+        with pytest.raises(DegenerateWeightsError) as batched:
+            eta_convergence_table(base, FadingUtility(g), init, [0.1, 0.01], [2.0])
+        assert single.value.step == batched.value.step == 15
+
+    def test_nan_in_one_row_stops_the_table(self):
+        g = Grid(16)
+        base = DynamicConfig(1.0, 0.05, g, dt=0.1)
+        with pytest.raises(ValueError, match="utility vector must be finite"):
+            eta_convergence_table(base, NaNRowUtility(g, row=2), uniform(g), [0.1, 0.01, 1e-3],
+                                  [1.0])
 
     def test_error_shrinks_with_eta(self):
         g = Grid(64)

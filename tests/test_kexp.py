@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rational_logit.kexp import d_e_kappa, e_kappa, log_e_kappa, scaled_limit_residual
+from rational_logit.kexp import (d_e_kappa, e_kappa, log_e_kappa, log_e_kappa_unchecked,
+                                 scaled_limit_residual)
 
 
 def e_kappa_direct(kappa, z):
@@ -43,9 +44,34 @@ class TestLogEKappa:
         out = log_e_kappa(0.5, z)
         assert out.shape == z.shape
 
+    def test_empty_array(self):
+        assert log_e_kappa(0.5, np.zeros((0, 3))).shape == (0, 3)
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             log_e_kappa(0.5, float("nan"))
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 1.0])
+    def test_series_branch_matches_both_branch_reference(self, kappa):
+        # the reference evaluates the series and asinh branches everywhere
+        # and picks one per entry; the checked and unchecked paths must give
+        # the same bits. |kappa z| spans 1e-300 .. 1e3, straddles the 1e-8
+        # switch, and underflows to 0 for the smallest subnormal z
+        mags = np.concatenate([np.logspace(-300, 3, 607) / kappa,
+                               np.array([1e-8 * (1.0 - 2.0 ** -52), 1e-8,
+                                         1e-8 * (1.0 + 2.0 ** -52)]) / kappa,
+                               [5e-324, 1e-320, 1e-310, 0.0]])
+        z = np.concatenate([mags, -mags])
+        w = kappa * z
+        assert np.any(w == 0.0) and np.any(np.abs(w) < 1e-8) and np.any(np.abs(w) >= 1e-8)
+        with np.errstate(invalid="ignore"):
+            reference = np.where(np.abs(w) < 1e-8, z * (1.0 - w * w / 6.0),
+                                 np.arcsinh(w) / kappa)
+        for out in (log_e_kappa(kappa, z), log_e_kappa_unchecked(kappa, z)):
+            assert np.array_equal(out, reference)
+            assert np.array_equal(np.signbit(out), np.signbit(reference))
+        for zi, ref in zip(z[::41], reference[::41]):
+            assert log_e_kappa(kappa, float(zi)) == ref
 
     def test_rejects_bad_kappa(self):
         for bad in (-0.1, 1.5, float("nan")):

@@ -229,6 +229,22 @@ class TestCompetitionUtility:
             np.testing.assert_allclose(model.values(mu.mass),
                                        dense_competition_values(g, params, mu), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 501])
+    @pytest.mark.parametrize("eps", ["1/N", "3/N", "0.1"])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
+    def test_stack_matches_rows_bit_for_bit(self, c, eps, n):
+        # the batched Euler loop relies on each row of a (B, N) stack
+        # getting exactly the bits of an (N,) call
+        g = Grid(n)
+        params = CompetitionParams(a=0.3, b=0.7, c=c, d=1.0, alpha=0.5, epsilon=EPSILONS[eps](n))
+        model = CompetitionUtility(g, params)
+        rng = np.random.default_rng(n)
+        stack = np.stack([random_measure(n, rng).mass for _ in range(4)])
+        u = model.values(stack)
+        assert u.shape == (4, n)
+        for row, mass in zip(u, stack):
+            np.testing.assert_array_equal(row, model.values(mass))
+
     def test_wide_grid_closed_form(self):
         # dense N x N float64 matrices would take 26.8 GiB each here
         n = 60_000
