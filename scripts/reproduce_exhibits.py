@@ -5,23 +5,25 @@ Runs the CLI subcommands with the shipped fitted configuration:
 stationary PDF + moments, eta-convergence table, kappa sweep, transient
 trajectories at several noise levels, the empirical-vs-model PDF
 comparison table, and the criterion-6b grid-refinement table of the
-eta=0.01-to-limit stationary gap. Takes about 6 s on a 2-vCPU Xeon host,
-most of it in the Euler transients: the eta table, whose five runs step as
-one stack (about 1.8 s), and the four trajectories.
+eta=0.01-to-limit stationary gap. The last two solve configs/fitted.json as
+loaded, the refinement table changing only eta and the grid. Takes about
+6 s on a 2-vCPU Xeon host, most of it in the Euler transients: the eta
+table, whose five runs step as one stack (about 1.8 s), and the four
+trajectories.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from rational_logit import (LIMIT_NOISE, CompetitionParams, CompetitionUtility,
-                            DynamicConfig, Grid, bundled_catches_path, empirical_pdf,
-                            load_catches, load_run_config, normalize, pdf_values,
-                            solve_stationary, uniform, variational_distance,
+from rational_logit import (LIMIT_NOISE, CompetitionUtility, Grid, bundled_catches_path,
+                            empirical_pdf, load_catches, load_run_config, normalize,
+                            pdf_values, solve_stationary, uniform, variational_distance,
                             write_pdf_table)
 from rational_logit.cli import main as cli_main
 
@@ -51,13 +53,12 @@ def limit_gap_refinement(path: Path) -> None:
     REFINEMENT_N, with the solver iterations of each and their gap in the PDF
     max-norm and the variational norm."""
     run_config = load_run_config(CONFIG)
-    base = run_config.dynamic
     lines = ["n_cells,iterations_eta_0.01,iterations_limit,max_norm_gap,variational_gap"]
     for n in REFINEMENT_N:
         grid = Grid(n)
         model = CompetitionUtility(grid, run_config.utility)
-        small, limit = (solve_stationary(DynamicConfig(base.kappa, eta, grid, base.dt, base.delta),
-                                         model, uniform(grid), run_config.max_steps)
+        small, limit = (solve_stationary(replace(run_config.dynamic, eta=eta, grid=grid),
+                                         model, uniform(grid))
                         for eta in (0.01, LIMIT_NOISE))
         mu, nu = small.final_measure, limit.final_measure
         gap = float(np.max(np.abs(pdf_values(mu) - pdf_values(nu))))
@@ -80,9 +81,10 @@ def main() -> int:
     # empirical vs fitted-model PDF on a common 20-bin grid
     sample = normalize(load_catches(bundled_catches_path()))
     bins = 20
-    grid = Grid(500)
-    model = CompetitionUtility(grid, CompetitionParams())
-    solution = solve_stationary(DynamicConfig(1.0, 0.01, grid), model, uniform(grid), 1_000_000)
+    run_config = load_run_config(CONFIG)
+    grid = run_config.dynamic.grid
+    model = CompetitionUtility(grid, run_config.utility)
+    solution = solve_stationary(run_config.dynamic, model, uniform(grid))
     centers = (np.arange(bins) + 0.5) / bins
     write_pdf_table(OUT / "empirical_vs_model_pdf.csv", centers,
                     [empirical_pdf(sample, bins), coarsen_pdf(solution.final_measure.mass, bins)],

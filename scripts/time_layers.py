@@ -6,13 +6,13 @@ For each N, prints the CompetitionUtility build time, the bytes the built
 model holds (tracemalloc), the median microseconds of one `values(mass)`
 call, one `weights` call and one `euler_step`, and the seconds, iterations
 and solver of one `solve_stationary` from the uniform start, all at the
-fitted parameters (kappa = 1, eta = 0.01, dt = 1e-3, delta = 1e-11), as
-one JSON document. `batched_step_us` is one Euler step of the eta table's
-(5, N) stack: the limit row and etas 0.1, 0.01, 1e-3, 1e-4 under one
-DynamicBatch.
+fitted parameters (kappa = 1, eta = 0.01, dt = 1e-3, delta = 1e-11, and
+the DynamicConfig default budget max_steps = 10^6), as one JSON document.
+`batched_step_us` is one Euler step of the eta table's (5, N) stack: the
+limit row and etas 0.1, 0.01, 1e-3, 1e-4 under one DynamicBatch.
 For N <= EULER_MAX_N it also times the Euler `run_to_stationary` reference
-and gives its step count. Run it against two source trees on one machine
-to compare them:
+and gives its step count; both solvers return a StationarySolution. Run it
+against two source trees on one machine to compare them:
 
     PYTHONPATH=src python scripts/time_layers.py --sizes 500,2000,8000
 """
@@ -24,6 +24,7 @@ import json
 import statistics
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def median_us(fn, samples: int = 7, sample_seconds: float = 0.1) -> float:
 def timed_solve(solve, config, model):
     """Seconds and result of one stationary solve from the uniform start."""
     t0 = time.perf_counter()
-    result = solve(config, model, uniform(config.grid), 1_000_000)
+    result = solve(config, model, uniform(config.grid))
     return time.perf_counter() - t0, result
 
 
@@ -68,7 +69,7 @@ def time_size(n: int) -> dict:
     config = DynamicConfig(1.0, 0.01, grid)
     mass = uniform(grid).mass
     u = model.values(mass)
-    batch = DynamicBatch(DynamicConfig(1.0, eta, grid) for eta in BATCH_ETAS)
+    batch = DynamicBatch(replace(config, eta=eta) for eta in BATCH_ETAS)
     stack = np.repeat(mass[None, :], len(BATCH_ETAS), axis=0)
     row = {"build_s": build_s, "build_peak_bytes": peak, "held_bytes": held,
            "values_us": median_us(lambda: model.values(mass)),

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import DegenerateWeightsError, DynamicConfig, TerminationKind, solve_stationary
-from .measures import Grid, mean_and_std, uniform
+from .measures import mean_and_std, uniform
 from .utility import CompetitionParams, CompetitionUtility
 
 __all__ = [
@@ -75,18 +75,15 @@ def empirical_pdf(sample: EmpiricalSample, bins: int = 20) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitSpec:
-    """Search space: free parameters among {a, b, eta, kappa} with bounds,
-    everything else pinned by `fixed_params` and `base_config`."""
+    """The search: free parameters among {a, b, eta, kappa} with their
+    bounds, and the schedule of the multi-level grid. Everything else comes
+    from the base DynamicConfig and CompetitionParams given to fit_search."""
 
     free: tuple
     bounds: dict
-    fixed_params: CompetitionParams = CompetitionParams()
-    fixed_eta: float | None = 0.01
-    fixed_kappa: float = 1.0
     levels: int = 2
     points_per_dim: int = 5
     shrink: float = 0.5
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         unknown = set(self.free) - set(FREE_PARAM_ORDER)
@@ -105,40 +102,21 @@ class FitSpec:
                 raise ValueError("kappa bounds must lie within [0, 1]")
             if name == "eta" and lo <= 0.0:
                 raise ValueError("eta bounds must be positive")
-        if self.fixed_eta is None and "eta" not in self.free:
-            kappa_lo = self.bounds["kappa"][0] if "kappa" in self.free else self.fixed_kappa
-            if kappa_lo <= 0.0:
-                raise ValueError("the vanishing-noise limit requires kappa > 0")
-        for name in ("levels", "points_per_dim", "max_steps"):
+        for name in ("levels", "points_per_dim"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer (got {value!r})")
-        if (self.levels < 0 or self.points_per_dim < 2 or self.max_steps < 1
-                or not 0.0 < self.shrink < 1.0):
+        if self.levels < 0 or self.points_per_dim < 2 or not 0.0 < self.shrink < 1.0:
             raise ValueError("invalid search schedule")
 
 
-def _build_point(spec: FitSpec, assignment: dict) -> tuple[CompetitionParams, float, float]:
-    params = CompetitionParams(
-        a=assignment.get("a", spec.fixed_params.a),
-        b=assignment.get("b", spec.fixed_params.b),
-        c=spec.fixed_params.c,
-        d=spec.fixed_params.d,
-        alpha=spec.fixed_params.alpha,
-        epsilon=spec.fixed_params.epsilon,
-    )
-    eta = assignment.get("eta", spec.fixed_eta)
-    kappa = assignment.get("kappa", spec.fixed_kappa)
-    return params, eta, kappa
-
-
-def _evaluate(params: CompetitionParams, config: DynamicConfig, target: tuple[float, float],
-              max_steps: int) -> tuple[float, tuple[float, float]]:
+def _evaluate(params: CompetitionParams, config: DynamicConfig,
+              target: tuple[float, float]) -> tuple[float, tuple[float, float]]:
     """The objective and the stationary moments (m, s) of one parameter point."""
     model = CompetitionUtility(config.grid, params)
-    solution = solve_stationary(config, model, uniform(config.grid), max_steps)
+    solution = solve_stationary(config, model, uniform(config.grid))
     if solution.termination.kind is not TerminationKind.STATIONARY:
-        raise NonStationaryError(f"no stationary state within {max_steps} steps "
+        raise NonStationaryError(f"no stationary state within {config.max_steps} steps "
                                  f"({solution.fallback})")
     mean, std = mean_and_std(solution.final_measure)
     m_hat, s_hat = target
@@ -146,10 +124,10 @@ def _evaluate(params: CompetitionParams, config: DynamicConfig, target: tuple[fl
 
 
 def fit_objective(params: CompetitionParams, config: DynamicConfig,
-                  target: tuple[float, float], max_steps: int = 1_000_000) -> float:
+                  target: tuple[float, float]) -> float:
     """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2 where (m, s) are the
     stationary moments from the uniform initial condition."""
-    return _evaluate(params, config, target, max_steps)[0]
+    return _evaluate(params, config, target)[0]
 
 
 @dataclass(frozen=True)
@@ -165,8 +143,8 @@ class FitResult:
         return len(self.evaluations)
 
 
-def fit_search(spec: FitSpec, target: tuple[float, float], grid: Grid,
-               dt: float = 0.001, delta: float = 1e-11) -> FitResult:
+def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
+               params: CompetitionParams) -> FitResult:
     """Deterministic multi-level grid search over the free parameters.
 
     Each level evaluates the Cartesian product of points_per_dim values per
@@ -175,6 +153,11 @@ def fit_search(spec: FitSpec, target: tuple[float, float], grid: Grid,
     smaller parameter vector in the order (a, b, eta, kappa), which the
     lexicographic enumeration order guarantees with a strict improvement
     test.
+
+    A point is `params` with its a and b and `base` with its eta and kappa,
+    so every other setting, max_steps included, is the base run's. A point
+    that DynamicConfig rejects (kappa = 0 under the limit equation) raises
+    ValueError; the first point has every free parameter at its lower bound.
     """
     free = tuple(p for p in FREE_PARAM_ORDER if p in spec.free)
     bounds = {p: tuple(map(float, spec.bounds[p])) for p in free}
@@ -189,10 +172,10 @@ def fit_search(spec: FitSpec, target: tuple[float, float], grid: Grid,
         axes = [np.linspace(bounds[p][0], bounds[p][1], spec.points_per_dim) for p in free]
         for combo in itertools.product(*axes) if free else [()]:
             assignment = dict(zip(free, map(float, combo)))
-            params, eta, kappa = _build_point(spec, assignment)
-            config = DynamicConfig(kappa, eta, grid, dt, delta)
+            point = replace(params, **{p: assignment[p] for p in free if p in ("a", "b")})
+            config = replace(base, **{p: assignment[p] for p in free if p in ("eta", "kappa")})
             try:
-                obj, moments = _evaluate(params, config, target, spec.max_steps)
+                obj, moments = _evaluate(point, config, target)
             except (NonStationaryError, DegenerateWeightsError) as exc:
                 evaluations.append((assignment, None, repr(exc)))
                 continue
@@ -212,10 +195,7 @@ def fit_search(spec: FitSpec, target: tuple[float, float], grid: Grid,
             new_bounds[p] = (max(lo0, center - half), min(hi0, center + half))
         bounds = new_bounds
 
-    best = dict(best_assignment)
-    params, eta, kappa = _build_point(spec, best_assignment)
-    best.setdefault("a", params.a)
-    best.setdefault("b", params.b)
-    best.setdefault("eta", eta)
-    best.setdefault("kappa", kappa)
+    best = dict(best_assignment)  # the free parameters first, then the fixed ones
+    for name, value in zip(FREE_PARAM_ORDER, (params.a, params.b, base.eta, base.kappa)):
+        best.setdefault(name, value)
     return FitResult(best, float(best_obj), tuple(evaluations), tuple(target), best_moments)

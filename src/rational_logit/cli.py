@@ -20,12 +20,12 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import dataio
 from .calibration import empirical_stats, fit_search
-from .dynamics import (DynamicConfig, TerminationKind, eta_convergence_table, run_until,
-                       solve_stationary)
+from .dynamics import TerminationKind, eta_convergence_table, run_until, solve_stationary
 from .measures import mean_and_std, pdf_values, uniform
 from .utility import CompetitionUtility
 
@@ -95,7 +95,7 @@ def _simulate(args, run_config, manifest):
 
 def _stationary(args, run_config, manifest):
     solution = solve_stationary(run_config.dynamic, _model(run_config),
-                                uniform(run_config.dynamic.grid), run_config.max_steps)
+                                uniform(run_config.dynamic.grid))
     mu = solution.final_measure
     mean, std = mean_and_std(mu)
     stationary = solution.termination.kind is TerminationKind.STATIONARY
@@ -107,7 +107,7 @@ def _stationary(args, run_config, manifest):
     manifest.doc["solver"] = solution.solver
     manifest.doc["fallback"] = solution.fallback
     if not stationary:
-        manifest.doc["warning"] = f"not stationary within {run_config.max_steps} steps"
+        manifest.doc["warning"] = f"not stationary within {run_config.dynamic.max_steps} steps"
 
 
 def _fit(args, run_config, manifest):
@@ -120,8 +120,7 @@ def _fit(args, run_config, manifest):
     except ValueError as exc:  # a malformed file; an unreadable one stays an OSError
         raise dataio.ConfigError([f"--data: {exc}"]) from None
     target = empirical_stats(dataio.normalize(catches))
-    result = fit_search(run_config.fit, target, run_config.dynamic.grid,
-                        run_config.dynamic.dt, run_config.dynamic.delta)
+    result = fit_search(run_config.fit, target, run_config.dynamic, run_config.utility)
     doc = {"fitted_parameters": result.best,
            "objective": result.objective,
            "model_mean": result.model_moments[0],
@@ -164,8 +163,7 @@ def _sweep_kappa(args, run_config, manifest):
     model = _model(run_config)
     columns, solvers = [], {}
     for kappa in kappas:
-        config = DynamicConfig(kappa, base.eta, base.grid, base.dt, base.delta)
-        solution = solve_stationary(config, model, uniform(base.grid), run_config.max_steps)
+        solution = solve_stationary(replace(base, kappa=kappa), model, uniform(base.grid))
         columns.append(pdf_values(solution.final_measure))
         solvers[f"{kappa:g}"] = {
             "solver": solution.solver, "steps": solution.termination.step,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import EmpiricalSample, FitSpec
+from .calibration import FREE_PARAM_ORDER, EmpiricalSample, FitSpec
 from .dynamics import DynamicConfig, Trajectory, lattice_step
 from .measures import Grid, GridMeasure, pdf_values
 from .utility import CompetitionParams
@@ -108,8 +108,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run needs: dynamic config, utility parameters,
-    initial condition name, snapshot times, and the step budget.
+    """Everything a CLI run needs, one object per config section: the
+    dynamic config (step budget included), the utility parameters, the
+    snapshot times, and the fit search. The only initial condition is the
+    uniform one.
 
     `resolved` is the configuration document as the loader accepted it,
     defaults filled in; it is a record for the run manifest and selects no
@@ -117,9 +119,7 @@ class RunConfig:
 
     dynamic: DynamicConfig
     utility: CompetitionParams
-    init: str
     record_times: tuple
-    max_steps: int
     fit: FitSpec | None = None
     resolved: dict = field(default_factory=dict, repr=False)
 
@@ -148,7 +148,7 @@ def load_run_config(path) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
     Collects every field problem before raising, so a bad config reports
-    all of its errors at once. Every accepted value, defaults included, is
+    all of its errors at once; a key the schema does not name is one too. Every accepted value, defaults included, is
     recorded in `RunConfig.resolved`.
     """
     try:
@@ -159,6 +159,22 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError([f"top level: JSON object required (got {doc!r})"])
     problems: list[str] = []
     resolved: dict = {}
+    # the keys each object of the document may hold, by dotted path
+    schema = {
+        "": ("grid", "dynamic", "utility", "init", "record_times", "fit"),
+        "grid": ("n",),
+        "dynamic": ("kappa", "eta", "dt", "delta", "max_steps"),
+        "utility": ("a", "b", "c", "d", "alpha", "epsilon"),
+        "fit": ("free", "bounds", "levels", "points_per_dim", "shrink"),
+        "fit.bounds": FREE_PARAM_ORDER,
+    }
+    for section, keys in schema.items():
+        node = _get(doc, section, {}) if section else doc
+        prefix = section + "." if section else ""
+        if not isinstance(node, dict):
+            problems.append(f"{section}: JSON object required (got {node!r})")
+        else:
+            problems += [f"{prefix}{key}: unknown key" for key in node if key not in keys]
 
     def accept(dotted, value):
         node = resolved
@@ -207,7 +223,7 @@ def load_run_config(path) -> RunConfig:
     if epsilon is not None:
         epsilon = check("utility.epsilon", None, lambda v: is_num(v) and v > 0,
                         "positive number required")
-    init = check("init", "uniform", lambda v: v == "uniform", 'only "uniform" is supported')
+    check("init", "uniform", lambda v: v == "uniform", 'only "uniform" is supported')
     record_times = accept("record_times", _get(doc, "record_times", [1.0, 10.0]))
     if not (isinstance(record_times, list) and all(is_num(t) and t >= 0 for t in record_times)):
         problems.append(f"record_times: list of numbers >= 0 required (got {record_times!r})")
@@ -218,13 +234,10 @@ def load_run_config(path) -> RunConfig:
     fit_spec = None
     if "fit" in doc and not problems:
         fit_doc = doc["fit"]
+        free, bounds = fit_doc.get("free", []), fit_doc.get("bounds", {})
         try:
-            if not isinstance(fit_doc, dict):
-                raise TypeError(f"object required (got {fit_doc!r})")
-            free, bounds = fit_doc.get("free", []), fit_doc.get("bounds", {})
-            if not (isinstance(free, list) and isinstance(bounds, dict)):
-                raise TypeError("free must be a list of names and bounds an object "
-                                f"(got {free!r}, {bounds!r})")
+            if not isinstance(free, list):
+                raise TypeError(f"free must be a list of names (got {free!r})")
             names = list(bounds) + [p for p in free if p not in bounds]
             bad_bounds = [f"fit.bounds.{p}: [lo, hi] pair required (got {bounds.get(p)!r})"
                           for p in names if not is_pair(bounds.get(p))]
@@ -232,31 +245,30 @@ def load_run_config(path) -> RunConfig:
                 raise ConfigError(bad_bounds)
             schedule = {"levels": fit_doc.get("levels", 2),
                         "points_per_dim": fit_doc.get("points_per_dim", 5),
-                        "shrink": fit_doc.get("shrink", 0.5),
-                        "max_steps": fit_doc.get("max_steps", max_steps)}
-            fit_spec = FitSpec(
-                free=tuple(free),
-                bounds={k: tuple(v) for k, v in bounds.items()},
-                fixed_params=CompetitionParams(a=a, b=b, c=c, d=d, alpha=alpha, epsilon=epsilon),
-                fixed_eta=eta_value,
-                fixed_kappa=kappa,
-                **schedule,
-            )
+                        "shrink": fit_doc.get("shrink", 0.5)}
+            fit_spec = FitSpec(free=tuple(free),
+                               bounds={k: tuple(v) for k, v in bounds.items()}, **schedule)
             accept("fit", {"free": free, "bounds": bounds, **schedule})
         except ConfigError as exc:
             problems += exc.problems
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"fit: {exc}")
+        # fit_search would meet this as the ValueError of its first point
+        if (fit_spec is not None and eta_value is None and "kappa" in fit_spec.free
+                and fit_spec.bounds["kappa"][0] <= 0.0):
+            problems.append("fit.bounds.kappa: the vanishing-noise limit requires kappa > 0 "
+                            f"(got {bounds['kappa']!r})")
 
     if problems:
         raise ConfigError(problems)
 
-    dynamic = DynamicConfig(float(kappa), eta_value, Grid(n), float(dt), float(delta))
+    dynamic = DynamicConfig(float(kappa), eta_value, Grid(n), float(dt), float(delta),
+                            max_steps=max_steps)
     params = CompetitionParams(a=float(a), b=float(b), c=float(c), d=float(d),
                                alpha=float(alpha),
                                epsilon=float(epsilon) if epsilon is not None else None)
-    return RunConfig(dynamic, params, init, tuple(float(t) for t in record_times),
-                     int(max_steps), fit_spec, resolved)
+    return RunConfig(dynamic, params, tuple(float(t) for t in record_times), fit_spec,
+                     resolved)
 
 
 def write_measure_csv(path, mu: GridMeasure) -> None:

@@ -34,7 +34,7 @@ import enum
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,13 +87,15 @@ class DegenerateWeightsError(RuntimeError):
 @dataclass(frozen=True)
 class DynamicConfig:
     """Dynamic parameters: shape kappa, noise eta (None = limit equation),
-    Euler step dt, stationarity threshold delta, and the grid."""
+    Euler step dt, stationarity threshold delta, the grid, and max_steps,
+    the iteration budget of every stationary solve."""
 
     kappa: float
     eta: float | None
     grid: Grid
     dt: float = 0.001
     delta: float = 1e-11
+    max_steps: int = 1_000_000
 
     def __post_init__(self):
         validate_kappa(self.kappa)
@@ -105,6 +107,9 @@ class DynamicConfig:
             raise ValueError("dt must lie in (0, 1] to keep Euler steps on the simplex")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError("delta must be finite and positive")
+        if not (isinstance(self.max_steps, int) and not isinstance(self.max_steps, bool)
+                and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1 (got {self.max_steps!r})")
 
 
 class DynamicBatch:
@@ -276,24 +281,6 @@ def run_until(config: DynamicConfig, model, init: GridMeasure, t_final: float,
     return Trajectory(tuple(snapshots), Termination(TerminationKind.REACHED_FINAL_TIME))
 
 
-def run_to_stationary(config: DynamicConfig, model, init: GridMeasure,
-                      max_steps: int) -> Trajectory:
-    """Step until the per-step PDF change max_i N |mass'_i - mass_i| falls
-    to the threshold delta; returns the post-step measure at the smallest
-    such step k. Falls back to REACHED_FINAL_TIME after max_steps."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    n = config.grid.n_cells
-    mass = init.mass
-    for k, nxt in enumerate(_euler_iterates(config, model, mass, max_steps)):
-        if n * float(np.max(np.abs(nxt - mass))) <= config.delta:
-            snaps = ((0.0, init), ((k + 1) * config.dt, GridMeasure(config.grid, nxt)))
-            return Trajectory(snaps, Termination(TerminationKind.STATIONARY, step=k))
-        mass = nxt
-    snaps = ((0.0, init), (max_steps * config.dt, GridMeasure(config.grid, mass)))
-    return Trajectory(snaps, Termination(TerminationKind.REACHED_FINAL_TIME, step=max_steps))
-
-
 @dataclass(frozen=True)
 class StationarySolution:
     """A stationary solve: the final measure, how it terminated (`step`
@@ -305,6 +292,23 @@ class StationarySolution:
     termination: Termination
     solver: str
     fallback: str | None = None
+
+
+def run_to_stationary(config: DynamicConfig, model, init: GridMeasure) -> StationarySolution:
+    """Step until the per-step PDF change max_i N |mass'_i - mass_i| falls
+    to the threshold delta; returns the post-step measure at the smallest
+    such step k as the solution of solver "euler", or REACHED_FINAL_TIME
+    after config.max_steps steps."""
+    n = config.grid.n_cells
+    mass = init.mass
+    for k, nxt in enumerate(_euler_iterates(config, model, mass, config.max_steps)):
+        if n * float(np.max(np.abs(nxt - mass))) <= config.delta:
+            return StationarySolution(GridMeasure(config.grid, nxt),
+                                      Termination(TerminationKind.STATIONARY, step=k), "euler")
+        mass = nxt
+    return StationarySolution(GridMeasure(config.grid, mass),
+                              Termination(TerminationKind.REACHED_FINAL_TIME,
+                                          step=config.max_steps), "euler")
 
 
 class _AndersonStalled(RuntimeError):
@@ -347,25 +351,21 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray,
     raise _AndersonStalled(f"Anderson mixing missed delta within {max_iterations} iterations")
 
 
-def solve_stationary(config: DynamicConfig, model, init: GridMeasure,
-                     max_steps: int) -> StationarySolution:
+def solve_stationary(config: DynamicConfig, model, init: GridMeasure) -> StationarySolution:
     """The stationary state mass = weights(U(mass)) reached from `init`.
 
-    Anderson mixing runs for at most min(max_steps, ANDERSON_MAX_ITERATIONS)
-    iterations and stops at N max|w(U(m)) - m| <= delta, a test 1/dt
-    stricter than the per-step Euler test of `run_to_stationary`. If it
-    misses, leaves no positive finite mass, or the limit weight map
-    degenerates, `run_to_stationary` runs from `init` with the full
-    max_steps, and `fallback` says why.
+    Anderson mixing runs for at most min(config.max_steps,
+    ANDERSON_MAX_ITERATIONS) iterations and stops at N max|w(U(m)) - m| <=
+    delta, a test 1/dt stricter than the per-step Euler test of
+    `run_to_stationary`. If it misses, leaves no positive finite mass, or
+    the limit weight map degenerates, `run_to_stationary` runs from `init`
+    with the full max_steps, and `fallback` says why.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     try:
         mass, iterations = _anderson(config, model, init.mass,
-                                     min(max_steps, ANDERSON_MAX_ITERATIONS))
+                                     min(config.max_steps, ANDERSON_MAX_ITERATIONS))
     except (_AndersonStalled, DegenerateWeightsError) as exc:
-        traj = run_to_stationary(config, model, init, max_steps)
-        return StationarySolution(traj.final_measure, traj.termination, "euler", str(exc))
+        return replace(run_to_stationary(config, model, init), fallback=str(exc))
     return StationarySolution(GridMeasure(config.grid, mass),
                               Termination(TerminationKind.STATIONARY, step=iterations),
                               "anderson")
@@ -398,8 +398,7 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
     if base.kappa == 0.0:
         raise ValueError("eta convergence study requires kappa > 0")
 
-    configs = [DynamicConfig(base.kappa, eta, base.grid, base.dt, base.delta)
-               for eta in (LIMIT_NOISE, *etas)]
+    configs = [replace(base, eta=eta) for eta in (LIMIT_NOISE, *etas)]
     per_stack = max(1, STACK_CELLS // base.grid.n_cells)
     pdfs: dict[float, list] = {t: [] for t in times}  # limit row first, then the etas
     for start in range(0, len(configs), per_stack):

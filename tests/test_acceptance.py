@@ -58,7 +58,7 @@ def stationary_runs(fitted_model):
     for kappa, eta in combos:
         config = DynamicConfig(kappa, eta, GRID, DT, DELTA)
         t0 = time.monotonic()
-        traj = run_to_stationary(config, fitted_model, uniform(GRID), 1_000_000)
+        traj = run_to_stationary(config, fitted_model, uniform(GRID))
         seconds = time.monotonic() - t0
         assert traj.termination.kind is TerminationKind.STATIONARY
         runs[(kappa, eta)] = (config, traj, seconds)
@@ -272,7 +272,7 @@ def assert_matches_euler(config, model, euler_measure):
     """solve_stationary against an Euler stationary state of the same config:
     moments within 1e-9, PDF max-norm within 1e-7, and the per-step Euler
     residual of criterion 5(g) within delta at the returned point."""
-    solution = solve_stationary(config, model, uniform(config.grid), 1_000_000)
+    solution = solve_stationary(config, model, uniform(config.grid))
     assert solution.solver == "anderson" and solution.fallback is None
     assert solution.termination.kind is TerminationKind.STATIONARY
     mu = solution.final_measure
@@ -293,6 +293,6 @@ def test_anderson_matches_euler_on_fit_box(n_cells, a, b):
     grid = Grid(n_cells)
     config = DynamicConfig(1.0, 0.01, grid, DT, DELTA)
     model = CompetitionUtility(grid, CompetitionParams(a=a, b=b))
-    euler = run_to_stationary(config, model, uniform(grid), 1_000_000)
+    euler = run_to_stationary(config, model, uniform(grid))
     assert euler.termination.kind is TerminationKind.STATIONARY
     assert_matches_euler(config, model, euler.final_measure)

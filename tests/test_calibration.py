@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from rational_logit import calibration
 from rational_logit.calibration import (EmpiricalSample, FitSpec, NonStationaryError,
                                         empirical_pdf, empirical_stats, fit_objective,
                                         fit_search)
 from rational_logit.dataio import bundled_catches_path, load_catches, normalize
-from rational_logit.dynamics import DynamicConfig, run_to_stationary
+from rational_logit.dynamics import LIMIT_NOISE, DynamicConfig, run_to_stationary
 from rational_logit.measures import Grid, mean_and_std, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
@@ -13,6 +14,7 @@ from rational_logit.utility import CompetitionParams, CompetitionUtility
 COARSE_GRID = Grid(100)
 COARSE_DT = 0.01
 COARSE_DELTA = 1e-9
+COARSE_BASE = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, COARSE_DELTA, max_steps=200_000)
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +23,9 @@ def table_sample():
 
 
 def coarse_moments(params, eta=0.01, kappa=1.0):
-    config = DynamicConfig(kappa, eta, COARSE_GRID, COARSE_DT, COARSE_DELTA)
+    config = DynamicConfig(kappa, eta, COARSE_GRID, COARSE_DT, COARSE_DELTA, max_steps=200_000)
     model = CompetitionUtility(COARSE_GRID, params)
-    traj = run_to_stationary(config, model, uniform(COARSE_GRID), 200_000)
+    traj = run_to_stationary(config, model, uniform(COARSE_GRID))
     return mean_and_std(traj.final_measure)
 
 
@@ -100,9 +102,9 @@ class TestFitObjective:
         assert obj_doubled > obj_at
 
     def test_nonstationary_reported_distinctly(self):
-        config = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, 1e-300)
+        config = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, 1e-300, max_steps=5)
         with pytest.raises(NonStationaryError):
-            fit_objective(CompetitionParams(), config, (0.3, 0.3), max_steps=5)
+            fit_objective(CompetitionParams(), config, (0.3, 0.3))
 
 
 class TestFitSearch:
@@ -110,25 +112,23 @@ class TestFitSearch:
         # self-consistency: targets generated at a = 0.27 are recovered
         # within the final grid resolution
         target = coarse_moments(CompetitionParams(a=0.27))
-        spec = FitSpec(free=("a",), bounds={"a": (0.1, 0.5)},
-                       levels=2, points_per_dim=5, max_steps=200_000)
-        result = fit_search(spec, target, COARSE_GRID, COARSE_DT, COARSE_DELTA)
+        spec = FitSpec(free=("a",), bounds={"a": (0.1, 0.5)}, levels=2, points_per_dim=5)
+        result = fit_search(spec, target, COARSE_BASE, CompetitionParams())
         assert result.best["a"] == pytest.approx(0.27, abs=0.03)
         assert result.objective <= 5e-4
 
     def test_pure_grid_search(self):
         target = (0.3, 0.3)
-        spec = FitSpec(free=("a",), bounds={"a": (0.2, 0.4)},
-                       levels=0, points_per_dim=3, max_steps=200_000)
-        result = fit_search(spec, target, COARSE_GRID, COARSE_DT, COARSE_DELTA)
+        spec = FitSpec(free=("a",), bounds={"a": (0.2, 0.4)}, levels=0, points_per_dim=3)
+        result = fit_search(spec, target, COARSE_BASE, CompetitionParams())
         assert result.evaluation_count == 3
         assert min(abs(result.best["a"] - v) for v in (0.2, 0.3, 0.4)) < 1e-12
 
     def test_stays_inside_bounds_and_trace_consistent(self):
         target = coarse_moments(CompetitionParams())
         spec = FitSpec(free=("a", "b"), bounds={"a": (0.2, 0.35), "b": (0.15, 0.3)},
-                       levels=1, points_per_dim=3, max_steps=200_000)
-        result = fit_search(spec, target, COARSE_GRID, COARSE_DT, COARSE_DELTA)
+                       levels=1, points_per_dim=3)
+        result = fit_search(spec, target, COARSE_BASE, CompetitionParams())
         assert 0.2 <= result.best["a"] <= 0.35
         assert 0.15 <= result.best["b"] <= 0.3
         objectives = [obj for _, obj, err in result.evaluations if err is None]
@@ -136,8 +136,8 @@ class TestFitSearch:
 
     def test_empty_free_set_single_evaluation(self):
         target = (0.3, 0.3)
-        spec = FitSpec(free=(), bounds={}, levels=0, max_steps=200_000)
-        result = fit_search(spec, target, COARSE_GRID, COARSE_DT, COARSE_DELTA)
+        spec = FitSpec(free=(), bounds={}, levels=0)
+        result = fit_search(spec, target, COARSE_BASE, CompetitionParams())
         assert result.evaluation_count == 1
         assert result.best == {"a": 0.27, "b": 0.23, "eta": 0.01, "kappa": 1.0}
 
@@ -162,14 +162,40 @@ class TestFitSearch:
         with pytest.raises(ValueError, match=r"bounds for a: \[lo, hi\] pair required"):
             FitSpec(free=("a",), bounds=bounds)
 
-    def test_rejects_zero_kappa_under_limit(self):
-        # DynamicConfig would reject the kappa = 0 point of the limit equation
-        with pytest.raises(ValueError, match="limit"):
-            FitSpec(free=("kappa",), bounds={"kappa": (0.0, 1.0)}, fixed_eta=None)
-        FitSpec(free=("kappa",), bounds={"kappa": (0.1, 1.0)}, fixed_eta=None)
+    def test_rejects_zero_kappa_under_limit(self, monkeypatch):
+        # DynamicConfig rejects the kappa = 0 point of the limit equation,
+        # and the first point has every free parameter at its lower bound
+        evaluated = []
+
+        def record(params, config, target):
+            evaluated.append(config.kappa)
+            return 0.0, target
+
+        monkeypatch.setattr(calibration, "_evaluate", record)
+        limit = DynamicConfig(1.0, LIMIT_NOISE, COARSE_GRID, COARSE_DT, COARSE_DELTA)
+        for free, kappas in [(("kappa",), [0.1, 1.0]), (("a", "kappa"), [0.1, 1.0, 0.1, 1.0])]:
+            bounds = {"a": (0.2, 0.3), "kappa": (0.0, 1.0)}
+            spec = FitSpec(free=free, bounds=bounds, levels=0, points_per_dim=2)
+            with pytest.raises(ValueError, match="limit"):
+                fit_search(spec, (0.3, 0.3), limit, CompetitionParams())
+            assert evaluated == []
+            spec = FitSpec(free=free, bounds={**bounds, "kappa": (0.1, 1.0)}, levels=0,
+                           points_per_dim=2)
+            fit_search(spec, (0.3, 0.3), limit, CompetitionParams())
+            assert evaluated == kappas
+            evaluated.clear()
+
+    def test_empty_free_set_is_the_base_run(self):
+        # every setting of the base run reaches the point, bit for bit
+        base = DynamicConfig(0.5, 0.02, COARSE_GRID, 0.02, 1e-8, max_steps=50_000)
+        params = CompetitionParams(a=0.3, b=0.2, c=1.5, epsilon=0.03)
+        target = (0.3, 0.3)
+        result = fit_search(FitSpec(free=(), bounds={}, levels=0), target, base, params)
+        assert result.objective == fit_objective(params, base, target)
+        assert result.best == {"a": 0.3, "b": 0.2, "eta": 0.02, "kappa": 0.5}
 
     def test_all_failures_reported(self):
-        spec = FitSpec(free=("a",), bounds={"a": (0.1, 0.5)}, levels=0,
-                       points_per_dim=2, max_steps=1)
+        spec = FitSpec(free=("a",), bounds={"a": (0.1, 0.5)}, levels=0, points_per_dim=2)
+        base = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, 1e-300, max_steps=1)
         with pytest.raises(RuntimeError, match="every evaluation failed"):
-            fit_search(spec, (0.3, 0.3), COARSE_GRID, COARSE_DT, 1e-300)
+            fit_search(spec, (0.3, 0.3), base, CompetitionParams())

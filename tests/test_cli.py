@@ -95,14 +95,52 @@ class TestConfigErrors:
         ("fit", {"fit": {**FIT, "free": "a"}}),
         ("fit", {"fit": {**FIT, "bounds": [0.2, 0.3]}}),
         ("fit", {"fit": 5}),
+        ("stationary", {"grid": 5}),
+        ("stationary", {"utility": None}),
+        ("fit", {"dynamic.eta": "limit",
+                 "fit": {"free": ["kappa"], "bounds": {"kappa": [0.0, 1.0]}, "levels": 0}}),
     ], ids=["eta-infinity", "a-infinity", "record-time-off-lattice", "max-steps-bool",
             "fit-levels-fraction", "fit-points-fraction", "fit-free-string",
-            "fit-bounds-list", "fit-not-object"])
+            "fit-bounds-list", "fit-not-object", "grid-not-object", "utility-null",
+            "limit-fit-kappa-from-zero"])
     def test_exits_1_with_manifest(self, tmp_path, subcommand, overrides):
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"
         assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
         assert read_manifest(out)["status"] == "config-error"
+
+    @pytest.mark.parametrize("subcommand, overrides, path", [
+        ("stationary", {"typo": 1}, "typo"),
+        ("stationary", {"grid.m": 50}, "grid.m"),
+        ("stationary", {"dynamic.detla": 1e-3}, "dynamic.detla"),
+        ("stationary", {"utility.alpah": 0.5}, "utility.alpah"),
+        ("fit", {"fit": {**FIT, "max_steps": 10}}, "fit.max_steps"),
+        ("fit", {"fit": {**FIT, "bounds": {"a": [0.2, 0.3], "c": [0.5, 1.0]}}},
+         "fit.bounds.c"),
+    ], ids=["top-level", "grid", "dynamic", "utility", "fit-max-steps", "fit-bounds"])
+    def test_unknown_key_named_by_path(self, tmp_path, subcommand, overrides, path):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        assert f"{path}: unknown key" in manifest["error"]
+
+    def test_unknown_keys_reported_with_other_problems(self, tmp_path):
+        doc = json.loads((CONFIGS / "fitted.json").read_text())
+        doc["dynamic"]["detla"] = 1e-3
+        doc["utility"]["alpah"] = 0.5
+        doc["fit_"] = {}
+        doc["dynamic"]["dt"] = 3.0
+        cfg = tmp_path / "typos.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == 1
+        error = read_manifest(out)["error"]
+        for problem in ("dynamic.detla: unknown key", "utility.alpah: unknown key",
+                        "fit_: unknown key", "dynamic.dt: number in (0, 1] required"):
+            assert problem in error
+        assert not (out / "stationary_pdf.csv").exists()
 
     @pytest.mark.parametrize("subcommand, option", [
         ("convergence-eta", "--etas"),
@@ -246,6 +284,14 @@ class TestFit:
         assert doc["target_mean"] == pytest.approx(0.32471, abs=5e-5)
         assert doc["target_std"] == pytest.approx(0.30352, abs=5e-4)
         assert doc["fitted_parameters"]["a"] == 0.27
+
+    def test_run_budget_reaches_every_point(self, tmp_path):
+        cfg = write_config(tmp_path, {"dynamic.max_steps": 5, "fit": FIT})
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = read_manifest(out)
+        assert manifest["status"] == "solver-error"
+        assert "every evaluation failed" in manifest["error"]
 
     def test_fit_requires_section(self, tmp_path, config_path):
         out = tmp_path / "out"

@@ -112,7 +112,7 @@ class TestRunConfig:
         assert rc.dynamic.eta == 0.01
         assert rc.utility.a == 0.27
         assert rc.utility.alpha == 0.2  # default
-        assert rc.max_steps == 1000
+        assert rc.dynamic.max_steps == 1000
 
     def test_limit_noise(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -9,8 +9,9 @@ from hypothesis.extra import numpy as hnp
 from rational_logit import dynamics
 from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE, STACK_CELLS,
                                      DegenerateWeightsError, DynamicBatch, DynamicConfig,
-                                     TerminationKind, eta_convergence_table, euler_step,
-                                     run_to_stationary, run_until, solve_stationary, weights)
+                                     StationarySolution, TerminationKind, eta_convergence_table,
+                                     euler_step, run_to_stationary, run_until,
+                                     solve_stationary, weights)
 from rational_logit.measures import (Grid, GridMeasure, from_masses, pdf_values, uniform,
                                      variational_distance)
 from rational_logit.utility import BilinearUtility, CompetitionParams, CompetitionUtility
@@ -99,6 +100,14 @@ class TestConfig:
     def test_rejects_nonfinite(self, field, value):
         with pytest.raises(ValueError, match=field):
             DynamicConfig(1.0, **{"eta": 0.1, "grid": Grid(4), field: value})
+
+    def test_default_step_budget(self):
+        assert DynamicConfig(1.0, 0.01, Grid(4)).max_steps == 1_000_000
+
+    @pytest.mark.parametrize("value", [-1, 1.5, 1e6, True, None])
+    def test_rejects_non_integer_or_empty_budget(self, value):
+        with pytest.raises(ValueError, match="max_steps"):
+            DynamicConfig(1.0, 0.01, Grid(4), max_steps=value)
 
 
 class TestLogitWeights:
@@ -325,26 +334,34 @@ class TestRunUntil:
 
 
 class TestRunToStationary:
+    def test_returns_an_euler_solution(self):
+        g = Grid(16)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
+        solution = run_to_stationary(cfg, CompetitionUtility(g, CompetitionParams()), uniform(g))
+        assert isinstance(solution, StationarySolution)
+        assert solution.solver == "euler" and solution.fallback is None
+        assert solution.termination.kind is TerminationKind.STATIONARY
+
     def test_immediate_stationarity(self):
         g = Grid(8)
-        cfg = DynamicConfig(1.0, 0.5, g)
-        traj = run_to_stationary(cfg, constant_model(g), uniform(g), 100)
+        cfg = DynamicConfig(1.0, 0.5, g, max_steps=100)
+        traj = run_to_stationary(cfg, constant_model(g), uniform(g))
         assert traj.termination.kind is TerminationKind.STATIONARY
         assert traj.termination.step == 0
 
     def test_budget_exhaustion(self):
         g = Grid(16)
-        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300, max_steps=10)
         model = CompetitionUtility(g, CompetitionParams())
-        traj = run_to_stationary(cfg, model, uniform(g), 10)
+        traj = run_to_stationary(cfg, model, uniform(g))
         assert traj.termination.kind is TerminationKind.REACHED_FINAL_TIME
         assert traj.termination.step == 10
 
     def test_fixed_point_residual_bound_at_termination(self):
         g = Grid(64)
-        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        traj = run_to_stationary(cfg, model, uniform(g), 100_000)
+        traj = run_to_stationary(cfg, model, uniform(g))
         assert traj.termination.kind is TerminationKind.STATIONARY
         mu = traj.final_measure
         # the stationarity check controls the per-step PDF change, which is
@@ -361,19 +378,19 @@ class TestRunToStationary:
                 return np.full_like(mass, np.nan)
 
         g = Grid(8)
-        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
+        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25, max_steps=10)
         with pytest.raises(ValueError, match="utility vector must be finite"):
             run_until(cfg, NaNUtility(), uniform(g), 1.0, [1.0])
         with pytest.raises(ValueError, match="utility vector must be finite"):
-            run_to_stationary(cfg, NaNUtility(), uniform(g), 10)
+            run_to_stationary(cfg, NaNUtility(), uniform(g))
 
     @pytest.mark.parametrize("c, eps_cells", [(1.0, 1), (1.5, 3)])
     def test_same_stop_as_dense_oracle(self, c, eps_cells):
         g = Grid(64)
-        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-10)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-10, max_steps=100_000)
         params = CompetitionParams(c=c, epsilon=eps_cells / g.n_cells)
-        fast = run_to_stationary(cfg, CompetitionUtility(g, params), uniform(g), 100_000)
-        dense = run_to_stationary(cfg, DenseCompetition(g, params), uniform(g), 100_000)
+        fast = run_to_stationary(cfg, CompetitionUtility(g, params), uniform(g))
+        dense = run_to_stationary(cfg, DenseCompetition(g, params), uniform(g))
         assert fast.termination == dense.termination
         assert fast.termination.kind is TerminationKind.STATIONARY
         np.testing.assert_allclose(pdf_values(fast.final_measure), pdf_values(dense.final_measure),
@@ -381,9 +398,9 @@ class TestRunToStationary:
 
     def test_simplex_preserved_along_the_way(self):
         g = Grid(32)
-        cfg = DynamicConfig(0.5, 0.02, g, dt=0.01, delta=1e-10)
+        cfg = DynamicConfig(0.5, 0.02, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        traj = run_to_stationary(cfg, model, uniform(g), 100_000)
+        traj = run_to_stationary(cfg, model, uniform(g))
         mu = traj.final_measure
         assert np.all(mu.mass >= 0.0)
         assert abs(mu.mass.sum() - 1.0) <= 1e-12
@@ -392,16 +409,16 @@ class TestRunToStationary:
 class TestSolveStationary:
     def test_immediate_stationarity(self):
         g = Grid(8)
-        cfg = DynamicConfig(1.0, 0.5, g)
-        solution = solve_stationary(cfg, constant_model(g), uniform(g), 100)
+        cfg = DynamicConfig(1.0, 0.5, g, max_steps=100)
+        solution = solve_stationary(cfg, constant_model(g), uniform(g))
         assert solution.solver == "anderson" and solution.fallback is None
         assert solution.termination == dynamics.Termination(TerminationKind.STATIONARY, step=0)
 
     def test_residual_within_delta_at_returned_point(self):
         g = Grid(64)
-        cfg = DynamicConfig(0.5, 0.02, g, dt=0.01, delta=1e-10)
+        cfg = DynamicConfig(0.5, 0.02, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        solution = solve_stationary(cfg, model, uniform(g), 100_000)
+        solution = solve_stationary(cfg, model, uniform(g))
         assert solution.solver == "anderson"
         mass = solution.final_measure.mass
         residual = weights(cfg, model.values(mass)) - mass
@@ -410,19 +427,19 @@ class TestSolveStationary:
 
     def test_repeatable_bit_for_bit(self):
         g = Grid(64)
-        cfg = DynamicConfig(1.0, 0.01, g, dt=0.01, delta=1e-10)
+        cfg = DynamicConfig(1.0, 0.01, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        first, second = (solve_stationary(cfg, model, uniform(g), 100_000) for _ in range(2))
+        first, second = (solve_stationary(cfg, model, uniform(g)) for _ in range(2))
         assert first.termination == second.termination
         assert np.array_equal(first.final_measure.mass, second.final_measure.mass)
 
     @pytest.mark.parametrize("max_steps", [5, ANDERSON_MAX_ITERATIONS + 10])
     def test_unreachable_delta_falls_back_to_euler(self, max_steps):
         g = Grid(16)
-        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300, max_steps=max_steps)
         model = CompetitionUtility(g, CompetitionParams())
-        solution = solve_stationary(cfg, model, uniform(g), max_steps)
-        reference = run_to_stationary(cfg, model, uniform(g), max_steps)
+        solution = solve_stationary(cfg, model, uniform(g))
+        reference = run_to_stationary(cfg, model, uniform(g))
         assert solution.solver == "euler"
         budget = min(max_steps, ANDERSON_MAX_ITERATIONS)
         assert f"missed delta within {budget} iterations" in solution.fallback
@@ -432,11 +449,11 @@ class TestSolveStationary:
 
     def test_update_without_finite_mass_falls_back(self, monkeypatch):
         g = Grid(16)
-        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
         monkeypatch.setattr(dynamics.np.linalg, "lstsq",
                             lambda a, b, rcond: (np.full(a.shape[1], np.nan),))
-        solution = solve_stationary(cfg, model, uniform(g), 100_000)
+        solution = solve_stationary(cfg, model, uniform(g))
         assert solution.solver == "euler"
         assert solution.fallback == "Anderson update 2 left no positive finite mass"
         assert solution.termination.kind is TerminationKind.STATIONARY
@@ -456,18 +473,18 @@ class TestSolveStationary:
                 return -np.abs(u) - 1.0 if self.calls == 4 else u
 
         g = Grid(32)
-        cfg = DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.01, delta=1e-9)
-        solution = solve_stationary(cfg, FlickeringUtility(g), uniform(g), 100_000)
+        cfg = DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.01, delta=1e-9, max_steps=100_000)
+        solution = solve_stationary(cfg, FlickeringUtility(g), uniform(g))
         assert solution.solver == "euler"
         assert "nonpositive" in solution.fallback
         assert solution.termination.kind is TerminationKind.STATIONARY
 
     def test_degenerate_start_raises_from_euler(self):
         g = Grid(8)
-        cfg = DynamicConfig(1.0, LIMIT_NOISE, g)
+        cfg = DynamicConfig(1.0, LIMIT_NOISE, g, max_steps=10)
         model = BilinearUtility(g, lambda x, y: -1.0 - x * y)
         with pytest.raises(DegenerateWeightsError) as info:
-            solve_stationary(cfg, model, uniform(g), 10)
+            solve_stationary(cfg, model, uniform(g))
         assert info.value.step == 0
 
     def test_nonfinite_utility_rejected(self):
@@ -476,14 +493,14 @@ class TestSolveStationary:
                 return np.full_like(mass, np.nan)
 
         g = Grid(8)
-        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
+        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25, max_steps=10)
         with pytest.raises(ValueError, match="utility vector must be finite"):
-            solve_stationary(cfg, NaNUtility(), uniform(g), 10)
+            solve_stationary(cfg, NaNUtility(), uniform(g))
 
     def test_rejects_empty_budget(self):
         g = Grid(8)
         with pytest.raises(ValueError, match="max_steps"):
-            solve_stationary(DynamicConfig(1.0, 0.5, g), constant_model(g), uniform(g), 0)
+            DynamicConfig(1.0, 0.5, g, max_steps=0)
 
 
 class TestEtaConvergenceTable:
