@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the competition utility, the weight map, one Euler step and one
-stationary solve across grid sizes.
+"""Time the competition utility, the weight map, one Euler step, one
+stationary solve and the CSV writers across grid sizes.
 
 For each N, prints the CompetitionUtility build time, the bytes the built
 model holds (tracemalloc), the median microseconds of one `values(mass)`
@@ -11,8 +11,13 @@ the DynamicConfig default budget max_steps = 10^6), as one JSON document.
 `batched_step_us` is one Euler step of the eta table's (5, N) stack: the
 limit row and etas 0.1, 0.01, 1e-3, 1e-4 under one DynamicBatch.
 For N <= EULER_MAX_N it also times the Euler `run_to_stationary` reference
-and gives its step count; both solvers return a StationarySolution. Run it
-against two source trees on one machine to compare them:
+and gives its step count; both solvers return a StationarySolution.
+`trajectory_csv_s` is one `write_trajectory_csv` of a 101-snapshot
+trajectory (a snapshot at every step to t = 0.1, as `simulate` writes it),
+with the file's bytes and the peak bytes Python allocated while writing it
+(tracemalloc, a separate call); `measure_csv_us` is one `write_measure_csv`
+of the uniform measure, with its bytes. Run it against two source trees on
+one machine to compare them:
 
     PYTHONPATH=src python scripts/time_layers.py --sizes 500,2000,8000
 """
@@ -22,18 +27,22 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from rational_logit import (LIMIT_NOISE, CompetitionParams, CompetitionUtility, DynamicBatch,
-                            DynamicConfig, Grid, euler_step, run_to_stationary,
-                            solve_stationary, uniform, weights)
+                            DynamicConfig, Grid, euler_step, run_to_stationary, run_until,
+                            solve_stationary, uniform, weights, write_measure_csv,
+                            write_trajectory_csv)
 
 EULER_MAX_N = 2000  # about 18,000 steps per solve; larger grids take minutes
 BATCH_ETAS = (LIMIT_NOISE, 0.1, 0.01, 1e-3, 1e-4)  # the eta table's rows
+SNAPSHOT_TIMES = [k / 1000 for k in range(1, 101)]  # every step of dt = 1e-3 to t = 0.1
 
 
 def median_us(fn, samples: int = 7, sample_seconds: float = 0.1) -> float:
@@ -56,6 +65,29 @@ def timed_solve(solve, config, model):
     t0 = time.perf_counter()
     result = solve(config, model, uniform(config.grid))
     return time.perf_counter() - t0, result
+
+
+def traced_peak_bytes(fn) -> int:
+    """Peak bytes Python allocates during one call of `fn`."""
+    tracemalloc.start()
+    fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def time_writers(config, model) -> dict:
+    """Time the trajectory and measure CSV writers into a temporary directory."""
+    traj = run_until(config, model, uniform(config.grid), SNAPSHOT_TIMES[-1], SNAPSHOT_TIMES)
+    with tempfile.TemporaryDirectory() as tmp:
+        traj_path, measure_path = Path(tmp, "trajectory.csv"), Path(tmp, "measure.csv")
+        write_traj = lambda: write_trajectory_csv(traj_path, traj)
+        write_measure = lambda: write_measure_csv(measure_path, traj.final_measure)
+        return {"trajectory_csv_s": median_us(write_traj, samples=3) / 1e6,
+                "trajectory_csv_bytes": traj_path.stat().st_size,
+                "trajectory_csv_peak_bytes": traced_peak_bytes(write_traj),
+                "measure_csv_us": median_us(write_measure),
+                "measure_csv_bytes": measure_path.stat().st_size}
 
 
 def time_size(n: int) -> dict:
@@ -82,6 +114,7 @@ def time_size(n: int) -> dict:
     if n <= EULER_MAX_N:
         seconds, result = timed_solve(run_to_stationary, config, model)
         row.update(euler_stationary_s=seconds, euler_steps=result.termination.step)
+    row.update(time_writers(config, model))
     return row
 
 

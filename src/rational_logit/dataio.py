@@ -2,15 +2,19 @@
 
 All numeric CSV output uses the shortest round-trip decimal representation
 with LF line endings, so repeated runs on the same platform are
-bit-identical and parsing the file recovers the exact doubles.
+bit-identical and parsing the file recovers the exact doubles. A writer
+streams its file one block at a time (a trajectory one snapshot at a time),
+formatting each column once, so memory is bounded by one block's text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -231,26 +235,28 @@ def load_run_config(path) -> RunConfig:
     if dt is not None:
         problems += lattice_problems("record_times", record_times, dt)
 
+    # one [lo, hi] pair per free parameter, and no bound for a fixed one
+    free, bounds = _get(doc, "fit.free", []), _get(doc, "fit.bounds", {})
+    if (isinstance(free, list) and all(isinstance(p, str) for p in free)
+            and isinstance(bounds, dict)):
+        for p in dict.fromkeys([*bounds, *free]):
+            if not is_pair(bounds.get(p)):
+                problems.append(f"fit.bounds.{p}: [lo, hi] pair required (got {bounds.get(p)!r})")
+            if p in FREE_PARAM_ORDER and p not in free:
+                problems.append(f"fit.bounds.{p}: bound for a parameter not in fit.free")
+
     fit_spec = None
     if "fit" in doc and not problems:
         fit_doc = doc["fit"]
-        free, bounds = fit_doc.get("free", []), fit_doc.get("bounds", {})
         try:
             if not isinstance(free, list):
                 raise TypeError(f"free must be a list of names (got {free!r})")
-            names = list(bounds) + [p for p in free if p not in bounds]
-            bad_bounds = [f"fit.bounds.{p}: [lo, hi] pair required (got {bounds.get(p)!r})"
-                          for p in names if not is_pair(bounds.get(p))]
-            if bad_bounds:
-                raise ConfigError(bad_bounds)
             schedule = {"levels": fit_doc.get("levels", 2),
                         "points_per_dim": fit_doc.get("points_per_dim", 5),
                         "shrink": fit_doc.get("shrink", 0.5)}
             fit_spec = FitSpec(free=tuple(free),
                                bounds={k: tuple(v) for k, v in bounds.items()}, **schedule)
             accept("fit", {"free": free, "bounds": bounds, **schedule})
-        except ConfigError as exc:
-            problems += exc.problems
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"fit: {exc}")
         # fit_search would meet this as the ValueError of its first point
@@ -271,32 +277,48 @@ def load_run_config(path) -> RunConfig:
                      resolved)
 
 
+def _fmt_column(values) -> list[str]:
+    """`_fmt` of every value, through one `tolist` and one `repr` each."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_csv(path, header: str, blocks) -> None:
+    """Write `header`, then each block of `blocks` as one joined text.
+
+    A block is a sequence of equal-length columns of formatted fields, so a
+    column shared by several blocks is formatted once and passed to each.
+    Only one block's text is held at a time.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            lines = list(map(",".join, zip(*columns)))
+            lines.append("")  # the last row's line ending
+            fh.write("\n".join(lines))
+
+
 def write_measure_csv(path, mu: GridMeasure) -> None:
     """Rows `x_mid,mass,pdf`, one per cell."""
-    pdf = pdf_values(mu)
-    lines = ["x_mid,mass,pdf"]
-    for x, m, p in zip(mu.grid.midpoints, mu.mass, pdf):
-        lines.append(f"{_fmt(x)},{_fmt(m)},{_fmt(p)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [_fmt_column(mu.grid.midpoints), _fmt_column(mu.mass),
+               _fmt_column(pdf_values(mu))]
+    _write_csv(path, "x_mid,mass,pdf", [columns])
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Rows `time,x_mid,pdf` for every snapshot and cell."""
-    lines = ["time,x_mid,pdf"]
-    for t, mu in traj.snapshots:
-        pdf = pdf_values(mu)
-        for x, p in zip(mu.grid.midpoints, pdf):
-            lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(p)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Rows `time,x_mid,pdf` for every snapshot and cell, one block per
+    snapshot."""
+    x_mid = functools.cache(lambda grid: _fmt_column(grid.midpoints))
+    blocks = ((repeat(_fmt(t)), x_mid(mu.grid), _fmt_column(pdf_values(mu)))
+              for t, mu in traj.snapshots)
+    _write_csv(path, "time,x_mid,pdf", blocks)
 
 
 def write_convergence_csv(path, rows) -> None:
     """Rows `eta,time,error,rate`; the rate field is empty where undefined."""
-    lines = ["eta,time,error,rate"]
-    for row in rows:
-        rate = "" if row.rate is None else _fmt(row.rate)
-        lines.append(f"{_fmt(row.eta)},{_fmt(row.time)},{_fmt(row.error)},{rate}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [[_fmt(row.eta) for row in rows], [_fmt(row.time) for row in rows],
+               [_fmt(row.error) for row in rows],
+               ["" if row.rate is None else _fmt(row.rate) for row in rows]]
+    _write_csv(path, "eta,time,error,rate", [columns])
 
 
 def write_pdf_table(path, x_mid, series, names=None) -> None:
@@ -304,13 +326,13 @@ def write_pdf_table(path, x_mid, series, names=None) -> None:
     equal length."""
     series = [np.asarray(s, dtype=float) for s in series]
     x_mid = np.asarray(x_mid, dtype=float)
+    if not series:
+        raise ValueError("write_pdf_table: at least one series required")
     if any(len(s) != len(x_mid) for s in series):
         raise ValueError("write_pdf_table: series length mismatch")
     if names is None:
         names = ["pdf"] + [f"pdf{i + 1}" for i in range(1, len(series))]
     if len(names) != len(series):
         raise ValueError("write_pdf_table: one name per series required")
-    lines = ["x_mid," + ",".join(names)]
-    for i, x in enumerate(x_mid):
-        lines.append(_fmt(x) + "," + ",".join(_fmt(s[i]) for s in series))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [_fmt_column(x_mid)] + [_fmt_column(s) for s in series]
+    _write_csv(path, "x_mid," + ",".join(names), [columns])

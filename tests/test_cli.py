@@ -142,6 +142,23 @@ class TestConfigErrors:
             assert problem in error
         assert not (out / "stationary_pdf.csv").exists()
 
+    @pytest.mark.parametrize("extra", [{}, {"dt": 3.0}], ids=["alone", "with-other-problems"])
+    def test_bound_for_fixed_parameter(self, tmp_path, extra):
+        doc = json.loads((CONFIGS / "fit_ab.json").read_text())
+        doc["fit"]["free"] = ["a"]
+        doc["dynamic"].update(extra)
+        cfg = tmp_path / "fit_a.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        assert "fit.bounds.b: bound for a parameter not in fit.free" in manifest["error"]
+        assert "fit.bounds.a" not in manifest["error"]
+        if extra:
+            assert "dynamic.dt: number in (0, 1] required" in manifest["error"]
+        assert not (out / "fit.json").exists()
+
     @pytest.mark.parametrize("subcommand, option", [
         ("convergence-eta", "--etas"),
         ("convergence-eta", "--times"),

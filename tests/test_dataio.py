@@ -8,8 +8,9 @@ from rational_logit.dataio import (CatchDataset, ConfigError, bundled_catches_pa
                                    load_catches, load_run_config, normalize,
                                    write_convergence_csv, write_measure_csv,
                                    write_pdf_table, write_trajectory_csv)
-from rational_logit.dynamics import ConvergenceRow, DynamicConfig, run_until
-from rational_logit.measures import Grid, GridMeasure, uniform
+from rational_logit.dynamics import (ConvergenceRow, DynamicConfig, Termination,
+                                    TerminationKind, Trajectory, run_until)
+from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 ASSET_SHA256 = "2c6c23642492e5060d55e06dc2a6697a0209d009bf10a5114847bf41d4cd90aa"
@@ -202,6 +203,10 @@ class TestCsvEmission:
         with pytest.raises(ValueError, match="length"):
             write_pdf_table(tmp_path / "p.csv", [0.5], [[1.0, 2.0]])
 
+    def test_pdf_table_needs_a_series(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one series"):
+            write_pdf_table(tmp_path / "p.csv", [0.5], [], names=[])
+
     def test_trajectory_csv(self, tmp_path):
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.5)
@@ -230,3 +235,99 @@ class TestCsvEmission:
         write_measure_csv(tmp_path / "b.csv", mu)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert b"\r" not in (tmp_path / "a.csv").read_bytes()
+
+
+# Line-at-a-time reference writers: each field is repr(float(v)), each row one
+# line, the file one LF-joined string. The library writers stream blocks of
+# columns formatted once; these pin the bytes they must produce.
+
+def _ref_fmt(value) -> str:
+    return repr(float(value))
+
+
+def _ref_write(path, lines) -> None:
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+
+
+def ref_measure_csv(path, mu):
+    lines = ["x_mid,mass,pdf"]
+    for x, m, p in zip(mu.grid.midpoints, mu.mass, pdf_values(mu)):
+        lines.append(f"{_ref_fmt(x)},{_ref_fmt(m)},{_ref_fmt(p)}")
+    _ref_write(path, lines)
+
+
+def ref_trajectory_csv(path, traj):
+    lines = ["time,x_mid,pdf"]
+    for t, mu in traj.snapshots:
+        for x, p in zip(mu.grid.midpoints, pdf_values(mu)):
+            lines.append(f"{_ref_fmt(t)},{_ref_fmt(x)},{_ref_fmt(p)}")
+    _ref_write(path, lines)
+
+
+def ref_convergence_csv(path, rows):
+    lines = ["eta,time,error,rate"]
+    for row in rows:
+        rate = "" if row.rate is None else _ref_fmt(row.rate)
+        lines.append(f"{_ref_fmt(row.eta)},{_ref_fmt(row.time)},{_ref_fmt(row.error)},{rate}")
+    _ref_write(path, lines)
+
+
+def ref_pdf_table(path, x_mid, series, names):
+    lines = ["x_mid," + ",".join(names)]
+    for i, x in enumerate(x_mid):
+        lines.append(_ref_fmt(x) + "," + ",".join(_ref_fmt(s[i]) for s in series))
+    _ref_write(path, lines)
+
+
+def random_measure(rng, n: int) -> GridMeasure:
+    """Random masses spanning many decades, with a zero cell and a 1e-300
+    cell, so fields take both positional and exponent forms."""
+    mass = rng.random(n) * 10.0 ** rng.integers(-12, 1, n)
+    mass[0], mass[-1] = 0.0, 1e-300
+    return GridMeasure(Grid(n), mass / mass.sum())
+
+
+@pytest.mark.parametrize("n", [7, 1001])
+class TestWritersMatchReference:
+    def test_measure_csv(self, tmp_path, n):
+        mu = random_measure(np.random.default_rng(n), n)
+        write_measure_csv(tmp_path / "lib.csv", mu)
+        ref_measure_csv(tmp_path / "ref.csv", mu)
+        assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_trajectory_csv(self, tmp_path, n):
+        rng = np.random.default_rng(n + 1)
+        times = (0.0, 0.001, 0.003, 0.1, 1.7, 10.0)
+        traj = Trajectory(tuple((t, random_measure(rng, n)) for t in times),
+                          Termination(TerminationKind.REACHED_FINAL_TIME, 10_000))
+        write_trajectory_csv(tmp_path / "lib.csv", traj)
+        ref_trajectory_csv(tmp_path / "ref.csv", traj)
+        data = (tmp_path / "lib.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        rows = [line.split(",") for line in data.decode().splitlines()[1:]]
+        assert [float(r[0]) for r in rows[::n]] == list(times)
+        np.testing.assert_array_equal([float(r[2]) for r in rows],
+                                      np.concatenate([pdf_values(mu) for _, mu in traj.snapshots]))
+
+    def test_pdf_table(self, tmp_path, n):
+        rng = np.random.default_rng(n + 2)
+        x_mid = Grid(n).midpoints
+        series = [random_measure(rng, n).mass * n for _ in range(3)]
+        series[1] = list(series[1])  # a plain list of numpy floats
+        for names in (None, ["pdf_kappa_0", "pdf_kappa_0.5", "pdf_kappa_1"]):
+            write_pdf_table(tmp_path / "lib.csv", x_mid, series, names)
+            ref_pdf_table(tmp_path / "ref.csv", x_mid, series, names or ["pdf", "pdf2", "pdf3"])
+            assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_convergence_csv_matches_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    etas = [0.1, 0.01, 1e-3, 1e-4]
+    rows = [ConvergenceRow(eta, t, float(rng.random()) * eta,
+                           None if i == 0 else np.float64(rng.random() * 2))
+            for t in (1.0, 10.0) for i, eta in enumerate(etas)]
+    write_convergence_csv(tmp_path / "lib.csv", rows)
+    ref_convergence_csv(tmp_path / "ref.csv", rows)
+    data = (tmp_path / "lib.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    assert data.splitlines()[1].endswith(b",")
