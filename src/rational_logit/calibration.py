@@ -9,13 +9,12 @@ made reproducible as a deterministic multi-level coordinate grid search.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import DegenerateWeightsError, DynamicConfig, TerminationKind, solve_stationary
-from .measures import mean_and_std, uniform
+from .measures import check_fields, is_integer, is_number, mean_and_std, uniform
 from .utility import CompetitionParams, CompetitionUtility
 
 __all__ = [
@@ -73,41 +72,51 @@ def empirical_pdf(sample: EmpiricalSample, bins: int = 20) -> np.ndarray:
     return counts / sample.values.size * bins
 
 
+# the [lo, hi] bounds each free parameter may take
+_BOUND_RULES = {
+    "a": ("0 <= lo < hi required", lambda lo, hi: 0.0 <= lo < hi),
+    "b": ("0 <= lo < hi required", lambda lo, hi: 0.0 <= lo < hi),
+    "eta": ("0 < lo < hi required", lambda lo, hi: 0.0 < lo < hi),
+    "kappa": ("0 <= lo < hi <= 1 required", lambda lo, hi: 0.0 <= lo < hi <= 1.0),
+}
+
+
 @dataclass(frozen=True)
 class FitSpec:
     """The search: free parameters among {a, b, eta, kappa} with their
     bounds, and the schedule of the multi-level grid. Everything else comes
     from the base DynamicConfig and CompetitionParams given to fit_search."""
 
-    free: tuple
-    bounds: dict
+    free: tuple = ()
+    bounds: dict = field(default_factory=dict)
     levels: int = 2
     points_per_dim: int = 5
     shrink: float = 0.5
 
     def __post_init__(self):
-        unknown = set(self.free) - set(FREE_PARAM_ORDER)
-        if unknown:
-            raise ValueError(f"unknown free parameters: {sorted(unknown)}")
-        for name in self.free:
-            try:
-                lo, hi = self.bounds.get(name)
-            except (TypeError, ValueError):
-                raise ValueError(f"bounds for {name}: [lo, hi] pair required") from None
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"bounds for {name} must be finite with positive length")
-            if name in ("a", "b") and lo < 0.0:
-                raise ValueError(f"{name} bounds must be >= 0")
-            if name == "kappa" and not (0.0 <= lo and hi <= 1.0):
-                raise ValueError("kappa bounds must lie within [0, 1]")
-            if name == "eta" and lo <= 0.0:
-                raise ValueError("eta bounds must be positive")
-        for name in ("levels", "points_per_dim"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer (got {value!r})")
-        if self.levels < 0 or self.points_per_dim < 2 or not 0.0 < self.shrink < 1.0:
-            raise ValueError("invalid search schedule")
+        names = lambda v: isinstance(v, (list, tuple)) and all(p in FREE_PARAM_ORDER for p in v)
+        problems = []
+        if names(self.free) and isinstance(self.bounds, dict):
+            for name in dict.fromkeys([*self.bounds, *self.free]):
+                pair = self.bounds.get(name)
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                        and all(map(is_number, pair))):
+                    problems.append(f"bounds.{name}: [lo, hi] pair required (got {pair!r})")
+                elif name in _BOUND_RULES and not _BOUND_RULES[name][1](*pair):
+                    problems.append(f"bounds.{name}: {_BOUND_RULES[name][0]} (got {pair!r})")
+                if name not in self.free:
+                    problems.append(f"bounds.{name}: bound for a parameter not in fit.free")
+        check_fields(self, [
+            ("free", f"list of names among {', '.join(FREE_PARAM_ORDER)} required", names),
+            ("bounds", "mapping of names to [lo, hi] pairs required",
+             lambda v: isinstance(v, dict)),
+            ("levels", "integer >= 0 required", lambda v: is_integer(v) and v >= 0),
+            ("points_per_dim", "integer >= 2 required", lambda v: is_integer(v) and v >= 2),
+            ("shrink", "number in (0, 1) required", lambda v: is_number(v) and 0.0 < v < 1.0),
+        ], problems)
+        object.__setattr__(self, "free", tuple(self.free))
+        object.__setattr__(self, "bounds",
+                           {p: tuple(map(float, pair)) for p, pair in self.bounds.items()})
 
 
 def _evaluate(params: CompetitionParams, config: DynamicConfig,
@@ -160,8 +169,7 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
     ValueError; the first point has every free parameter at its lower bound.
     """
     free = tuple(p for p in FREE_PARAM_ORDER if p in spec.free)
-    bounds = {p: tuple(map(float, spec.bounds[p])) for p in free}
-    original = dict(bounds)
+    bounds = original = spec.bounds  # a [lo, hi] pair per free parameter, no other
 
     best_assignment: dict = {}
     best_obj = np.inf

@@ -25,7 +25,8 @@ from pathlib import Path
 
 from . import dataio
 from .calibration import empirical_stats, fit_search
-from .dynamics import TerminationKind, eta_convergence_table, run_until, solve_stationary
+from .dynamics import (LIMIT_NOISE, TerminationKind, eta_convergence_table, run_until,
+                       solve_stationary)
 from .measures import mean_and_std, pdf_values, uniform
 from .utility import CompetitionUtility
 
@@ -132,21 +133,18 @@ def _fit(args, run_config, manifest):
 
 
 def _convergence_eta(args, run_config, manifest):
+    base = run_config.dynamic
     etas = sorted(_number_list("--etas", args.etas), reverse=True)
     times = _number_list("--times", args.times)
-    problems = dataio.lattice_problems("--times", times, run_config.dynamic.dt)
-    if etas[-1] <= 0 or len(set(etas)) < len(etas):
-        problems.append(f"--etas: distinct positive numbers required (got {args.etas!r})")
-    if min(times) < 0 or max(times) <= 0:
-        problems.append(f"--times: numbers >= 0 with a positive maximum required "
-                        f"(got {args.times!r})")
-    if run_config.dynamic.kappa == 0.0:
-        problems.append("dynamic.kappa: convergence-eta compares against the vanishing-noise "
-                        "limit, which requires kappa > 0 (got 0.0)")
+    problems = dataio.lattice_problems("--times", times, base.dt)
+    for prefix, eta in [("dynamic.", LIMIT_NOISE), *(("--etas: ", eta) for eta in etas)]:
+        dataio.collect_problems(problems, prefix, replace, base, eta=eta)
     if problems:
         raise dataio.ConfigError(problems)
-    rows = eta_convergence_table(run_config.dynamic, _model(run_config),
-                                 uniform(run_config.dynamic.grid), etas, times)
+    try:
+        rows = eta_convergence_table(base, _model(run_config), uniform(base.grid), etas, times)
+    except dataio.ConfigError as exc:  # its rules name `etas` and `times`: these options
+        raise dataio.ConfigError(f"--{p}" for p in exc.problems) from None
     dataio.write_convergence_csv(manifest.output("convergence_eta.csv"), rows)
 
 
@@ -155,15 +153,18 @@ def _sweep_kappa(args, run_config, manifest):
     kappas = [k + 0.0 for k in _number_list("--kappas", args.kappas)]
     if len(set(kappas)) < len(kappas):
         raise dataio.ConfigError([f"--kappas: distinct numbers required (got {args.kappas!r})"])
-    if not all(0.0 <= k <= 1.0 for k in kappas):
-        raise dataio.ConfigError([f"--kappas: numbers in [0, 1] required (got {args.kappas!r})"])
     base = run_config.dynamic
     if base.eta is None:
         raise dataio.ConfigError(["dynamic.eta: sweep-kappa needs positive noise"])
+    problems = []
+    configs = [dataio.collect_problems(problems, "--kappas: ", replace, base, kappa=kappa)
+               for kappa in kappas]
+    if problems:
+        raise dataio.ConfigError(problems)
     model = _model(run_config)
     columns, solvers = [], {}
-    for kappa in kappas:
-        solution = solve_stationary(replace(base, kappa=kappa), model, uniform(base.grid))
+    for kappa, config in zip(kappas, configs):
+        solution = solve_stationary(config, model, uniform(base.grid))
         columns.append(pdf_values(solution.final_measure))
         solvers[f"{kappa:g}"] = {
             "solver": solution.solver, "steps": solution.termination.step,

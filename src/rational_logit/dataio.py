@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
@@ -20,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import FREE_PARAM_ORDER, EmpiricalSample, FitSpec
-from .dynamics import DynamicConfig, Trajectory, lattice_step
-from .measures import Grid, GridMeasure, pdf_values
+from .dynamics import LIMIT_NOISE, DynamicConfig, Trajectory, lattice_step
+from .measures import ConfigError, Grid, GridMeasure, is_number, pdf_values
 from .utility import CompetitionParams
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "bundled_catches_path",
     "load_catches",
     "normalize",
+    "collect_problems",
     "lattice_problems",
     "load_run_config",
     "write_measure_csv",
@@ -102,14 +102,6 @@ def normalize(dataset: CatchDataset) -> EmpiricalSample:
     return EmpiricalSample(np.array(values), per_year_max)
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; `problems` lists one message per field."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in self.problems))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a CLI run needs, one object per config section: the
@@ -128,15 +120,6 @@ class RunConfig:
     resolved: dict = field(default_factory=dict, repr=False)
 
 
-def _get(doc: dict, dotted: str, default=None):
-    node = doc
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
-
-
 def lattice_problems(label: str, times, dt: float) -> list[str]:
     """One `label: ...` problem per time that is not a whole number of dt steps."""
     problems = []
@@ -148,12 +131,40 @@ def lattice_problems(label: str, times, dt: float) -> list[str]:
     return problems
 
 
+def collect_problems(problems: list, prefix: str, build, *args, **kwargs):
+    """build(*args, **kwargs); if it raises a ConfigError, None, and each of
+    its problems is added to `problems` after `prefix`."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        problems += [prefix + p for p in exc.problems]
+        return None
+
+
+def _keys(cls, *skip) -> dict:
+    """The fields of a config type, with their defaults (None if none)."""
+    return {f.name: (f.default_factory() if f.default_factory is not MISSING
+                     else None if f.default is MISSING else f.default)
+            for f in fields(cls) if f.name not in skip}
+
+
+def _object(node, path: str, keys, problems: list) -> dict:
+    """The entries of the JSON object `node` at `path` whose key is among
+    `keys`; a node that is no object, and each other key, is a problem."""
+    if not isinstance(node, dict):
+        problems.append(f"{path}: JSON object required (got {node!r})")
+        return {}
+    problems += [f"{path}.{key}: unknown key" for key in node if key not in keys]
+    return {key: value for key, value in node.items() if key in keys}
+
+
 def load_run_config(path) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
-    Collects every field problem before raising, so a bad config reports
-    all of its errors at once; a key the schema does not name is one too. Every accepted value, defaults included, is
-    recorded in `RunConfig.resolved`.
+    Each section builds the type that holds its fields, defaults and range
+    rules; every problem is reported at once, under its dotted path, and a
+    key the schema does not name is one too. Every accepted value, defaults
+    included, is recorded in `RunConfig.resolved`.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -161,120 +172,50 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
         raise ConfigError([f"top level: JSON object required (got {doc!r})"])
-    problems: list[str] = []
-    resolved: dict = {}
-    # the keys each object of the document may hold, by dotted path
-    schema = {
-        "": ("grid", "dynamic", "utility", "init", "record_times", "fit"),
-        "grid": ("n",),
-        "dynamic": ("kappa", "eta", "dt", "delta", "max_steps"),
-        "utility": ("a", "b", "c", "d", "alpha", "epsilon"),
-        "fit": ("free", "bounds", "levels", "points_per_dim", "shrink"),
-        "fit.bounds": FREE_PARAM_ORDER,
-    }
-    for section, keys in schema.items():
-        node = _get(doc, section, {}) if section else doc
-        prefix = section + "." if section else ""
-        if not isinstance(node, dict):
-            problems.append(f"{section}: JSON object required (got {node!r})")
-        else:
-            problems += [f"{prefix}{key}: unknown key" for key in node if key not in keys]
+    # each section's keys and defaults; Grid has no default size
+    schema = {"grid": {"n": 500}, "dynamic": _keys(DynamicConfig, "grid"),
+              "utility": _keys(CompetitionParams), "fit": _keys(FitSpec)}
+    problems = [f"{k}: unknown key" for k in doc if k not in (*schema, "init", "record_times")]
+    sections = {name: {**keys, **_object(doc.get(name, {}), name, keys, problems)}
+                for name, keys in schema.items()}
 
-    def accept(dotted, value):
-        node = resolved
-        *parents, leaf = dotted.split(".")
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[leaf] = value
-        return value
-
-    def check(dotted, default, validator, message):
-        value = _get(doc, dotted, default)
-        if value is None or not validator(value):
-            problems.append(f"{dotted}: {message} (got {value!r})")
-            return None
-        return accept(dotted, value)
-
-    # json accepts Infinity and NaN; no config number may be non-finite
-    is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
-    is_pair = lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_num, v))
-    n = check("grid.n", 500, lambda v: is_int(v) and v >= 2, "integer >= 2 required")
-    kappa = check("dynamic.kappa", None, lambda v: is_num(v) and 0.0 <= v <= 1.0,
-                  "number in [0, 1] required")
-    eta = accept("dynamic.eta", _get(doc, "dynamic.eta"))
-    eta_value = None
-    if eta == "limit":
-        if kappa == 0.0:
-            problems.append('dynamic.eta: "limit" requires dynamic.kappa > 0')
-    elif is_num(eta) and eta > 0:
-        eta_value = float(eta)
-    else:
-        problems.append(f'dynamic.eta: positive number or "limit" required (got {eta!r})')
-    dt = check("dynamic.dt", 0.001, lambda v: is_num(v) and 0.0 < v <= 1.0,
-               "number in (0, 1] required")
-    delta = check("dynamic.delta", 1e-11, lambda v: is_num(v) and v > 0.0,
-                  "positive number required")
-    max_steps = check("dynamic.max_steps", 1_000_000, lambda v: is_int(v) and v >= 1,
-                      "integer >= 1 required")
-    a = check("utility.a", 0.27, lambda v: is_num(v) and v >= 0, "number >= 0 required")
-    b = check("utility.b", 0.23, lambda v: is_num(v) and v >= 0, "number >= 0 required")
-    c = check("utility.c", 1.0, lambda v: is_num(v) and v >= 0, "number >= 0 required")
-    d = check("utility.d", 1.0, lambda v: is_num(v) and v >= 0, "number >= 0 required")
-    alpha = check("utility.alpha", 0.2, lambda v: is_num(v) and 0.0 < v < 1.0,
-                  "number in (0, 1) required")
-    epsilon = _get(doc, "utility.epsilon")
-    if epsilon is not None:
-        epsilon = check("utility.epsilon", None, lambda v: is_num(v) and v > 0,
-                        "positive number required")
-    check("init", "uniform", lambda v: v == "uniform", 'only "uniform" is supported')
-    record_times = accept("record_times", _get(doc, "record_times", [1.0, 10.0]))
-    if not (isinstance(record_times, list) and all(is_num(t) and t >= 0 for t in record_times)):
+    grid = collect_problems(problems, "grid.", Grid, **sections["grid"])
+    eta = sections["dynamic"]["eta"]
+    if eta is None:  # JSON spells the limit "limit"; 1.0 stands in to check the rest
+        problems.append('dynamic.eta: positive number or "limit" required (got None)')
+    eta = LIMIT_NOISE if eta == "limit" else 1.0 if eta is None else eta
+    dynamic = collect_problems(problems, "dynamic.", DynamicConfig,
+                               **{**sections["dynamic"], "grid": grid, "eta": eta})
+    params = collect_problems(problems, "utility.", CompetitionParams, **sections["utility"])
+    init = doc.get("init", "uniform")
+    if init != "uniform":
+        problems.append(f'init: only "uniform" is supported (got {init!r})')
+    record_times = doc.get("record_times", [1.0, 10.0])
+    if not (isinstance(record_times, list) and all(is_number(t) and t >= 0 for t in record_times)):
         problems.append(f"record_times: list of numbers >= 0 required (got {record_times!r})")
-        record_times = []
-    if dt is not None:
-        problems += lattice_problems("record_times", record_times, dt)
+    elif dynamic is not None:
+        problems += lattice_problems("record_times", record_times, dynamic.dt)
 
-    # one [lo, hi] pair per free parameter, and no bound for a fixed one
-    free, bounds = _get(doc, "fit.free", []), _get(doc, "fit.bounds", {})
-    if (isinstance(free, list) and all(isinstance(p, str) for p in free)
-            and isinstance(bounds, dict)):
-        for p in dict.fromkeys([*bounds, *free]):
-            if not is_pair(bounds.get(p)):
-                problems.append(f"fit.bounds.{p}: [lo, hi] pair required (got {bounds.get(p)!r})")
-            if p in FREE_PARAM_ORDER and p not in free:
-                problems.append(f"fit.bounds.{p}: bound for a parameter not in fit.free")
-
-    fit_spec = None
-    if "fit" in doc and not problems:
-        fit_doc = doc["fit"]
-        try:
-            if not isinstance(free, list):
-                raise TypeError(f"free must be a list of names (got {free!r})")
-            schedule = {"levels": fit_doc.get("levels", 2),
-                        "points_per_dim": fit_doc.get("points_per_dim", 5),
-                        "shrink": fit_doc.get("shrink", 0.5)}
-            fit_spec = FitSpec(free=tuple(free),
-                               bounds={k: tuple(v) for k, v in bounds.items()}, **schedule)
-            accept("fit", {"free": free, "bounds": bounds, **schedule})
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"fit: {exc}")
-        # fit_search would meet this as the ValueError of its first point
-        if (fit_spec is not None and eta_value is None and "kappa" in fit_spec.free
-                and fit_spec.bounds["kappa"][0] <= 0.0):
-            problems.append("fit.bounds.kappa: the vanishing-noise limit requires kappa > 0 "
-                            f"(got {bounds['kappa']!r})")
-
+    fit = None
+    if "fit" in doc:
+        sections["fit"]["bounds"] = _object(sections["fit"]["bounds"], "fit.bounds",
+                                            FREE_PARAM_ORDER, problems)
+        fit = collect_problems(problems, "fit.", FitSpec, **sections["fit"])
+        if fit is not None and dynamic is not None:
+            # fit_search's first point: every free parameter at its lower bound
+            collect_problems(problems, "fit.bounds.", replace, dynamic,
+                             **{p: fit.bounds[p][0] for p in ("eta", "kappa") if p in fit.free})
     if problems:
         raise ConfigError(problems)
 
-    dynamic = DynamicConfig(float(kappa), eta_value, Grid(n), float(dt), float(delta),
-                            max_steps=max_steps)
-    params = CompetitionParams(a=float(a), b=float(b), c=float(c), d=float(d),
-                               alpha=float(alpha),
-                               epsilon=float(epsilon) if epsilon is not None else None)
-    return RunConfig(dynamic, params, tuple(float(t) for t in record_times), fit_spec,
-                     resolved)
+    resolved = {**{name: {key: value for key, value in sections[name].items() if value is not None}
+                   for name in ("grid", "dynamic", "utility")},
+                "init": init, "record_times": record_times}
+    if fit is not None:
+        resolved["fit"] = sections["fit"]
+    # as a manifest records it, so that copy loads to an equal RunConfig
+    return RunConfig(dynamic, params, tuple(float(t) for t in record_times), fit,
+                     json.loads(json.dumps(resolved)))
 
 
 def _fmt_column(values) -> list[str]:

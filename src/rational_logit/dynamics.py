@@ -38,8 +38,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kexp import log_e_kappa_unchecked, validate_kappa
-from .measures import Grid, GridMeasure, pdf_values
+from .kexp import log_e_kappa_unchecked
+from .measures import (ConfigError, Grid, GridMeasure, check_fields, is_integer, is_number,
+                       pdf_values, store_floats)
 
 __all__ = [
     "LIMIT_NOISE",
@@ -98,18 +99,18 @@ class DynamicConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        validate_kappa(self.kappa)
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError("eta must be finite and positive (or None for the limit equation)")
-        if self.eta is None and self.kappa == 0.0:
-            raise ValueError("the vanishing-noise limit requires kappa > 0")
-        if not 0.0 < self.dt <= 1.0:
-            raise ValueError("dt must lie in (0, 1] to keep Euler steps on the simplex")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError("delta must be finite and positive")
-        if not (isinstance(self.max_steps, int) and not isinstance(self.max_steps, bool)
-                and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be an integer >= 1 (got {self.max_steps!r})")
+        check_fields(self, [
+            ("kappa", "number in [0, 1] required", lambda v: is_number(v) and 0.0 <= v <= 1.0),
+            ("kappa", "number in (0, 1] required by the vanishing-noise limit",
+             lambda v: self.eta is not None or v != 0.0),
+            ("eta", "positive number or the vanishing-noise limit required",
+             lambda v: v is None or (is_number(v) and v > 0.0)),
+            # dt <= 1 keeps each Euler step a convex combination on the simplex
+            ("dt", "number in (0, 1] required", lambda v: is_number(v) and 0.0 < v <= 1.0),
+            ("delta", "positive number required", lambda v: is_number(v) and v > 0.0),
+            ("max_steps", "integer >= 1 required", lambda v: is_integer(v) and v >= 1),
+        ])
+        store_floats(self, "kappa", "eta", "dt", "delta")
 
 
 class DynamicBatch:
@@ -388,15 +389,20 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
     STACK_CELLS cells), and are compared at the requested times. The
     observed order between consecutive etas, log(err_a/err_b)/log(eta_a/eta_b),
     is reported on the row of the smaller eta.
+
+    A ConfigError names `etas` unless they are distinct and decreasing, and
+    `times` unless they are distinct and >= 0 with a positive maximum.
     """
     etas = [float(e) for e in etas]
     times = sorted(float(t) for t in times)
-    if not etas or any(e <= 0.0 for e in etas):
-        raise ValueError("etas must be positive")
-    if any(a <= b for a, b in zip(etas, etas[1:])):
-        raise ValueError("etas must be strictly decreasing")
-    if base.kappa == 0.0:
-        raise ValueError("eta convergence study requires kappa > 0")
+    problems = []
+    if not etas or any(a <= b for a, b in zip(etas, etas[1:])):
+        problems.append(f"etas: distinct numbers in decreasing order required (got {etas!r})")
+    if not times or times[0] < 0.0 or times[-1] <= 0.0 or len(set(times)) < len(times):
+        problems.append("times: distinct numbers >= 0 with a positive maximum required "
+                        f"(got {times!r})")
+    if problems:
+        raise ConfigError(problems)
 
     configs = [replace(base, eta=eta) for eta in (LIMIT_NOISE, *etas)]
     per_stack = max(1, STACK_CELLS // base.grid.n_cells)

@@ -3,16 +3,20 @@
 A measure is stored as the vector of cell masses over N uniform cells
 Omega_i = [(i-1)/N, i/N) (last cell closed), with midpoints (i-1/2)/N.
 The piecewise-constant density (PDF) is N times the mass vector.
+
+`ConfigError` and the checks of every config type live with `Grid`, the lowest.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "Grid",
     "GridMeasure",
     "uniform",
@@ -26,15 +30,53 @@ __all__ = [
 MASS_SUM_TOL = 1e-9
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; `problems` lists every violation, one
+    `field: requirement (got value)` message each."""
+
+    def __init__(self, problems):
+        self.problems = list(problems)
+        super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in self.problems))
+
+
+def is_number(value) -> bool:
+    """A finite real number that is not a bool. JSON loads true as a bool
+    and accepts Infinity and NaN, none of which may set a parameter."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_fields(obj, rules, problems=()) -> None:
+    """Raise one ConfigError of `problems` and `field: requirement (got
+    value)` for each (field, requirement, test) of `rules` that `obj` fails."""
+    problems = [*problems, *(f"{name}: {requirement} (got {getattr(obj, name)!r})"
+                             for name, requirement, test in rules if not test(getattr(obj, name)))]
+    if problems:
+        raise ConfigError(problems)
+
+
+def store_floats(obj, *names) -> None:
+    """Store each named, checked field of the frozen `obj` that is not None as a float."""
+    for name in names:
+        if getattr(obj, name) is not None:
+            object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform partition of [0, 1] into n_cells cells."""
+    """Uniform partition of [0, 1] into n cells."""
 
-    n_cells: int
+    n: int
 
     def __post_init__(self):
-        if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 2:
-            raise ValueError(f"grid needs an integer n_cells >= 2, got {self.n_cells!r}")
+        check_fields(self, [("n", "integer >= 2 required", lambda v: is_integer(v) and v >= 2)])
+
+    @property
+    def n_cells(self) -> int:
+        return self.n
 
     @property
     def cell_width(self) -> float:

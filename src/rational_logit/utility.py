@@ -16,12 +16,12 @@ maps a (B, N) stack of mass rows to the (B, N) stack of their utilities:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Grid, GridMeasure, variational_distance
+from .measures import (Grid, GridMeasure, check_fields, is_number, store_floats,
+                       variational_distance)
 
 __all__ = [
     "BilinearUtility",
@@ -48,14 +48,14 @@ class CompetitionParams:
     epsilon: float | None = None
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"CompetitionParams: {name} must be finite and >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("CompetitionParams: alpha must lie in (0, 1)")
-        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("CompetitionParams: epsilon must be finite and positive")
+        nonnegative = lambda v: is_number(v) and v >= 0.0
+        check_fields(self, [
+            *((name, "number >= 0 required", nonnegative) for name in ("a", "b", "c", "d")),
+            ("alpha", "number in (0, 1) required", lambda v: is_number(v) and 0.0 < v < 1.0),
+            ("epsilon", "positive number or None required",
+             lambda v: v is None or (is_number(v) and v > 0.0)),
+        ])
+        store_floats(self, "a", "b", "c", "d", "alpha", "epsilon")
 
     def resolve_epsilon(self, grid: Grid) -> float:
         return self.epsilon if self.epsilon is not None else grid.cell_width

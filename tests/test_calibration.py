@@ -150,16 +150,20 @@ class TestFitSearch:
             FitSpec(free=("eta",), bounds={"eta": (0.0, 0.1)})
         with pytest.raises(ValueError):
             FitSpec(free=("zzz",), bounds={"zzz": (0.0, 1.0)})
+        with pytest.raises(ValueError, match="shrink"):
+            FitSpec(free=("a",), bounds={"a": (0.2, 0.3)}, shrink="x")
+        with pytest.raises(ValueError, match=r"bounds\.b: bound for a parameter not in fit\.free"):
+            FitSpec(free=("a",), bounds={"a": (0.2, 0.3), "b": (0.1, 0.2)})
 
     def test_rejects_negative_a_b_bounds(self):
         # CompetitionParams would reject those points one by one
         for name in ("a", "b"):
-            with pytest.raises(ValueError, match=f"{name} bounds"):
+            with pytest.raises(ValueError, match=rf"bounds\.{name}"):
                 FitSpec(free=(name,), bounds={name: (-0.1, 0.3)})
 
     @pytest.mark.parametrize("bounds", [{}, {"b": (0.1, 0.3)}, {"a": (0.1,)}, {"a": 0.2}])
     def test_rejects_missing_or_malformed_bounds(self, bounds):
-        with pytest.raises(ValueError, match=r"bounds for a: \[lo, hi\] pair required"):
+        with pytest.raises(ValueError, match=r"bounds\.a: \[lo, hi\] pair required"):
             FitSpec(free=("a",), bounds=bounds)
 
     def test_rejects_zero_kappa_under_limit(self, monkeypatch):
@@ -174,7 +178,7 @@ class TestFitSearch:
         monkeypatch.setattr(calibration, "_evaluate", record)
         limit = DynamicConfig(1.0, LIMIT_NOISE, COARSE_GRID, COARSE_DT, COARSE_DELTA)
         for free, kappas in [(("kappa",), [0.1, 1.0]), (("a", "kappa"), [0.1, 1.0, 0.1, 1.0])]:
-            bounds = {"a": (0.2, 0.3), "kappa": (0.0, 1.0)}
+            bounds = {p: {"a": (0.2, 0.3), "kappa": (0.0, 1.0)}[p] for p in free}
             spec = FitSpec(free=free, bounds=bounds, levels=0, points_per_dim=2)
             with pytest.raises(ValueError, match="limit"):
                 fit_search(spec, (0.3, 0.3), limit, CompetitionParams())

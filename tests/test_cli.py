@@ -179,6 +179,7 @@ class TestConfigErrors:
         ("--etas", "0"),
         ("--etas", "-0.1"),
         ("--etas", "0.1,0.1"),
+        ("--times", "1,1"),
     ])
     def test_convergence_eta_list_rules(self, tmp_path, config_path, option, value):
         out = tmp_path / "out"

@@ -1,9 +1,11 @@
 import hashlib
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
+from rational_logit.calibration import FitSpec
 from rational_logit.dataio import (CatchDataset, ConfigError, bundled_catches_path,
                                    load_catches, load_run_config, normalize,
                                    write_convergence_csv, write_measure_csv,
@@ -153,6 +155,18 @@ class TestRunConfig:
         path.write_text("{ not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_run_config(path)
+
+    def test_defaults_are_the_types_defaults(self, tmp_path):
+        doc = {"dynamic": {"kappa": 1.0, "eta": 0.01}, "fit": {"free": [], "bounds": {}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        resolved = load_run_config(path).resolved
+        for section, cls in [("dynamic", DynamicConfig), ("utility", CompetitionParams),
+                             ("fit", FitSpec)]:
+            defaults = {f.name: f.default for f in fields(cls)
+                        if f.default not in (MISSING, None) and f.name not in doc.get(section, {})}
+            assert defaults
+            assert {key: resolved[section][key] for key in defaults} == defaults
 
     def test_fit_section(self, tmp_path):
         path = tmp_path / "cfg.json"

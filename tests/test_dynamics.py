@@ -95,11 +95,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             DynamicConfig(1.0, -0.1, Grid(4))
 
-    @pytest.mark.parametrize("field", ["eta", "delta"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["eta", "delta", "kappa"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, True])
     def test_rejects_nonfinite(self, field, value):
         with pytest.raises(ValueError, match=field):
-            DynamicConfig(1.0, **{"eta": 0.1, "grid": Grid(4), field: value})
+            DynamicConfig(**{"kappa": 1.0, "eta": 0.1, "grid": Grid(4), field: value})
 
     def test_default_step_budget(self):
         assert DynamicConfig(1.0, 0.01, Grid(4)).max_steps == 1_000_000

@@ -211,7 +211,7 @@ class TestCompetitionUtility:
             CompetitionParams(epsilon=0.0)
 
     @pytest.mark.parametrize("field", ["a", "b", "c", "d", "epsilon"])
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, True, False])
     def test_rejects_nonfinite_params(self, field, value):
         with pytest.raises(ValueError, match=field):
             CompetitionParams(**{field: value})
