@@ -1,10 +1,8 @@
 """Heavy-tailed (kappa-exponential) logit dynamics on [0, 1]."""
 
-from .kexp import d_e_kappa, e_kappa, log_e_kappa, scaled_limit_residual
-from .measures import (Grid, GridMeasure, from_masses, mean_and_std, pdf_values,
-                       refine, uniform, variational_distance)
-from .utility import (BilinearUtility, CompetitionParams, CompetitionUtility,
-                      lipschitz_ratio_sample)
+from .kexp import log_e_kappa
+from .measures import Grid, GridMeasure, mean_and_std, pdf_values, uniform, variational_distance
+from .utility import CompetitionParams, CompetitionUtility
 from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicBatch, DynamicConfig,
                        StationarySolution, Termination, TerminationKind, Trajectory,
                        eta_convergence_table, euler_step, run_to_stationary,

@@ -42,7 +42,6 @@ class EmpiricalSample:
     """Per-year-max normalized efforts, pooled across years."""
 
     values: np.ndarray
-    per_year_max: dict
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -119,9 +118,11 @@ class FitSpec:
                            {p: tuple(map(float, pair)) for p, pair in self.bounds.items()})
 
 
-def _evaluate(params: CompetitionParams, config: DynamicConfig,
-              target: tuple[float, float]) -> tuple[float, tuple[float, float]]:
-    """The objective and the stationary moments (m, s) of one parameter point."""
+def fit_objective(params: CompetitionParams, config: DynamicConfig,
+                  target: tuple[float, float]) -> tuple[float, tuple[float, float]]:
+    """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2 and the stationary
+    moments (m, s) from the uniform initial condition, for one parameter
+    point."""
     model = CompetitionUtility(config.grid, params)
     solution = solve_stationary(config, model, uniform(config.grid))
     if solution.termination.kind is not TerminationKind.STATIONARY:
@@ -132,19 +133,11 @@ def _evaluate(params: CompetitionParams, config: DynamicConfig,
     return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std)
 
 
-def fit_objective(params: CompetitionParams, config: DynamicConfig,
-                  target: tuple[float, float]) -> float:
-    """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2 where (m, s) are the
-    stationary moments from the uniform initial condition."""
-    return _evaluate(params, config, target)[0]
-
-
 @dataclass(frozen=True)
 class FitResult:
     best: dict
     objective: float
     evaluations: tuple
-    target: tuple[float, float]
     model_moments: tuple[float, float]
 
     @property
@@ -183,7 +176,7 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
             point = replace(params, **{p: assignment[p] for p in free if p in ("a", "b")})
             config = replace(base, **{p: assignment[p] for p in free if p in ("eta", "kappa")})
             try:
-                obj, moments = _evaluate(point, config, target)
+                obj, moments = fit_objective(point, config, target)
             except (NonStationaryError, DegenerateWeightsError) as exc:
                 evaluations.append((assignment, None, repr(exc)))
                 continue
@@ -206,4 +199,4 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
     best = dict(best_assignment)  # the free parameters first, then the fixed ones
     for name, value in zip(FREE_PARAM_ORDER, (params.a, params.b, base.eta, base.kappa)):
         best.setdefault(name, value)
-    return FitResult(best, float(best_obj), tuple(evaluations), tuple(target), best_moments)
+    return FitResult(best, float(best_obj), tuple(evaluations), best_moments)

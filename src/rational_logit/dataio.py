@@ -58,10 +58,6 @@ class CatchDataset:
             if max(catches) <= 0:
                 raise ValueError(f"year {year}: maximum catch is 0, normalization undefined")
 
-    @property
-    def total_records(self) -> int:
-        return sum(len(c) for _, c in self.records)
-
 
 def bundled_catches_path() -> Path:
     """Path of the shipped competition dataset."""
@@ -94,12 +90,10 @@ def load_catches(path) -> CatchDataset:
 def normalize(dataset: CatchDataset) -> EmpiricalSample:
     """Divide each catch by its own year's maximum and pool the values."""
     values = []
-    per_year_max = {}
-    for year, catches in dataset.records:
+    for _, catches in dataset.records:
         year_max = max(catches)
-        per_year_max[year] = year_max
         values += [c / year_max for c in catches]
-    return EmpiricalSample(np.array(values), per_year_max)
+    return EmpiricalSample(np.array(values))
 
 
 @dataclass(frozen=True)
@@ -198,8 +192,9 @@ def load_run_config(path) -> RunConfig:
 
     fit = None
     if "fit" in doc:
-        sections["fit"]["bounds"] = _object(sections["fit"]["bounds"], "fit.bounds",
-                                            FREE_PARAM_ORDER, problems)
+        bounds = sections["fit"]["bounds"]
+        if isinstance(bounds, dict):  # FitSpec reports any other value, once
+            sections["fit"]["bounds"] = _object(bounds, "fit.bounds", FREE_PARAM_ORDER, problems)
         fit = collect_problems(problems, "fit.", FitSpec, **sections["fit"])
         if fit is not None and dynamic is not None:
             # fit_search's first point: every free parameter at its lower bound

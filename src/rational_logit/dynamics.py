@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kexp import log_e_kappa_unchecked
+from .kexp import log_e_kappa
 from .measures import (ConfigError, Grid, GridMeasure, check_fields, is_integer, is_number,
                        pdf_values, store_floats)
 
@@ -103,7 +103,7 @@ class DynamicConfig:
             ("kappa", "number in [0, 1] required", lambda v: is_number(v) and 0.0 <= v <= 1.0),
             ("kappa", "number in (0, 1] required by the vanishing-noise limit",
              lambda v: self.eta is not None or v != 0.0),
-            ("eta", "positive number or the vanishing-noise limit required",
+            ("eta", "positive number required",
              lambda v: v is None or (is_number(v) and v > 0.0)),
             # dt <= 1 keeps each Euler step a convex combination on the simplex
             ("dt", "number in (0, 1] required", lambda v: is_number(v) and 0.0 < v <= 1.0),
@@ -184,9 +184,9 @@ def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
     if not np.isfinite(u).all():
         raise ValueError("utility vector must be finite")
     if isinstance(config, DynamicBatch):
-        if u.shape != (len(config.configs), config.grid.n_cells):
+        if u.shape != (len(config.configs), config.grid.n):
             raise ValueError(f"utility stack has shape {u.shape}, the batch has "
-                             f"{len(config.configs)} rows of {config.grid.n_cells} cells")
+                             f"{len(config.configs)} rows of {config.grid.n} cells")
         groups = config.groups
     else:
         groups = [(..., config.kappa, config.eta)]
@@ -216,7 +216,7 @@ def _log_weights(kappa: float, eta, u: np.ndarray) -> np.ndarray:
         logw /= kappa
         return logw
     z = u / eta
-    return z if kappa == 0.0 else log_e_kappa_unchecked(kappa, z)
+    return z if kappa == 0.0 else log_e_kappa(kappa, z)
 
 
 def euler_step(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray) -> np.ndarray:
@@ -300,7 +300,7 @@ def run_to_stationary(config: DynamicConfig, model, init: GridMeasure) -> Statio
     to the threshold delta; returns the post-step measure at the smallest
     such step k as the solution of solver "euler", or REACHED_FINAL_TIME
     after config.max_steps steps."""
-    n = config.grid.n_cells
+    n = config.grid.n
     mass = init.mass
     for k, nxt in enumerate(_euler_iterates(config, model, mass, config.max_steps)):
         if n * float(np.max(np.abs(nxt - mass))) <= config.delta:
@@ -326,7 +326,7 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray,
     iterate stays on the simplex; _AndersonStalled is raised when the
     budget runs out or an update leaves no positive finite mass.
     """
-    n = config.grid.n_cells
+    n = config.grid.n
     dx, df = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
     prev = None
     for k in range(max_iterations + 1):
@@ -405,7 +405,7 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
         raise ConfigError(problems)
 
     configs = [replace(base, eta=eta) for eta in (LIMIT_NOISE, *etas)]
-    per_stack = max(1, STACK_CELLS // base.grid.n_cells)
+    per_stack = max(1, STACK_CELLS // base.grid.n)
     pdfs: dict[float, list] = {t: [] for t in times}  # limit row first, then the etas
     for start in range(0, len(configs), per_stack):
         batch = DynamicBatch(configs[start:start + per_stack])

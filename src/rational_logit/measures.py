@@ -20,11 +20,9 @@ __all__ = [
     "Grid",
     "GridMeasure",
     "uniform",
-    "from_masses",
     "variational_distance",
     "pdf_values",
     "mean_and_std",
-    "refine",
 ]
 
 MASS_SUM_TOL = 1e-9
@@ -75,16 +73,12 @@ class Grid:
         check_fields(self, [("n", "integer >= 2 required", lambda v: is_integer(v) and v >= 2)])
 
     @property
-    def n_cells(self) -> int:
-        return self.n
-
-    @property
     def cell_width(self) -> float:
-        return 1.0 / self.n_cells
+        return 1.0 / self.n
 
     @property
     def midpoints(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) / self.n_cells
+        return (np.arange(self.n) + 0.5) / self.n
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,8 @@ class GridMeasure:
 
     def __post_init__(self):
         mass = np.asarray(self.mass, dtype=float)
-        if mass.shape != (self.grid.n_cells,):
-            raise ValueError(f"mass vector has shape {mass.shape}, grid has {self.grid.n_cells} cells")
+        if mass.shape != (self.grid.n,):
+            raise ValueError(f"mass vector has shape {mass.shape}, grid has {self.grid.n} cells")
         if np.any(mass < 0.0) or np.any(np.isnan(mass)):
             raise ValueError("cell masses must be nonnegative")
         if abs(mass.sum() - 1.0) > MASS_SUM_TOL:
@@ -114,21 +108,7 @@ class GridMeasure:
 
 def uniform(grid: Grid) -> GridMeasure:
     """The uniform distribution: every cell mass equal to 1/N."""
-    return GridMeasure(grid, np.full(grid.n_cells, 1.0 / grid.n_cells))
-
-
-def from_masses(grid: Grid, raw) -> GridMeasure:
-    """Normalize a vector of nonnegative weights into a GridMeasure.
-
-    Rejects negative entries and the all-zero vector (degenerate weights).
-    """
-    raw = np.asarray(raw, dtype=float)
-    if np.any(raw < 0.0) or np.any(np.isnan(raw)):
-        raise ValueError("from_masses: entries must be nonnegative")
-    total = raw.sum()
-    if total <= 0.0:
-        raise ValueError("from_masses: degenerate all-zero weight vector")
-    return GridMeasure(grid, raw / total)
+    return GridMeasure(grid, np.full(grid.n, 1.0 / grid.n))
 
 
 def variational_distance(mu: GridMeasure, nu: GridMeasure) -> float:
@@ -145,7 +125,7 @@ def variational_distance(mu: GridMeasure, nu: GridMeasure) -> float:
 
 def pdf_values(mu: GridMeasure) -> np.ndarray:
     """Piecewise-constant density at cell midpoints: N * mass."""
-    return mu.grid.n_cells * mu.mass
+    return mu.grid.n * mu.mass
 
 
 def mean_and_std(mu: GridMeasure) -> tuple[float, float]:
@@ -155,14 +135,3 @@ def mean_and_std(mu: GridMeasure) -> tuple[float, float]:
     var = float((x * x) @ mu.mass) - mean * mean
     return mean, math.sqrt(max(var, 0.0))
 
-
-def refine(mu: GridMeasure, factor: int) -> GridMeasure:
-    """Split every cell into `factor` equal subcells, preserving the density.
-
-    Lets measures on different grids be compared exactly on a common
-    refinement (no interpolation error for piecewise-constant densities).
-    """
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"refine: factor must be a positive integer, got {factor!r}")
-    fine = np.repeat(mu.mass / factor, factor)
-    return GridMeasure(Grid(mu.grid.n_cells * int(factor)), fine)

@@ -1,17 +1,12 @@
-"""Utility models U(x; mu) evaluated at cell midpoints.
+"""The fishing-competition utility U(x; mu) at cell midpoints.
 
-Two concrete models, each with `values(mass)` taking the (N,) cell-mass
-vector and returning the (N,) utility vector; `CompetitionUtility` also
-maps a (B, N) stack of mass rows to the (B, N) stack of their utilities:
-
-* BilinearUtility: U(x; mu) = integral of f(x, y) mu(dy), midpoint rule, so
-  one N x N kernel matrix times the mass vector. The dense reference the
-  tests compare other models against.
-* CompetitionUtility: quadratic harvesting cost, pairwise difference reward,
-  and an award for the upper-alpha tail, the tail mass regularized by a ramp
-  of width epsilon. It holds no matrix: both sums depend only on the cell
-  offset, so `values` costs O(N) by cumulative sums (c in {0, 1},
-  epsilon <= 1/N) or O(N log N) by one FFT Toeplitz product, in O(N) memory.
+`CompetitionUtility.values(mass)` maps the (N,) cell-mass vector to the
+(N,) utility vector, or a (B, N) stack of mass rows to the (B, N) stack of
+their utilities: quadratic harvesting cost, pairwise difference reward, and
+an award for the upper-alpha tail, the tail mass regularized by a ramp of
+width epsilon. It holds no matrix: both sums depend only on the cell
+offset, so `values` costs O(N) by cumulative sums (c in {0, 1},
+epsilon <= 1/N) or O(N log N) by one FFT Toeplitz product, in O(N) memory.
 """
 
 from __future__ import annotations
@@ -20,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (Grid, GridMeasure, check_fields, is_number, store_floats,
-                       variational_distance)
+from .measures import Grid, check_fields, is_number, store_floats
 
-__all__ = [
-    "BilinearUtility",
-    "CompetitionParams",
-    "CompetitionUtility",
-    "lipschitz_ratio_sample",
-]
+__all__ = ["CompetitionParams", "CompetitionUtility"]
 
 
 @dataclass(frozen=True)
@@ -61,28 +50,6 @@ class CompetitionParams:
         return self.epsilon if self.epsilon is not None else grid.cell_width
 
 
-class BilinearUtility:
-    """U_j = sum_k f(x_j, x_k) * mass_k on the midpoint lattice (cell width
-    absorbed in the masses), with f tabulated once into a kernel matrix."""
-
-    def __init__(self, grid: Grid, f):
-        x = grid.midpoints
-        kernel = np.array(f(x[:, None], x[None, :]), dtype=float)
-        n = grid.n_cells
-        if kernel.shape != (n, n):
-            raise ValueError(f"kernel matrix has shape {kernel.shape}, expected ({n}, {n})")
-        if not np.all(np.isfinite(kernel)):
-            raise ValueError("kernel matrix entries must be finite")
-        kernel.flags.writeable = False
-        self.grid = grid
-        self._kernel = kernel
-
-    def values(self, mass: np.ndarray) -> np.ndarray:
-        if np.shape(mass) != (self.grid.n_cells,):
-            raise ValueError(f"BilinearUtility: grid mismatch, mass has shape {np.shape(mass)}")
-        return self._kernel @ mass
-
-
 class CompetitionUtility:
     """Cost + difference reward + regularized award, in O(N) memory.
 
@@ -101,11 +68,11 @@ class CompetitionUtility:
     def __init__(self, grid: Grid, params: CompetitionParams):
         self.grid = grid
         self.params = params
-        self.epsilon = params.resolve_epsilon(grid)
-        n = grid.n_cells
+        epsilon = params.resolve_epsilon(grid)
+        n = grid.n
         self._cost = -params.a * grid.midpoints ** 2
         lag = np.arange(n) * grid.cell_width  # |x_i - x_j| at offset |i - j|
-        ramp = np.clip((self.epsilon - lag) / self.epsilon, 0.0, 1.0)
+        ramp = np.clip((epsilon - lag) / epsilon, 0.0, 1.0)
         ramp[0] = 0.0  # lag 0 is in the suffix sum
         self._wide = bool(np.any(ramp > 0.0))
         kernels = []  # (lower, upper): T[i, j] = lower[i - j] if i >= j else upper[j - i]
@@ -122,7 +89,7 @@ class CompetitionUtility:
         """U of an (N,) mass vector, or of each row of a (B, N) stack. The
         sums run along the last axis, so a row of a stack gets the same
         bits as the same row on its own."""
-        p, n = self.params, self.grid.n_cells
+        p, n = self.params, self.grid.n
         upper = mass[..., ::-1].cumsum(-1)[..., ::-1]  # sum_{j >= i} m_j
         total = upper[..., :1]
         if self._spectra is not None:
@@ -150,14 +117,3 @@ def _circulant_spectrum(lower: np.ndarray, upper: np.ndarray, size: int) -> np.n
     column[size - n + 1:] = upper[:0:-1]
     return np.fft.rfft(column)
 
-
-def lipschitz_ratio_sample(model, mu: GridMeasure, nu: GridMeasure) -> float:
-    """max_j |U_j(mu) - U_j(nu)| / ||mu - nu||, one sampled ratio.
-
-    The test suite draws many (mu, nu) pairs and checks the ratios stay
-    below an explicit bound for each implemented model.
-    """
-    dist = variational_distance(mu, nu)
-    if dist == 0.0:
-        raise ValueError("lipschitz_ratio_sample: measures must differ")
-    return float(np.max(np.abs(model.values(mu.mass) - model.values(nu.mass)))) / dist

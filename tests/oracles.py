@@ -1,0 +1,117 @@
+"""Reference code the tests check the library against.
+
+The CLI and the scripts run none of it: the kappa-exponential e_kappa and
+its relatives (written on the library's `log_e_kappa`), two ways to build a
+GridMeasure, and the dense bilinear utility with its sampled Lipschitz
+ratio.
+"""
+
+import numpy as np
+
+from rational_logit.kexp import log_e_kappa
+from rational_logit.measures import Grid, GridMeasure, variational_distance
+
+
+def log_e(kappa: float, z):
+    """ln e_kappa(z) of a scalar or an array of any shape, kappa in [0, 1]:
+    the identity at kappa = 0, else the library's `log_e_kappa`."""
+    z = np.asarray(z, dtype=float)
+    if kappa == 0.0:
+        out = z.copy()
+    else:
+        out = log_e_kappa(kappa, z.reshape(-1)).reshape(z.shape)
+    return out if out.ndim else float(out)
+
+
+def e_kappa(kappa: float, z):
+    """e_kappa(z) = exp(ln e_kappa(z)); strictly positive, and may overflow
+    to +inf at kappa = 0 for extreme z."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_e(kappa, z))
+
+
+def d_e_kappa(kappa: float, z):
+    """Derivative of e_kappa: e_kappa(z) / sqrt(kappa^2 z^2 + 1)."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        out = e_kappa(kappa, z) / np.sqrt((kappa * z) ** 2 + 1.0)
+    return out if out.ndim else float(out)
+
+
+def scaled_limit_residual(kappa: float, eta: float, u: float) -> float:
+    """| (eta/(2 kappa))^(1/kappa) * e_kappa(u/eta) - u^(1/kappa) |.
+
+    Quantifies how fast the eta-scaled kappa-exponential approaches the pure
+    power u^(1/kappa) as the noise eta vanishes; the residual is O(eta).
+    Evaluated through the exact closed form
+    (u/2 + sqrt(u^2/4 + eta^2/(4 kappa^2)))^(1/kappa), which avoids the
+    overflow of e_kappa(u/eta) for tiny eta.
+    """
+    if kappa == 0.0:
+        raise ValueError("scaled_limit_residual: undefined at kappa = 0")
+    if eta <= 0.0 or u <= 0.0:
+        raise ValueError("scaled_limit_residual: requires eta > 0 and u > 0")
+    scaled = (u / 2.0 + np.sqrt(u * u / 4.0 + eta * eta / (4.0 * kappa * kappa))) ** (1.0 / kappa)
+    return abs(scaled - u ** (1.0 / kappa))
+
+
+def from_masses(grid: Grid, raw) -> GridMeasure:
+    """Normalize a vector of nonnegative weights into a GridMeasure.
+
+    Rejects negative entries and the all-zero vector (degenerate weights).
+    """
+    raw = np.asarray(raw, dtype=float)
+    if np.any(raw < 0.0) or np.any(np.isnan(raw)):
+        raise ValueError("from_masses: entries must be nonnegative")
+    total = raw.sum()
+    if total <= 0.0:
+        raise ValueError("from_masses: degenerate all-zero weight vector")
+    return GridMeasure(grid, raw / total)
+
+
+def refine(mu: GridMeasure, factor: int) -> GridMeasure:
+    """Split every cell into `factor` equal subcells, preserving the density.
+
+    Lets measures on different grids be compared exactly on a common
+    refinement (no interpolation error for piecewise-constant densities).
+    """
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError(f"refine: factor must be a positive integer, got {factor!r}")
+    fine = np.repeat(mu.mass / factor, factor)
+    return GridMeasure(Grid(mu.grid.n * int(factor)), fine)
+
+
+class BilinearUtility:
+    """U_j = sum_k f(x_j, x_k) * mass_k on the midpoint lattice (cell width
+    absorbed in the masses), with f tabulated once into a kernel matrix:
+    U(x; mu) = integral of f(x, y) mu(dy) by the midpoint rule, the dense
+    reference the fast utility models are compared against."""
+
+    def __init__(self, grid: Grid, f):
+        x = grid.midpoints
+        kernel = np.array(f(x[:, None], x[None, :]), dtype=float)
+        n = grid.n
+        if kernel.shape != (n, n):
+            raise ValueError(f"kernel matrix has shape {kernel.shape}, expected ({n}, {n})")
+        if not np.all(np.isfinite(kernel)):
+            raise ValueError("kernel matrix entries must be finite")
+        kernel.flags.writeable = False
+        self.grid = grid
+        self._kernel = kernel
+
+    def values(self, mass: np.ndarray) -> np.ndarray:
+        if np.shape(mass) != (self.grid.n,):
+            raise ValueError(f"BilinearUtility: grid mismatch, mass has shape {np.shape(mass)}")
+        return self._kernel @ mass
+
+
+def lipschitz_ratio_sample(model, mu: GridMeasure, nu: GridMeasure) -> float:
+    """max_j |U_j(mu) - U_j(nu)| / ||mu - nu||, one sampled ratio.
+
+    The tests draw many (mu, nu) pairs and check the ratios stay below an
+    explicit bound for each model.
+    """
+    dist = variational_distance(mu, nu)
+    if dist == 0.0:
+        raise ValueError("lipschitz_ratio_sample: measures must differ")
+    return float(np.max(np.abs(model.values(mu.mass) - model.values(nu.mass)))) / dist

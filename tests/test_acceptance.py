@@ -10,15 +10,14 @@ import time
 import numpy as np
 import pytest
 
+from oracles import BilinearUtility, d_e_kappa, e_kappa, refine, scaled_limit_residual
 from rational_logit.calibration import empirical_stats
 from rational_logit.dataio import bundled_catches_path, load_catches, normalize
 from rational_logit.dynamics import (DynamicConfig, TerminationKind, euler_step,
                                      eta_convergence_table, run_until,
                                      run_to_stationary, solve_stationary, weights)
-from rational_logit.kexp import d_e_kappa, e_kappa, scaled_limit_residual
-from rational_logit.measures import (Grid, mean_and_std, pdf_values, refine, uniform,
-                                     variational_distance)
-from rational_logit.utility import BilinearUtility, CompetitionParams, CompetitionUtility
+from rational_logit.measures import Grid, mean_and_std, pdf_values, uniform, variational_distance
+from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 N = 500
 DT = 0.001
@@ -278,7 +277,7 @@ def assert_matches_euler(config, model, euler_measure):
     mu = solution.final_measure
     np.testing.assert_allclose(mean_and_std(mu), mean_and_std(euler_measure), rtol=0, atol=1e-9)
     assert float(np.max(np.abs(pdf_values(mu) - pdf_values(euler_measure)))) <= 1e-7
-    n = config.grid.n_cells
+    n = config.grid.n
     assert n * float(np.max(np.abs(euler_step(config, model, mu.mass) - mu.mass))) <= config.delta
 
 

@@ -40,35 +40,34 @@ class TestEmpiricalStats:
         assert std == pytest.approx(0.30352, abs=5e-4)
 
     def test_single_year(self):
-        sample = EmpiricalSample(np.array([0.5, 1.0]), {"y": 20})
+        sample = EmpiricalSample(np.array([0.5, 1.0]))
         mean, std = empirical_stats(sample)
         assert mean == 0.75 and std == 0.25
 
     def test_permutation_invariant(self, table_sample):
         rng = np.random.default_rng(0)
-        shuffled = EmpiricalSample(rng.permutation(table_sample.values),
-                                   table_sample.per_year_max)
+        shuffled = EmpiricalSample(rng.permutation(table_sample.values))
         np.testing.assert_allclose(empirical_stats(shuffled),
                                    empirical_stats(table_sample), rtol=1e-12)
 
     def test_empty_sample(self):
         with pytest.raises(ValueError):
-            empirical_stats(EmpiricalSample(np.array([]), {}))
+            empirical_stats(EmpiricalSample(np.array([])))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            EmpiricalSample(np.array([0.5, 1.2]), {"y": 10})
+            EmpiricalSample(np.array([0.5, 1.2]))
 
 
 class TestEmpiricalPdf:
     def test_all_at_one(self):
-        sample = EmpiricalSample(np.ones(5), {"y": 3})
+        sample = EmpiricalSample(np.ones(5))
         np.testing.assert_array_equal(empirical_pdf(sample, 10),
                                       [0.0] * 9 + [10.0])
 
     def test_uniform_synthetic(self):
         values = (np.arange(1000) + 0.5) / 1000
-        pdf = empirical_pdf(EmpiricalSample(values, {}), 10)
+        pdf = empirical_pdf(EmpiricalSample(values), 10)
         np.testing.assert_allclose(pdf, 1.0, atol=1e-12)
 
     def test_integrates_to_one(self, table_sample):
@@ -83,7 +82,7 @@ class TestEmpiricalPdf:
 
     def test_rejects_few_bins(self):
         with pytest.raises(ValueError):
-            empirical_pdf(EmpiricalSample(np.array([0.5]), {}), 1)
+            empirical_pdf(EmpiricalSample(np.array([0.5])), 1)
 
 
 class TestFitObjective:
@@ -91,14 +90,14 @@ class TestFitObjective:
         params = CompetitionParams()
         target = coarse_moments(params)
         config = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, COARSE_DELTA)
-        assert fit_objective(params, config, target) == pytest.approx(0.0, abs=1e-10)
+        assert fit_objective(params, config, target)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_increases_away_from_optimum(self):
         base = CompetitionParams()
         target = coarse_moments(base)
         config = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, COARSE_DELTA)
-        obj_at = fit_objective(base, config, target)
-        obj_doubled = fit_objective(CompetitionParams(a=2 * base.a), config, target)
+        obj_at = fit_objective(base, config, target)[0]
+        obj_doubled = fit_objective(CompetitionParams(a=2 * base.a), config, target)[0]
         assert obj_doubled > obj_at
 
     def test_nonstationary_reported_distinctly(self):
@@ -175,7 +174,7 @@ class TestFitSearch:
             evaluated.append(config.kappa)
             return 0.0, target
 
-        monkeypatch.setattr(calibration, "_evaluate", record)
+        monkeypatch.setattr(calibration, "fit_objective", record)
         limit = DynamicConfig(1.0, LIMIT_NOISE, COARSE_GRID, COARSE_DT, COARSE_DELTA)
         for free, kappas in [(("kappa",), [0.1, 1.0]), (("a", "kappa"), [0.1, 1.0, 0.1, 1.0])]:
             bounds = {p: {"a": (0.2, 0.3), "kappa": (0.0, 1.0)}[p] for p in free}
@@ -195,7 +194,7 @@ class TestFitSearch:
         params = CompetitionParams(a=0.3, b=0.2, c=1.5, epsilon=0.03)
         target = (0.3, 0.3)
         result = fit_search(FitSpec(free=(), bounds={}, levels=0), target, base, params)
-        assert result.objective == fit_objective(params, base, target)
+        assert result.objective == fit_objective(params, base, target)[0]
         assert result.best == {"a": 0.3, "b": 0.2, "eta": 0.02, "kappa": 0.5}
 
     def test_all_failures_reported(self):

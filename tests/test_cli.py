@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from rational_logit.cli import main
 from rational_logit.dataio import load_run_config
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 COARSE = {
     "grid": {"n": 50},
@@ -188,6 +190,7 @@ class TestConfigErrors:
         manifest = read_manifest(out)
         assert manifest["status"] == "config-error"
         assert option in manifest["error"]
+        assert "limit" not in manifest["error"]  # no option can give the limit
 
     @pytest.mark.parametrize("value", ["0.5,0.5", "0.5,0.5,-0", "0,-0", "1,2,2"])
     def test_sweep_kappa_repeated(self, tmp_path, config_path, value):
@@ -220,6 +223,12 @@ class TestConfigErrors:
         assert manifest["status"] == "config-error"
         name = "b" if "b" in bounds else "a"
         assert f"fit.bounds.{name}: [lo, hi] pair required" in manifest["error"]
+
+    def test_fit_bounds_not_an_object(self, tmp_path):
+        cfg = write_config(tmp_path, {"fit": {**FIT, "bounds": [0.2, 0.3]}})
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        assert read_manifest(out)["error"].count("fit.bounds") == 1
 
     @pytest.mark.parametrize("text", ["5", "null", b"\xff\xfe"],
                              ids=["number", "null", "not-utf8"])
@@ -433,3 +442,12 @@ class TestManifest:
             assert recorded["grid"]["n"] == 500
         else:
             assert "epsilon" not in recorded["utility"]
+
+
+def test_scripts_import():
+    # each script imports the package's names when it loads; main is not run
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main), path.name

@@ -33,7 +33,7 @@ class TestBundledAsset:
 
     def test_total_records(self):
         dataset = load_catches(bundled_catches_path())
-        assert dataset.total_records == 69
+        assert sum(len(catches) for _, catches in dataset.records) == 69
         assert len(dataset.records) == 5
 
     def test_year_counts(self):
@@ -88,10 +88,11 @@ class TestNormalize:
         assert np.isclose(sample.values, 1.0).sum() >= 5  # one per year
 
     def test_range_and_yearly_max(self):
-        sample = normalize(load_catches(bundled_catches_path()))
+        dataset = load_catches(bundled_catches_path())
+        sample = normalize(dataset)
         assert sample.values.min() >= 0.0 and sample.values.max() == 1.0
-        assert sample.per_year_max == {"2016": 43, "2017": 42, "2018": 53,
-                                       "2019": 41, "2023": 82}
+        assert {year: max(catches) for year, catches in dataset.records} == {
+            "2016": 43, "2017": 42, "2018": 53, "2019": 41, "2023": 82}
 
     def test_singleton_year(self):
         dataset = CatchDataset((("y", (5,)),))
@@ -111,7 +112,7 @@ class TestRunConfig:
             "record_times": [1.0],
         }))
         rc = load_run_config(path)
-        assert rc.dynamic.grid.n_cells == 100
+        assert rc.dynamic.grid.n == 100
         assert rc.dynamic.eta == 0.01
         assert rc.utility.a == 0.27
         assert rc.utility.alpha == 0.2  # default

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import BilinearUtility, from_masses
 from rational_logit import dynamics
 from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE, STACK_CELLS,
                                      DegenerateWeightsError, DynamicBatch, DynamicConfig,
                                      StationarySolution, TerminationKind, eta_convergence_table,
                                      euler_step, run_to_stationary, run_until,
                                      solve_stationary, weights)
-from rational_logit.measures import (Grid, GridMeasure, from_masses, pdf_values, uniform,
-                                     variational_distance)
-from rational_logit.utility import BilinearUtility, CompetitionParams, CompetitionUtility
+from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform, variational_distance
+from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 
 def constant_model(grid, value=1.0):
@@ -90,6 +90,11 @@ class TestConfig:
     def test_defaults(self):
         cfg = DynamicConfig(1.0, 0.01, Grid(500))
         assert cfg.dt == 0.001 and cfg.delta == 1e-11
+
+    def test_rejects_bad_kappa(self):
+        for bad in (-0.1, 1.5, float("nan"), True, "0.5"):
+            with pytest.raises(ValueError, match="kappa"):
+                DynamicConfig(bad, 0.1, Grid(4))
 
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ValueError):
@@ -367,7 +372,7 @@ class TestRunToStationary:
         # the stationarity check controls the per-step PDF change, which is
         # exactly dt * N * |rhs|; the detected state must satisfy that bound
         residual = weights(cfg, model.values(mu.mass)) - mu.mass
-        assert g.n_cells * cfg.dt * np.max(np.abs(residual)) <= cfg.delta
+        assert g.n * cfg.dt * np.max(np.abs(residual)) <= cfg.delta
         w = GridMeasure(g, weights(cfg, model.values(mu.mass)))
         assert variational_distance(w, mu) <= cfg.delta / cfg.dt
 
@@ -388,7 +393,7 @@ class TestRunToStationary:
     def test_same_stop_as_dense_oracle(self, c, eps_cells):
         g = Grid(64)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-10, max_steps=100_000)
-        params = CompetitionParams(c=c, epsilon=eps_cells / g.n_cells)
+        params = CompetitionParams(c=c, epsilon=eps_cells / g.n)
         fast = run_to_stationary(cfg, CompetitionUtility(g, params), uniform(g))
         dense = run_to_stationary(cfg, DenseCompetition(g, params), uniform(g))
         assert fast.termination == dense.termination
@@ -422,7 +427,7 @@ class TestSolveStationary:
         assert solution.solver == "anderson"
         mass = solution.final_measure.mass
         residual = weights(cfg, model.values(mass)) - mass
-        assert g.n_cells * np.max(np.abs(residual)) <= cfg.delta
+        assert g.n * np.max(np.abs(residual)) <= cfg.delta
         assert np.all(mass >= 0.0) and abs(mass.sum() - 1.0) <= 1e-12
 
     def test_repeatable_bit_for_bit(self):

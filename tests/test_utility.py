@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rational_logit.measures import Grid, GridMeasure, from_masses, uniform
-from rational_logit.utility import (BilinearUtility, CompetitionParams, CompetitionUtility,
-                                    lipschitz_ratio_sample)
+from oracles import BilinearUtility, from_masses, lipschitz_ratio_sample
+from rational_logit.measures import Grid, GridMeasure, uniform
+from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 
 def ramp_tail_mass(grid: Grid, mu: GridMeasure, x: float, epsilon: float) -> float:
