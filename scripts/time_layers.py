@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time the competition utility, the weight map, one Euler step, one
+"""Time the competition utility, the weight map, one Euler step, a
 stationary solve and the CSV writers across grid sizes.
 
 For each N, prints the CompetitionUtility build time, the bytes the built
 model holds (tracemalloc), the median microseconds of one `values(mass)`
 call, one `weights` call and one `euler_step`, and the seconds, iterations
-and solver of one `solve_stationary` from the uniform start, all at the
+and solver of `solve_stationary` from the uniform start (median seconds
+of ANDERSON_RUNS solves), with `anderson_iteration_us`, its microseconds
+per Anderson iteration (null if it fell back to Euler), all at the
 fitted parameters (kappa = 1, eta = 0.01, dt = 1e-3, delta = 1e-11, and
 the DynamicConfig default budget max_steps = 10^6), as one JSON document.
 `batched_step_us` is one Euler step of the eta table's (5, N) stack: the
@@ -41,6 +43,7 @@ from rational_logit import (LIMIT_NOISE, CompetitionParams, CompetitionUtility, 
                             write_trajectory_csv)
 
 EULER_MAX_N = 2000  # about 18,000 steps per solve; larger grids take minutes
+ANDERSON_RUNS = 5  # one solve at N=500 takes about 15 ms and varies by half from run to run
 BATCH_ETAS = (LIMIT_NOISE, 0.1, 0.01, 1e-3, 1e-4)  # the eta table's rows
 SNAPSHOT_TIMES = [k / 1000 for k in range(1, 101)]  # every step of dt = 1e-3 to t = 0.1
 
@@ -60,11 +63,15 @@ def median_us(fn, samples: int = 7, sample_seconds: float = 0.1) -> float:
     return statistics.median(per_call)
 
 
-def timed_solve(solve, config, model):
-    """Seconds and result of one stationary solve from the uniform start."""
-    t0 = time.perf_counter()
-    result = solve(config, model, uniform(config.grid))
-    return time.perf_counter() - t0, result
+def timed_solve(solve, config, model, runs: int = 1):
+    """Median seconds of `runs` stationary solves from the uniform start,
+    and the result of the last."""
+    seconds = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        result = solve(config, model, uniform(config.grid))
+        seconds.append(time.perf_counter() - t0)
+    return statistics.median(seconds), result
 
 
 def traced_peak_bytes(fn) -> int:
@@ -108,9 +115,11 @@ def time_size(n: int) -> dict:
            "weights_us": median_us(lambda: weights(config, u)),
            "euler_step_us": median_us(lambda: euler_step(config, model, mass)),
            "batched_step_us": median_us(lambda: euler_step(batch, model, stack))}
-    seconds, result = timed_solve(solve_stationary, config, model)
+    seconds, result = timed_solve(solve_stationary, config, model, runs=ANDERSON_RUNS)
     row.update(stationary_s=seconds, stationary_iterations=result.termination.step,
-               stationary_solver=result.solver)
+               stationary_solver=result.solver,
+               anderson_iteration_us=(seconds / result.termination.step * 1e6
+                                      if result.solver == "anderson" else None))
     if n <= EULER_MAX_N:
         seconds, result = timed_solve(run_to_stationary, config, model)
         row.update(euler_stationary_s=seconds, euler_steps=result.termination.step)

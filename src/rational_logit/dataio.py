@@ -175,9 +175,11 @@ def load_run_config(path) -> RunConfig:
 
     grid = collect_problems(problems, "grid.", Grid, **sections["grid"])
     eta = sections["dynamic"]["eta"]
-    if eta is None:  # JSON spells the limit "limit"; 1.0 stands in to check the rest
-        problems.append('dynamic.eta: positive number or "limit" required (got None)')
-    eta = LIMIT_NOISE if eta == "limit" else 1.0 if eta is None else eta
+    if eta is None or (isinstance(eta, str) and eta != "limit"):
+        # JSON spells the limit "limit"; 1.0 stands in to check the rest
+        problems.append(f'dynamic.eta: positive number or "limit" required (got {eta!r})')
+        eta = 1.0
+    eta = LIMIT_NOISE if eta == "limit" else eta
     dynamic = collect_problems(problems, "dynamic.", DynamicConfig,
                                **{**sections["dynamic"], "grid": grid, "eta": eta})
     params = collect_problems(problems, "utility.", CompetitionParams, **sections["utility"])

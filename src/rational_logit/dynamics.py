@@ -33,7 +33,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -322,28 +321,41 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray,
     """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m.
 
     Returns the first iterate with N max|f| <= delta and its iteration
-    count. Every update is clipped to >= 0 and renormalized, so each
+    count. The last ANDERSON_DEPTH differences of f and of g = m + beta f
+    are the rows of two (depth, N) ring buffers, each new row written in
+    place over the oldest. The mixing coefficients solve the normal
+    equations of min |f - gamma @ dF|: the depth x depth Gram matrix
+    dF dF^T gains one row and column per iteration, so no iteration
+    forms or factors an N x depth matrix. The normal equations square the
+    condition number, so a singular Gram matrix falls back to lstsq on
+    dF^T. Every update is clipped to >= 0 and renormalized, so each
     iterate stays on the simplex; _AndersonStalled is raised when the
     budget runs out or an update leaves no positive finite mass.
     """
     n = config.grid.n
-    dx, df = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
-    prev = None
+    df, dg = np.empty((ANDERSON_DEPTH, n)), np.empty((ANDERSON_DEPTH, n))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    prev = None  # f and g of the previous iterate
     for k in range(max_iterations + 1):
         f = weights(config, model.values(mass)) - mass
-        if n * float(np.max(np.abs(f))) <= config.delta:
+        if n * float(np.abs(f).max()) <= config.delta:
             return mass, k
         if k == max_iterations:
             break
+        g = mass + ANDERSON_BETA * f
+        nxt = g
         if prev is not None:
-            dx.append(mass - prev[0])
-            df.append(f - prev[1])
-        prev = mass, f
-        nxt = mass + ANDERSON_BETA * f
-        if dx:
-            dfm = np.column_stack(df)
-            gamma = np.linalg.lstsq(dfm, f, rcond=None)[0]
-            nxt -= (np.column_stack(dx) + ANDERSON_BETA * dfm) @ gamma
+            row = (k - 1) % ANDERSON_DEPTH  # the oldest row once the buffers are full
+            np.subtract(f, prev[0], out=df[row])
+            np.subtract(g, prev[1], out=dg[row])
+            m = min(k, ANDERSON_DEPTH)  # rows in use
+            gram[row, :m] = gram[:m, row] = df[:m] @ df[row]
+            try:
+                gamma = np.linalg.solve(gram[:m, :m], df[:m] @ f)
+            except np.linalg.LinAlgError:
+                gamma = np.linalg.lstsq(df[:m].T, f, rcond=None)[0]
+            nxt = g - gamma @ dg[:m]
+        prev = f, g
         nxt = np.maximum(nxt, 0.0)
         total = float(nxt.sum())
         if not (math.isfinite(total) and total > 0.0):

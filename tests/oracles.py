@@ -2,12 +2,16 @@
 
 The CLI and the scripts run none of it: the kappa-exponential e_kappa and
 its relatives (written on the library's `log_e_kappa`), two ways to build a
-GridMeasure, and the dense bilinear utility with its sampled Lipschitz
-ratio.
+GridMeasure, the dense bilinear utility with its sampled Lipschitz ratio,
+the dense competition utility, and the lstsq form of Anderson mixing.
 """
+
+import math
+from collections import deque
 
 import numpy as np
 
+from rational_logit.dynamics import ANDERSON_BETA, ANDERSON_DEPTH, _AndersonStalled, weights
 from rational_logit.kexp import log_e_kappa
 from rational_logit.measures import Grid, GridMeasure, variational_distance
 
@@ -115,3 +119,74 @@ def lipschitz_ratio_sample(model, mu: GridMeasure, nu: GridMeasure) -> float:
     if dist == 0.0:
         raise ValueError("lipschitz_ratio_sample: measures must differ")
     return float(np.max(np.abs(model.values(mu.mass) - model.values(nu.mass)))) / dist
+
+
+def ramp(x, y, epsilon: float):
+    """The award ramp clip((y - x + epsilon)/epsilon, 0, 1): the regularized
+    indicator 1_{y > x} of the competition utility's tail."""
+    return np.clip((y - x + epsilon) / epsilon, 0.0, 1.0)
+
+
+def ramp_tail_mass(grid: Grid, mu: GridMeasure, x: float, epsilon: float) -> float:
+    """Regularized upper-tail mass of mu above x, the scalar reference of
+    CompetitionUtility's tail: the sharp indicator 1_{(x, 1]} is replaced by
+    the ramp at the cell midpoints."""
+    if epsilon <= 0.0:
+        raise ValueError("ramp_tail_mass: epsilon must be positive")
+    return float(ramp(x, grid.midpoints, epsilon) @ mu.mass)
+
+
+class DenseCompetition:
+    """The competition utility from a dense reward matrix and a dense ramp
+    matrix, whose row j is ramp_tail_mass's ramp at x_j: the oracle of
+    CompetitionUtility's prefix-sum and FFT paths."""
+
+    def __init__(self, grid: Grid, params):
+        a, b, c = params.a, params.b, params.c
+        eps = params.resolve_epsilon(grid)
+        self.params = params
+        self._reward = BilinearUtility(grid, lambda x, y: -a * x ** 2 + b * np.abs(x - y) ** c)
+        self._ramp = BilinearUtility(grid, lambda x, y: ramp(x, y, eps))
+
+    def values(self, mass):
+        tail = self._ramp.values(mass)
+        return self._reward.values(mass) + self.params.d * np.maximum(self.params.alpha - tail, 0.0)
+
+
+def anderson_lstsq(config, model, mass: np.ndarray,
+                   max_iterations: int) -> tuple[np.ndarray, int]:
+    """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m,
+    with the histories in deques and a fresh lstsq on the stacked dF
+    columns every iteration: the reference of the library's ring-buffer,
+    Gram-matrix `dynamics._anderson`, with the same depth, mixing weight,
+    clipping and messages.
+
+    Returns the first iterate with N max|f| <= delta and its iteration
+    count. Every update is clipped to >= 0 and renormalized, so each
+    iterate stays on the simplex; _AndersonStalled is raised when the
+    budget runs out or an update leaves no positive finite mass.
+    """
+    n = config.grid.n
+    dx, df = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
+    prev = None
+    for k in range(max_iterations + 1):
+        f = weights(config, model.values(mass)) - mass
+        if n * float(np.max(np.abs(f))) <= config.delta:
+            return mass, k
+        if k == max_iterations:
+            break
+        if prev is not None:
+            dx.append(mass - prev[0])
+            df.append(f - prev[1])
+        prev = mass, f
+        nxt = mass + ANDERSON_BETA * f
+        if dx:
+            dfm = np.column_stack(df)
+            gamma = np.linalg.lstsq(dfm, f, rcond=None)[0]
+            nxt -= (np.column_stack(dx) + ANDERSON_BETA * dfm) @ gamma
+        nxt = np.maximum(nxt, 0.0)
+        total = float(nxt.sum())
+        if not (math.isfinite(total) and total > 0.0):
+            raise _AndersonStalled(f"Anderson update {k + 1} left no positive finite mass")
+        mass = nxt / total
+    raise _AndersonStalled(f"Anderson mixing missed delta within {max_iterations} iterations")

@@ -124,6 +124,15 @@ class TestRunConfig:
         rc = load_run_config(path)
         assert rc.dynamic.eta is None
 
+    @pytest.mark.parametrize("eta", [None, "Limit", "0.01"])
+    def test_eta_neither_number_nor_limit_names_the_spelling(self, tmp_path, eta):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dynamic": {"kappa": 0.5, "eta": eta}}))
+        with pytest.raises(ConfigError) as err:
+            load_run_config(path)
+        assert err.value.problems == [
+            f'dynamic.eta: positive number or "limit" required (got {eta!r})']
+
     def test_limit_with_kappa_zero_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dynamic": {"kappa": 0.0, "eta": "limit"}}))

@@ -1,4 +1,7 @@
+import itertools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import BilinearUtility, from_masses
+from oracles import BilinearUtility, DenseCompetition, anderson_lstsq, from_masses
 from rational_logit import dynamics
+from rational_logit.calibration import empirical_stats, fit_search
+from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config, normalize
 from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE, STACK_CELLS,
                                      DegenerateWeightsError, DynamicBatch, DynamicConfig,
                                      StationarySolution, TerminationKind, eta_convergence_table,
@@ -16,25 +21,11 @@ from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE, STACK
 from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform, variational_distance
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
+FIT_AB = Path(__file__).resolve().parents[1] / "configs" / "fit_ab.json"
+
 
 def constant_model(grid, value=1.0):
     return BilinearUtility(grid, lambda x, y: np.full_like(x * y, value))
-
-
-class DenseCompetition:
-    """The competition utility from a dense reward matrix and a dense ramp
-    matrix: the oracle of CompetitionUtility's prefix-sum and FFT paths."""
-
-    def __init__(self, grid, params):
-        a, b, c = params.a, params.b, params.c
-        eps = params.resolve_epsilon(grid)
-        self.params = params
-        self._reward = BilinearUtility(grid, lambda x, y: -a * x ** 2 + b * np.abs(x - y) ** c)
-        self._ramp = BilinearUtility(grid, lambda x, y: np.clip((y - x + eps) / eps, 0.0, 1.0))
-
-    def values(self, mass):
-        tail = self._ramp.values(mass)
-        return self._reward.values(mass) + self.params.d * np.maximum(self.params.alpha - tail, 0.0)
 
 
 class FadingUtility:
@@ -61,6 +52,15 @@ class NaNRowUtility:
         if u.ndim == 2 and len(u) > self.row:
             u[self.row] = np.nan
         return u
+
+
+def count_lstsq(monkeypatch) -> list:
+    """Let np.linalg.lstsq run as before, appending to the returned list
+    once per call."""
+    lstsq, calls = np.linalg.lstsq, []
+    monkeypatch.setattr(dynamics.np.linalg, "lstsq",
+                        lambda *args, **kwargs: calls.append(1) or lstsq(*args, **kwargs))
+    return calls
 
 
 def per_eta_reference(base, model, init, etas, times):
@@ -456,12 +456,49 @@ class TestSolveStationary:
         g = Grid(16)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        monkeypatch.setattr(dynamics.np.linalg, "lstsq",
-                            lambda a, b, rcond: (np.full(a.shape[1], np.nan),))
+        monkeypatch.setattr(dynamics.np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
         solution = solve_stationary(cfg, model, uniform(g))
         assert solution.solver == "euler"
         assert solution.fallback == "Anderson update 2 left no positive finite mass"
         assert solution.termination.kind is TerminationKind.STATIONARY
+
+    @pytest.mark.parametrize("n", [64, 501])
+    def test_matches_lstsq_reference_at_fit_box_corners(self, n):
+        run = load_run_config(FIT_AB)
+        cfg = replace(run.dynamic, grid=Grid(n))
+        for a, b in itertools.product(run.fit.bounds["a"], run.fit.bounds["b"]):
+            model = CompetitionUtility(cfg.grid, replace(run.utility, a=a, b=b))
+            solution = solve_stationary(cfg, model, uniform(cfg.grid))
+            mass, iterations = anderson_lstsq(cfg, model, uniform(cfg.grid).mass,
+                                              ANDERSON_MAX_ITERATIONS)
+            assert solution.solver == "anderson"
+            assert abs(solution.termination.step - iterations) <= 10
+            np.testing.assert_allclose(pdf_values(solution.final_measure),
+                                       pdf_values(GridMeasure(cfg.grid, mass)), rtol=0, atol=1e-10)
+
+    def test_singular_gram_solves_by_lstsq(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(dynamics.np.linalg, "solve", singular)
+        calls = count_lstsq(monkeypatch)
+        g = Grid(64)
+        cfg = DynamicConfig(1.0, 0.01, g, dt=0.01, delta=1e-10, max_steps=100_000)
+        model = CompetitionUtility(g, CompetitionParams())
+        solution = solve_stationary(cfg, model, uniform(g))
+        assert solution.solver == "anderson" and solution.fallback is None
+        assert len(calls) == solution.termination.step - 1  # every update but the first
+        mass = solution.final_measure.mass
+        assert g.n * np.max(np.abs(weights(cfg, model.values(mass)) - mass)) <= cfg.delta
+
+    def test_first_fit_level_needs_no_lstsq(self, monkeypatch):
+        calls = count_lstsq(monkeypatch)
+        run = load_run_config(FIT_AB)
+        target = empirical_stats(normalize(load_catches(bundled_catches_path())))
+        result = fit_search(replace(run.fit, levels=0), target, run.dynamic, run.utility)
+        assert result.evaluation_count == 25
+        assert all(error is None for _, _, error in result.evaluations)
+        assert calls == []
 
     def test_degenerate_weights_mid_iteration_fall_back(self):
         class FlickeringUtility:

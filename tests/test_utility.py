@@ -4,34 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import BilinearUtility, from_masses, lipschitz_ratio_sample
+from oracles import (BilinearUtility, DenseCompetition, from_masses, lipschitz_ratio_sample,
+                     ramp_tail_mass)
 from rational_logit.measures import Grid, GridMeasure, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
-
-
-def ramp_tail_mass(grid: Grid, mu: GridMeasure, x: float, epsilon: float) -> float:
-    """Regularized upper-tail mass of mu above x, the scalar reference of
-    CompetitionUtility's tail: the sharp indicator 1_{(x, 1]} is replaced by
-    the ramp clip((y - x + epsilon)/epsilon, 0, 1) at the cell midpoints."""
-    if epsilon <= 0.0:
-        raise ValueError("ramp_tail_mass: epsilon must be positive")
-    ramp = np.clip((grid.midpoints - x + epsilon) / epsilon, 0.0, 1.0)
-    return float(ramp @ mu.mass)
 
 
 # ramp widths as functions of N: the default 1/N, a few cells, and wide ramps
 EPSILONS = {"1/N": lambda n: None, "3/N": lambda n: 3.0 / n,
             "0.1": lambda n: 0.1, "2.0": lambda n: 2.0}
-
-
-def dense_competition_values(grid: Grid, params: CompetitionParams, mu: GridMeasure):
-    """The competition utility from a dense N x N reward matrix and the
-    scalar ramp tail at every midpoint."""
-    a, b, c = params.a, params.b, params.c
-    reward = BilinearUtility(grid, lambda x, y: -a * x ** 2 + b * np.abs(x - y) ** c)
-    eps = params.resolve_epsilon(grid)
-    tail = np.array([ramp_tail_mass(grid, mu, xi, eps) for xi in grid.midpoints])
-    return reward.values(mu.mass) + params.d * np.maximum(params.alpha - tail, 0.0)
 
 
 def random_measure(n, rng):
@@ -222,12 +203,12 @@ class TestCompetitionUtility:
     def test_matches_dense_oracle(self, c, eps, n):
         g = Grid(n)
         params = CompetitionParams(a=0.3, b=0.7, c=c, d=1.0, alpha=0.5, epsilon=EPSILONS[eps](n))
-        model = CompetitionUtility(g, params)
+        model, dense = CompetitionUtility(g, params), DenseCompetition(g, params)
         rng = np.random.default_rng(n)
         for _ in range(3):
             mu = random_measure(n, rng)
-            np.testing.assert_allclose(model.values(mu.mass),
-                                       dense_competition_values(g, params, mu), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(model.values(mu.mass), dense.values(mu.mass),
+                                       rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 64, 501])
     @pytest.mark.parametrize("eps", ["1/N", "3/N", "0.1"])
