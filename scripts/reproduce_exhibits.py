@@ -62,8 +62,7 @@ def limit_gap_refinement(path: Path) -> None:
                         for eta in (0.01, LIMIT_NOISE))
         mu, nu = small.final_measure, limit.final_measure
         gap = float(np.max(np.abs(pdf_values(mu) - pdf_values(nu))))
-        lines.append(f"{n},{small.termination.step},{limit.termination.step},"
-                     f"{gap!r},{variational_distance(mu, nu)!r}")
+        lines.append(f"{n},{small.steps},{limit.steps},{gap!r},{variational_distance(mu, nu)!r}")
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -85,7 +85,7 @@ def traced_peak_bytes(fn) -> int:
 
 def time_writers(config, model) -> dict:
     """Time the trajectory and measure CSV writers into a temporary directory."""
-    traj = run_until(config, model, uniform(config.grid), SNAPSHOT_TIMES[-1], SNAPSHOT_TIMES)
+    traj = run_until(config, model, uniform(config.grid), SNAPSHOT_TIMES)
     with tempfile.TemporaryDirectory() as tmp:
         traj_path, measure_path = Path(tmp, "trajectory.csv"), Path(tmp, "measure.csv")
         write_traj = lambda: write_trajectory_csv(traj_path, traj)
@@ -116,13 +116,13 @@ def time_size(n: int) -> dict:
            "euler_step_us": median_us(lambda: euler_step(config, model, mass)),
            "batched_step_us": median_us(lambda: euler_step(batch, model, stack))}
     seconds, result = timed_solve(solve_stationary, config, model, runs=ANDERSON_RUNS)
-    row.update(stationary_s=seconds, stationary_iterations=result.termination.step,
+    row.update(stationary_s=seconds, stationary_iterations=result.steps,
                stationary_solver=result.solver,
-               anderson_iteration_us=(seconds / result.termination.step * 1e6
+               anderson_iteration_us=(seconds / result.steps * 1e6
                                       if result.solver == "anderson" else None))
     if n <= EULER_MAX_N:
         seconds, result = timed_solve(run_to_stationary, config, model)
-        row.update(euler_stationary_s=seconds, euler_steps=result.termination.step)
+        row.update(euler_stationary_s=seconds, euler_steps=result.steps)
     row.update(time_writers(config, model))
     return row
 

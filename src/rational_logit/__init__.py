@@ -4,9 +4,8 @@ from .kexp import log_e_kappa
 from .measures import Grid, GridMeasure, mean_and_std, pdf_values, uniform, variational_distance
 from .utility import CompetitionParams, CompetitionUtility
 from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicBatch, DynamicConfig,
-                       StationarySolution, Termination, TerminationKind, Trajectory,
-                       eta_convergence_table, euler_step, run_to_stationary,
-                       run_until, solve_stationary, weights)
+                       StationarySolution, Trajectory, eta_convergence_table, euler_step,
+                       run_to_stationary, run_until, solve_stationary, weights)
 from .calibration import (EmpiricalSample, FitResult, FitSpec, NonStationaryError,
                           empirical_pdf, empirical_stats, fit_objective, fit_search)
 from .dataio import (CatchDataset, ConfigError, RunConfig, bundled_catches_path,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import DegenerateWeightsError, DynamicConfig, TerminationKind, solve_stationary
+from .dynamics import DegenerateWeightsError, DynamicConfig, solve_stationary
 from .measures import check_fields, is_integer, is_number, mean_and_std, uniform
 from .utility import CompetitionParams, CompetitionUtility
 
@@ -125,7 +125,7 @@ def fit_objective(params: CompetitionParams, config: DynamicConfig,
     point."""
     model = CompetitionUtility(config.grid, params)
     solution = solve_stationary(config, model, uniform(config.grid))
-    if solution.termination.kind is not TerminationKind.STATIONARY:
+    if not solution.stationary:
         raise NonStationaryError(f"no stationary state within {config.max_steps} steps "
                                  f"({solution.fallback})")
     mean, std = mean_and_std(solution.final_measure)

@@ -25,8 +25,7 @@ from pathlib import Path
 
 from . import dataio
 from .calibration import empirical_stats, fit_search
-from .dynamics import (LIMIT_NOISE, TerminationKind, eta_convergence_table, run_until,
-                       solve_stationary)
+from .dynamics import LIMIT_NOISE, eta_convergence_table, run_until, solve_stationary
 from .measures import mean_and_std, pdf_values, uniform
 from .utility import CompetitionUtility
 
@@ -89,9 +88,9 @@ def _simulate(args, run_config, manifest):
     if not times:
         raise dataio.ConfigError(["record_times: at least one positive time required"])
     traj = run_until(run_config.dynamic, _model(run_config), uniform(run_config.dynamic.grid),
-                     max(times), times)
+                     times)
     dataio.write_trajectory_csv(manifest.output("trajectory.csv"), traj)
-    manifest.doc["termination"] = traj.termination.kind.value
+    manifest.doc["termination"] = "reached_final_time"
 
 
 def _stationary(args, run_config, manifest):
@@ -99,15 +98,14 @@ def _stationary(args, run_config, manifest):
                                 uniform(run_config.dynamic.grid))
     mu = solution.final_measure
     mean, std = mean_and_std(mu)
-    stationary = solution.termination.kind is TerminationKind.STATIONARY
     dataio.write_measure_csv(manifest.output("stationary_pdf.csv"), mu)
-    moments = {"mean": mean, "std": std, "stationary": stationary,
-               "solver": solution.solver, "steps": solution.termination.step}
+    moments = {"mean": mean, "std": std, "stationary": solution.stationary,
+               "solver": solution.solver, "steps": solution.steps}
     manifest.output("moments.json").write_text(json.dumps(moments, indent=2) + "\n")
-    manifest.doc["termination"] = solution.termination.kind.value
+    manifest.doc["termination"] = "stationary" if solution.stationary else "reached_final_time"
     manifest.doc["solver"] = solution.solver
     manifest.doc["fallback"] = solution.fallback
-    if not stationary:
+    if not solution.stationary:
         manifest.doc["warning"] = f"not stationary within {run_config.dynamic.max_steps} steps"
 
 
@@ -151,8 +149,10 @@ def _convergence_eta(args, run_config, manifest):
 def _sweep_kappa(args, run_config, manifest):
     # + 0.0 turns -0 into 0, so no column name or record key reads -0
     kappas = [k + 0.0 for k in _number_list("--kappas", args.kappas)]
-    if len(set(kappas)) < len(kappas):
-        raise dataio.ConfigError([f"--kappas: distinct numbers required (got {args.kappas!r})"])
+    names = [f"{kappa:g}" for kappa in kappas]  # the CSV columns and the solvers keys
+    if len(set(names)) < len(names):
+        raise dataio.ConfigError(["--kappas: numbers distinct in 6 significant digits required "
+                                  f"(got {args.kappas!r})"])
     base = run_config.dynamic
     if base.eta is None:
         raise dataio.ConfigError(["dynamic.eta: sweep-kappa needs positive noise"])
@@ -163,16 +163,14 @@ def _sweep_kappa(args, run_config, manifest):
         raise dataio.ConfigError(problems)
     model = _model(run_config)
     columns, solvers = [], {}
-    for kappa, config in zip(kappas, configs):
+    for name, config in zip(names, configs):
         solution = solve_stationary(config, model, uniform(base.grid))
         columns.append(pdf_values(solution.final_measure))
-        solvers[f"{kappa:g}"] = {
-            "solver": solution.solver, "steps": solution.termination.step,
-            "stationary": solution.termination.kind is TerminationKind.STATIONARY,
-            "fallback": solution.fallback}
+        solvers[name] = {"solver": solution.solver, "steps": solution.steps,
+                         "stationary": solution.stationary, "fallback": solution.fallback}
     manifest.doc["solvers"] = solvers
     dataio.write_pdf_table(manifest.output("kappa_sweep_pdf.csv"), base.grid.midpoints,
-                           columns, [f"pdf_kappa_{kappa:g}" for kappa in kappas])
+                           columns, [f"pdf_kappa_{name}" for name in names])
 
 
 # name: (run(args, run_config, manifest), help, {option: (default, help)})

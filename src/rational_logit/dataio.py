@@ -259,17 +259,15 @@ def write_convergence_csv(path, rows) -> None:
     _write_csv(path, "eta,time,error,rate", [columns])
 
 
-def write_pdf_table(path, x_mid, series, names=None) -> None:
-    """Rows `x_mid,<name1>[,<name2>...]` for one or more PDF columns of
-    equal length."""
+def write_pdf_table(path, x_mid, series, names) -> None:
+    """Rows `x_mid,<name1>[,<name2>...]` for one or more named PDF columns
+    of equal length."""
     series = [np.asarray(s, dtype=float) for s in series]
     x_mid = np.asarray(x_mid, dtype=float)
     if not series:
         raise ValueError("write_pdf_table: at least one series required")
     if any(len(s) != len(x_mid) for s in series):
         raise ValueError("write_pdf_table: series length mismatch")
-    if names is None:
-        names = ["pdf"] + [f"pdf{i + 1}" for i in range(1, len(series))]
     if len(names) != len(series):
         raise ValueError("write_pdf_table: one name per series required")
     columns = [_fmt_column(x_mid)] + [_fmt_column(s) for s in series]

@@ -30,7 +30,6 @@ steps its limit reference and every eta together, as the rows of one stack.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -46,8 +45,6 @@ __all__ = [
     "DegenerateWeightsError",
     "DynamicConfig",
     "DynamicBatch",
-    "TerminationKind",
-    "Termination",
     "Trajectory",
     "weights",
     "euler_step",
@@ -140,23 +137,11 @@ class DynamicBatch:
             start += len(rows)
 
 
-class TerminationKind(enum.Enum):
-    REACHED_FINAL_TIME = "reached_final_time"
-    STATIONARY = "stationary"
-
-
-@dataclass(frozen=True)
-class Termination:
-    kind: TerminationKind
-    step: int | None = None
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-stamped measure snapshots; the first is the initial condition."""
 
     snapshots: tuple
-    termination: Termination
 
     def __post_init__(self):
         times = [t for t, _ in self.snapshots]
@@ -246,50 +231,39 @@ def lattice_step(t: float, dt: float) -> int:
     return k
 
 
-def _snap_steps(record_times, dt: float, n_steps: int) -> dict[int, float]:
-    """Map requested times to Euler step indices (nearest multiple of dt)."""
-    snapped = {}
-    for t in record_times:
-        k = lattice_step(t, dt)
-        if not 0 <= k <= n_steps:
-            raise ValueError(f"record time {t} outside [0, t_final]")
-        snapped[k] = float(t)
-    return snapped
-
-
-def _recorded(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, t_final: float,
-              record_times):
+def _recorded(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, record_times):
     """Yield (t, m_k) for each requested time t = k dt > 0 (snapped to the
-    step lattice), stepping m_0 = mass with Euler up to t_final."""
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
-    n_steps = round(t_final / config.dt)
-    record = _snap_steps(record_times, config.dt, n_steps)
-    for k, mass in enumerate(_euler_iterates(config, model, mass, n_steps), start=1):
+    step lattice), stepping m_0 = mass with Euler up to the last of them.
+    ValueError unless the times are >= 0 with a positive maximum."""
+    times = [float(t) for t in record_times]
+    if not times or min(times) < 0.0 or max(times) <= 0.0:
+        raise ValueError(f"record times must be >= 0 with a positive maximum (got {times!r})")
+    record = {lattice_step(t, config.dt): t for t in times}
+    for k, mass in enumerate(_euler_iterates(config, model, mass, max(record)), start=1):
         if k in record:
             yield record[k], mass
 
 
-def run_until(config: DynamicConfig, model, init: GridMeasure, t_final: float,
-              record_times) -> Trajectory:
-    """Integrate to t_final with fixed-step Euler, recording at the
-    requested times (snapped to the step lattice). The initial condition at
-    t = 0 is always the first snapshot."""
+def run_until(config: DynamicConfig, model, init: GridMeasure, record_times) -> Trajectory:
+    """Integrate with fixed-step Euler to the last requested time, recording
+    at each requested time (snapped to the step lattice). The initial
+    condition at t = 0 is always the first snapshot."""
     snapshots = [(0.0, init)]
-    for t, mass in _recorded(config, model, init.mass, t_final, record_times):
+    for t, mass in _recorded(config, model, init.mass, record_times):
         snapshots.append((t, GridMeasure(config.grid, mass)))
-    return Trajectory(tuple(snapshots), Termination(TerminationKind.REACHED_FINAL_TIME))
+    return Trajectory(tuple(snapshots))
 
 
 @dataclass(frozen=True)
 class StationarySolution:
-    """A stationary solve: the final measure, how it terminated (`step`
-    counts the iterations of the solver that produced it), that solver's
-    name ("anderson" or "euler"), and why Anderson mixing gave way to Euler
-    (None when it did not)."""
+    """A stationary solve: the final measure, whether it met the threshold
+    delta, the iteration count of the solver that produced it, that
+    solver's name ("anderson" or "euler"), and why Anderson mixing gave way
+    to Euler (None when it did not)."""
 
     final_measure: GridMeasure
-    termination: Termination
+    stationary: bool
+    steps: int
     solver: str
     fallback: str | None = None
 
@@ -297,18 +271,15 @@ class StationarySolution:
 def run_to_stationary(config: DynamicConfig, model, init: GridMeasure) -> StationarySolution:
     """Step until the per-step PDF change max_i N |mass'_i - mass_i| falls
     to the threshold delta; returns the post-step measure at the smallest
-    such step k as the solution of solver "euler", or REACHED_FINAL_TIME
-    after config.max_steps steps."""
+    such step k as the stationary solution of solver "euler", or the
+    measure after config.max_steps steps as a nonstationary one."""
     n = config.grid.n
     mass = init.mass
     for k, nxt in enumerate(_euler_iterates(config, model, mass, config.max_steps)):
-        if n * float(np.max(np.abs(nxt - mass))) <= config.delta:
-            return StationarySolution(GridMeasure(config.grid, nxt),
-                                      Termination(TerminationKind.STATIONARY, step=k), "euler")
+        if n * float(np.abs(nxt - mass).max()) <= config.delta:
+            return StationarySolution(GridMeasure(config.grid, nxt), True, k, "euler")
         mass = nxt
-    return StationarySolution(GridMeasure(config.grid, mass),
-                              Termination(TerminationKind.REACHED_FINAL_TIME,
-                                          step=config.max_steps), "euler")
+    return StationarySolution(GridMeasure(config.grid, mass), False, config.max_steps, "euler")
 
 
 class _AndersonStalled(RuntimeError):
@@ -379,9 +350,7 @@ def solve_stationary(config: DynamicConfig, model, init: GridMeasure) -> Station
                                      min(config.max_steps, ANDERSON_MAX_ITERATIONS))
     except (_AndersonStalled, DegenerateWeightsError) as exc:
         return replace(run_to_stationary(config, model, init), fallback=str(exc))
-    return StationarySolution(GridMeasure(config.grid, mass),
-                              Termination(TerminationKind.STATIONARY, step=iterations),
-                              "anderson")
+    return StationarySolution(GridMeasure(config.grid, mass), True, iterations, "anderson")
 
 
 @dataclass(frozen=True)
@@ -422,10 +391,10 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
     for start in range(0, len(configs), per_stack):
         batch = DynamicBatch(configs[start:start + per_stack])
         stack = np.repeat(init.mass[None, :], len(batch.configs), axis=0)
-        for t, masses in [(0.0, stack), *_recorded(batch, model, stack, max(times), times)]:
+        for t, masses in [(0.0, stack), *_recorded(batch, model, stack, times)]:
             if t in pdfs:
                 pdfs[t].extend(pdf_values(GridMeasure(base.grid, mass)) for mass in masses)
-    errors = {(eta, t): float(np.max(np.abs(pdf - ref)))
+    errors = {(eta, t): float(np.abs(pdf - ref).max())
               for t, (ref, *runs) in pdfs.items() for eta, pdf in zip(etas, runs)}
 
     rows = []

@@ -13,7 +13,7 @@ import pytest
 from oracles import BilinearUtility, d_e_kappa, e_kappa, refine, scaled_limit_residual
 from rational_logit.calibration import empirical_stats
 from rational_logit.dataio import bundled_catches_path, load_catches, normalize
-from rational_logit.dynamics import (DynamicConfig, TerminationKind, euler_step,
+from rational_logit.dynamics import (DynamicConfig, euler_step,
                                      eta_convergence_table, run_until,
                                      run_to_stationary, solve_stationary, weights)
 from rational_logit.measures import Grid, mean_and_std, pdf_values, uniform, variational_distance
@@ -59,7 +59,7 @@ def stationary_runs(fitted_model):
         t0 = time.monotonic()
         traj = run_to_stationary(config, fitted_model, uniform(GRID))
         seconds = time.monotonic() - t0
-        assert traj.termination.kind is TerminationKind.STATIONARY
+        assert traj.stationary
         runs[(kappa, eta)] = (config, traj, seconds)
     return runs
 
@@ -183,7 +183,7 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
         g = Grid(n_cells)
         cfg = DynamicConfig(1.0, 0.05, g, DT, DELTA)
         model = BilinearUtility(g, f)
-        return run_until(cfg, model, uniform(g), 1.0, [1.0]).final_measure
+        return run_until(cfg, model, uniform(g), [1.0]).final_measure
     ref = solve(800)
     dists = [variational_distance(refine(solve(n), 800 // n), ref)
              for n in (100, 200, 400)]
@@ -243,7 +243,7 @@ def test_criterion_6b_limit_proximity(stationary_runs):
            f"variational gap {dist[0.01]:.4f} (bound 0.05); "
            f"{dist[0.1]:.4f} > {dist[0.05]:.4f} > {dist[0.01]:.4f} at "
            f"eta 0.1 > 0.05 > 0.01; max-norm gap {max_gap:.4f} (not gated); "
-           f"eta=0.01 run stopped at step {small.termination.step}")
+           f"eta=0.01 run stopped at step {small.steps}")
 
 
 def test_vanishing_noise_error_monotone(eta_table):
@@ -258,8 +258,7 @@ def test_vanishing_noise_error_monotone(eta_table):
 def test_parameter_continuity_triangle(fitted_model):
     def pdf_at_t1(eta):
         cfg = DynamicConfig(1.0, eta, GRID, DT, DELTA)
-        return pdf_values(run_until(cfg, fitted_model, uniform(GRID),
-                                    1.0, [1.0]).final_measure)
+        return pdf_values(run_until(cfg, fitted_model, uniform(GRID), [1.0]).final_measure)
     p_limit = pdf_at_t1(None)
     p_big, p_small = pdf_at_t1(0.1), pdf_at_t1(0.01)
     gap = np.max(np.abs(p_big - p_small))
@@ -273,7 +272,7 @@ def assert_matches_euler(config, model, euler_measure):
     residual of criterion 5(g) within delta at the returned point."""
     solution = solve_stationary(config, model, uniform(config.grid))
     assert solution.solver == "anderson" and solution.fallback is None
-    assert solution.termination.kind is TerminationKind.STATIONARY
+    assert solution.stationary
     mu = solution.final_measure
     np.testing.assert_allclose(mean_and_std(mu), mean_and_std(euler_measure), rtol=0, atol=1e-9)
     assert float(np.max(np.abs(pdf_values(mu) - pdf_values(euler_measure)))) <= 1e-7
@@ -293,5 +292,5 @@ def test_anderson_matches_euler_on_fit_box(n_cells, a, b):
     config = DynamicConfig(1.0, 0.01, grid, DT, DELTA)
     model = CompetitionUtility(grid, CompetitionParams(a=a, b=b))
     euler = run_to_stationary(config, model, uniform(grid))
-    assert euler.termination.kind is TerminationKind.STATIONARY
+    assert euler.stationary
     assert_matches_euler(config, model, euler.final_measure)

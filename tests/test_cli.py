@@ -192,7 +192,9 @@ class TestConfigErrors:
         assert option in manifest["error"]
         assert "limit" not in manifest["error"]  # no option can give the limit
 
-    @pytest.mark.parametrize("value", ["0.5,0.5", "0.5,0.5,-0", "0,-0", "1,2,2"])
+    # 0.1234567 and 0.1234568 differ but share the column name pdf_kappa_0.123457
+    @pytest.mark.parametrize("value", ["0.5,0.5", "0.5,0.5,-0", "0,-0", "1,2,2",
+                                       "0.1234567,0.1234568"])
     def test_sweep_kappa_repeated(self, tmp_path, config_path, value):
         out = tmp_path / "out"
         assert main(["sweep-kappa", "--config", str(config_path), "--out", str(out),
@@ -444,10 +446,29 @@ class TestManifest:
             assert "epsilon" not in recorded["utility"]
 
 
+def load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_scripts_import():
     # each script imports the package's names when it loads; main is not run
     for path in sorted((ROOT / "scripts").glob("*.py")):
-        spec = importlib.util.spec_from_file_location(path.stem, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert callable(module.main), path.name
+        assert callable(load_script(path).main), path.name
+
+
+def test_refinement_table_reads_solver_results(tmp_path, monkeypatch):
+    # the exhibit script's own use of StationarySolution, on two small grids
+    module = load_script(ROOT / "scripts" / "reproduce_exhibits.py")
+    monkeypatch.setattr(module, "REFINEMENT_N", (50, 100))
+    path = tmp_path / "limit_gap_refinement.csv"
+    module.limit_gap_refinement(path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert header == ["n_cells", "iterations_eta_0.01", "iterations_limit", "max_norm_gap",
+                      "variational_gap"]
+    assert [int(r[0]) for r in rows] == [50, 100]
+    for _, small_steps, limit_steps, max_gap, variational_gap in rows:
+        assert int(small_steps) > 0 and int(limit_steps) > 0
+        assert float(max_gap) > 0.0 and 0.0 < float(variational_gap) <= 2.0

@@ -10,8 +10,7 @@ from rational_logit.dataio import (CatchDataset, ConfigError, bundled_catches_pa
                                    load_catches, load_run_config, normalize,
                                    write_convergence_csv, write_measure_csv,
                                    write_pdf_table, write_trajectory_csv)
-from rational_logit.dynamics import (ConvergenceRow, DynamicConfig, Termination,
-                                    TerminationKind, Trajectory, run_until)
+from rational_logit.dynamics import ConvergenceRow, DynamicConfig, Trajectory, run_until
 from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
@@ -209,7 +208,7 @@ class TestCsvEmission:
 
     def test_pdf_table_single_series(self, tmp_path):
         path = tmp_path / "p.csv"
-        write_pdf_table(path, Grid(4).midpoints, [np.ones(4)])
+        write_pdf_table(path, Grid(4).midpoints, [np.ones(4)], names=["pdf"])
         lines = path.read_text().splitlines()
         assert lines[0] == "x_mid,pdf"
         assert len(lines) == 5
@@ -225,7 +224,7 @@ class TestCsvEmission:
 
     def test_pdf_table_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
-            write_pdf_table(tmp_path / "p.csv", [0.5], [[1.0, 2.0]])
+            write_pdf_table(tmp_path / "p.csv", [0.5], [[1.0, 2.0]], names=["pdf"])
 
     def test_pdf_table_needs_a_series(self, tmp_path):
         with pytest.raises(ValueError, match="at least one series"):
@@ -235,7 +234,7 @@ class TestCsvEmission:
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.5)
         model = CompetitionUtility(g, CompetitionParams())
-        traj = run_until(cfg, model, uniform(g), 1.0, [0.5, 1.0])
+        traj = run_until(cfg, model, uniform(g), [0.5, 1.0])
         path = tmp_path / "t.csv"
         write_trajectory_csv(path, traj)
         lines = path.read_text().splitlines()
@@ -322,8 +321,7 @@ class TestWritersMatchReference:
     def test_trajectory_csv(self, tmp_path, n):
         rng = np.random.default_rng(n + 1)
         times = (0.0, 0.001, 0.003, 0.1, 1.7, 10.0)
-        traj = Trajectory(tuple((t, random_measure(rng, n)) for t in times),
-                          Termination(TerminationKind.REACHED_FINAL_TIME, 10_000))
+        traj = Trajectory(tuple((t, random_measure(rng, n)) for t in times))
         write_trajectory_csv(tmp_path / "lib.csv", traj)
         ref_trajectory_csv(tmp_path / "ref.csv", traj)
         data = (tmp_path / "lib.csv").read_bytes()
@@ -338,9 +336,9 @@ class TestWritersMatchReference:
         x_mid = Grid(n).midpoints
         series = [random_measure(rng, n).mass * n for _ in range(3)]
         series[1] = list(series[1])  # a plain list of numpy floats
-        for names in (None, ["pdf_kappa_0", "pdf_kappa_0.5", "pdf_kappa_1"]):
+        for names in (["pdf", "pdf2", "pdf3"], ["pdf_kappa_0", "pdf_kappa_0.5", "pdf_kappa_1"]):
             write_pdf_table(tmp_path / "lib.csv", x_mid, series, names)
-            ref_pdf_table(tmp_path / "ref.csv", x_mid, series, names or ["pdf", "pdf2", "pdf3"])
+            ref_pdf_table(tmp_path / "ref.csv", x_mid, series, names)
             assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

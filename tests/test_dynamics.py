@@ -15,7 +15,7 @@ from rational_logit.calibration import empirical_stats, fit_search
 from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config, normalize
 from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE, STACK_CELLS,
                                      DegenerateWeightsError, DynamicBatch, DynamicConfig,
-                                     StationarySolution, TerminationKind, eta_convergence_table,
+                                     StationarySolution, eta_convergence_table,
                                      euler_step, run_to_stationary, run_until,
                                      solve_stationary, weights)
 from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform, variational_distance
@@ -68,7 +68,7 @@ def per_eta_reference(base, model, init, etas, times):
     run_until of the limit equation: the reference of the batched table."""
     def pdfs(eta):
         cfg = DynamicConfig(base.kappa, eta, base.grid, base.dt, base.delta)
-        traj = run_until(cfg, model, init, max(times), times)
+        traj = run_until(cfg, model, init, times)
         return {t: pdf_values(m) for t, m in traj.snapshots if t in times}
 
     ref = pdfs(LIMIT_NOISE)
@@ -294,15 +294,14 @@ class TestRunUntil:
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         model = constant_model(g)
         times = [0.25, 0.5, 0.75]
-        traj = run_until(cfg, model, uniform(g), 0.75, times)
+        traj = run_until(cfg, model, uniform(g), times)
         assert len(traj.snapshots) == 4
         assert [t for t, _ in traj.snapshots] == [0.0, 0.25, 0.5, 0.75]
-        assert traj.termination.kind is TerminationKind.REACHED_FINAL_TIME
 
     def test_constant_utility_stays_uniform(self):
         g = Grid(6)
         cfg = DynamicConfig(0.3, 0.1, g, dt=0.1)
-        traj = run_until(cfg, constant_model(g), uniform(g), 1.0, [0.5, 1.0])
+        traj = run_until(cfg, constant_model(g), uniform(g), [0.5, 1.0])
         for _, mu in traj.snapshots:
             np.testing.assert_allclose(mu.mass, 1.0 / 6.0, atol=1e-12)
 
@@ -315,7 +314,7 @@ class TestRunUntil:
         raw[0] = 1.0
         init = GridMeasure(g, raw)
         times = [0.5, 1.0, 2.0]
-        traj = run_until(cfg, constant_model(g), init, 2.0, times)
+        traj = run_until(cfg, constant_model(g), init, times)
         d0 = variational_distance(init, uniform(g))
         for t, mu in traj.snapshots[1:]:
             expected = d0 * (1.0 - dt) ** round(t / dt)
@@ -326,7 +325,21 @@ class TestRunUntil:
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError):
-            run_until(cfg, constant_model(g), uniform(g), 1.0, [0.3])
+            run_until(cfg, constant_model(g), uniform(g), [0.3])
+
+    @pytest.mark.parametrize("times", [[-0.25, 0.5], [0.5, -0.25]])
+    def test_rejects_negative_record_time(self, times):
+        g = Grid(4)
+        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
+        with pytest.raises(ValueError, match="record times must be >= 0"):
+            run_until(cfg, constant_model(g), uniform(g), times)
+
+    @pytest.mark.parametrize("times", [[], [0.0], [0.0, 0]])
+    def test_rejects_times_without_a_positive_one(self, times):
+        g = Grid(4)
+        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
+        with pytest.raises(ValueError, match="positive maximum"):
+            run_until(cfg, constant_model(g), uniform(g), times)
 
     def test_degenerate_carries_step_index(self):
         # strictly negative utility everywhere: first step already fails
@@ -334,7 +347,7 @@ class TestRunUntil:
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g)
         model = BilinearUtility(g, lambda x, y: -1.0 - x * y)
         with pytest.raises(DegenerateWeightsError) as err:
-            run_until(cfg, model, uniform(g), 1.0, [1.0])
+            run_until(cfg, model, uniform(g), [1.0])
         assert err.value.step == 0
 
 
@@ -345,29 +358,29 @@ class TestRunToStationary:
         solution = run_to_stationary(cfg, CompetitionUtility(g, CompetitionParams()), uniform(g))
         assert isinstance(solution, StationarySolution)
         assert solution.solver == "euler" and solution.fallback is None
-        assert solution.termination.kind is TerminationKind.STATIONARY
+        assert solution.stationary
 
     def test_immediate_stationarity(self):
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g, max_steps=100)
         traj = run_to_stationary(cfg, constant_model(g), uniform(g))
-        assert traj.termination.kind is TerminationKind.STATIONARY
-        assert traj.termination.step == 0
+        assert traj.stationary
+        assert traj.steps == 0
 
     def test_budget_exhaustion(self):
         g = Grid(16)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300, max_steps=10)
         model = CompetitionUtility(g, CompetitionParams())
         traj = run_to_stationary(cfg, model, uniform(g))
-        assert traj.termination.kind is TerminationKind.REACHED_FINAL_TIME
-        assert traj.termination.step == 10
+        assert not traj.stationary
+        assert traj.steps == 10
 
     def test_fixed_point_residual_bound_at_termination(self):
         g = Grid(64)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
         traj = run_to_stationary(cfg, model, uniform(g))
-        assert traj.termination.kind is TerminationKind.STATIONARY
+        assert traj.stationary
         mu = traj.final_measure
         # the stationarity check controls the per-step PDF change, which is
         # exactly dt * N * |rhs|; the detected state must satisfy that bound
@@ -385,7 +398,7 @@ class TestRunToStationary:
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25, max_steps=10)
         with pytest.raises(ValueError, match="utility vector must be finite"):
-            run_until(cfg, NaNUtility(), uniform(g), 1.0, [1.0])
+            run_until(cfg, NaNUtility(), uniform(g), [1.0])
         with pytest.raises(ValueError, match="utility vector must be finite"):
             run_to_stationary(cfg, NaNUtility(), uniform(g))
 
@@ -396,8 +409,8 @@ class TestRunToStationary:
         params = CompetitionParams(c=c, epsilon=eps_cells / g.n)
         fast = run_to_stationary(cfg, CompetitionUtility(g, params), uniform(g))
         dense = run_to_stationary(cfg, DenseCompetition(g, params), uniform(g))
-        assert fast.termination == dense.termination
-        assert fast.termination.kind is TerminationKind.STATIONARY
+        assert (fast.stationary, fast.steps) == (dense.stationary, dense.steps)
+        assert fast.stationary
         np.testing.assert_allclose(pdf_values(fast.final_measure), pdf_values(dense.final_measure),
                                    rtol=0, atol=1e-12)
 
@@ -417,7 +430,7 @@ class TestSolveStationary:
         cfg = DynamicConfig(1.0, 0.5, g, max_steps=100)
         solution = solve_stationary(cfg, constant_model(g), uniform(g))
         assert solution.solver == "anderson" and solution.fallback is None
-        assert solution.termination == dynamics.Termination(TerminationKind.STATIONARY, step=0)
+        assert (solution.stationary, solution.steps) == (True, 0)
 
     def test_residual_within_delta_at_returned_point(self):
         g = Grid(64)
@@ -435,7 +448,7 @@ class TestSolveStationary:
         cfg = DynamicConfig(1.0, 0.01, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
         first, second = (solve_stationary(cfg, model, uniform(g)) for _ in range(2))
-        assert first.termination == second.termination
+        assert (first.stationary, first.steps) == (second.stationary, second.steps)
         assert np.array_equal(first.final_measure.mass, second.final_measure.mass)
 
     @pytest.mark.parametrize("max_steps", [5, ANDERSON_MAX_ITERATIONS + 10])
@@ -448,8 +461,8 @@ class TestSolveStationary:
         assert solution.solver == "euler"
         budget = min(max_steps, ANDERSON_MAX_ITERATIONS)
         assert f"missed delta within {budget} iterations" in solution.fallback
-        assert solution.termination == reference.termination
-        assert solution.termination.kind is TerminationKind.REACHED_FINAL_TIME
+        assert (solution.stationary, solution.steps) == (reference.stationary, reference.steps)
+        assert not solution.stationary
         assert np.array_equal(solution.final_measure.mass, reference.final_measure.mass)
 
     def test_update_without_finite_mass_falls_back(self, monkeypatch):
@@ -460,7 +473,7 @@ class TestSolveStationary:
         solution = solve_stationary(cfg, model, uniform(g))
         assert solution.solver == "euler"
         assert solution.fallback == "Anderson update 2 left no positive finite mass"
-        assert solution.termination.kind is TerminationKind.STATIONARY
+        assert solution.stationary
 
     @pytest.mark.parametrize("n", [64, 501])
     def test_matches_lstsq_reference_at_fit_box_corners(self, n):
@@ -472,7 +485,7 @@ class TestSolveStationary:
             mass, iterations = anderson_lstsq(cfg, model, uniform(cfg.grid).mass,
                                               ANDERSON_MAX_ITERATIONS)
             assert solution.solver == "anderson"
-            assert abs(solution.termination.step - iterations) <= 10
+            assert abs(solution.steps - iterations) <= 10
             np.testing.assert_allclose(pdf_values(solution.final_measure),
                                        pdf_values(GridMeasure(cfg.grid, mass)), rtol=0, atol=1e-10)
 
@@ -487,7 +500,7 @@ class TestSolveStationary:
         model = CompetitionUtility(g, CompetitionParams())
         solution = solve_stationary(cfg, model, uniform(g))
         assert solution.solver == "anderson" and solution.fallback is None
-        assert len(calls) == solution.termination.step - 1  # every update but the first
+        assert len(calls) == solution.steps - 1  # every update but the first
         mass = solution.final_measure.mass
         assert g.n * np.max(np.abs(weights(cfg, model.values(mass)) - mass)) <= cfg.delta
 
@@ -519,7 +532,7 @@ class TestSolveStationary:
         solution = solve_stationary(cfg, FlickeringUtility(g), uniform(g))
         assert solution.solver == "euler"
         assert "nonpositive" in solution.fallback
-        assert solution.termination.kind is TerminationKind.STATIONARY
+        assert solution.stationary
 
     def test_degenerate_start_raises_from_euler(self):
         g = Grid(8)
@@ -589,8 +602,7 @@ class TestEtaConvergenceTable:
         raw[-1] = 1.0
         init = GridMeasure(g, raw)
         with pytest.raises(DegenerateWeightsError) as single:
-            run_until(DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.1), FadingUtility(g), init, 2.0,
-                      [2.0])
+            run_until(DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.1), FadingUtility(g), init, [2.0])
         with pytest.raises(DegenerateWeightsError) as batched:
             eta_convergence_table(base, FadingUtility(g), init, [0.1, 0.01], [2.0])
         assert single.value.step == batched.value.step == 15
