@@ -25,7 +25,8 @@ from pathlib import Path
 
 from . import dataio
 from .calibration import empirical_stats, fit_search
-from .dynamics import LIMIT_NOISE, eta_convergence_table, run_until, solve_stationary
+from .dynamics import (LIMIT_NOISE, eta_convergence_table, record_steps, run_until,
+                       solve_stationary)
 from .measures import mean_and_std, pdf_values, uniform
 from .utility import CompetitionUtility
 
@@ -84,12 +85,9 @@ def _model(run_config: dataio.RunConfig) -> CompetitionUtility:
 
 
 def _simulate(args, run_config, manifest):
-    times = [t for t in run_config.record_times if t > 0]
-    if not times:
-        raise dataio.ConfigError(["record_times: at least one positive time required"])
-    traj = run_until(run_config.dynamic, _model(run_config), uniform(run_config.dynamic.grid),
-                     times)
-    dataio.write_trajectory_csv(manifest.output("trajectory.csv"), traj)
+    snapshots = run_until(run_config.dynamic, _model(run_config),
+                          uniform(run_config.dynamic.grid), run_config.record_times)
+    dataio.write_trajectory_csv(manifest.output("trajectory.csv"), snapshots)
     manifest.doc["termination"] = "reached_final_time"
 
 
@@ -98,7 +96,8 @@ def _stationary(args, run_config, manifest):
                                 uniform(run_config.dynamic.grid))
     mu = solution.final_measure
     mean, std = mean_and_std(mu)
-    dataio.write_measure_csv(manifest.output("stationary_pdf.csv"), mu)
+    dataio.write_pdf_table(manifest.output("stationary_pdf.csv"), mu.grid.midpoints,
+                           [mu.mass, pdf_values(mu)], ["mass", "pdf"])
     moments = {"mean": mean, "std": std, "stationary": solution.stationary,
                "solver": solution.solver, "steps": solution.steps}
     manifest.output("moments.json").write_text(json.dumps(moments, indent=2) + "\n")
@@ -134,14 +133,15 @@ def _convergence_eta(args, run_config, manifest):
     base = run_config.dynamic
     etas = sorted(_number_list("--etas", args.etas), reverse=True)
     times = _number_list("--times", args.times)
-    problems = dataio.lattice_problems("--times", times, base.dt)
+    problems = []
+    dataio.collect_problems(problems, "--times: ", record_steps, times, base.dt)
     for prefix, eta in [("dynamic.", LIMIT_NOISE), *(("--etas: ", eta) for eta in etas)]:
         dataio.collect_problems(problems, prefix, replace, base, eta=eta)
     if problems:
         raise dataio.ConfigError(problems)
     try:
         rows = eta_convergence_table(base, _model(run_config), uniform(base.grid), etas, times)
-    except dataio.ConfigError as exc:  # its rules name `etas` and `times`: these options
+    except dataio.ConfigError as exc:  # its rule names `etas`: this option
         raise dataio.ConfigError(f"--{p}" for p in exc.problems) from None
     dataio.write_convergence_csv(manifest.output("convergence_eta.csv"), rows)
 

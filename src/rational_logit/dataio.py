@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import FREE_PARAM_ORDER, EmpiricalSample, FitSpec
-from .dynamics import LIMIT_NOISE, DynamicConfig, Trajectory, lattice_step
-from .measures import ConfigError, Grid, GridMeasure, is_number, pdf_values
+from .dynamics import LIMIT_NOISE, DynamicConfig, record_steps
+from .measures import ConfigError, Grid, is_number, pdf_values
 from .utility import CompetitionParams
 
 __all__ = [
@@ -31,9 +31,7 @@ __all__ = [
     "load_catches",
     "normalize",
     "collect_problems",
-    "lattice_problems",
     "load_run_config",
-    "write_measure_csv",
     "write_trajectory_csv",
     "write_convergence_csv",
     "write_pdf_table",
@@ -65,7 +63,8 @@ def bundled_catches_path() -> Path:
 
 
 def load_catches(path) -> CatchDataset:
-    """Parse a `year,catch` CSV into a CatchDataset, preserving row order."""
+    """Parse a `year,catch` CSV of at least one record into a CatchDataset,
+    preserving row order."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "year,catch":
         raise ValueError(f"{path}: expected header 'year,catch'")
@@ -84,6 +83,8 @@ def load_catches(path) -> CatchDataset:
         if catch < 0:
             raise ValueError(f"{path}:{lineno}: negative catch {catch}")
         by_year.setdefault(year, []).append(catch)
+    if not by_year:
+        raise ValueError(f"{path}: no catch records")
     return CatchDataset(tuple((y, tuple(c)) for y, c in by_year.items()))
 
 
@@ -112,17 +113,6 @@ class RunConfig:
     record_times: tuple
     fit: FitSpec | None = None
     resolved: dict = field(default_factory=dict, repr=False)
-
-
-def lattice_problems(label: str, times, dt: float) -> list[str]:
-    """One `label: ...` problem per time that is not a whole number of dt steps."""
-    problems = []
-    for t in times:
-        try:
-            lattice_step(t, dt)
-        except ValueError as exc:
-            problems.append(f"{label}: {exc}")
-    return problems
 
 
 def collect_problems(problems: list, prefix: str, build, *args, **kwargs):
@@ -187,10 +177,10 @@ def load_run_config(path) -> RunConfig:
     if init != "uniform":
         problems.append(f'init: only "uniform" is supported (got {init!r})')
     record_times = doc.get("record_times", [1.0, 10.0])
-    if not (isinstance(record_times, list) and all(is_number(t) and t >= 0 for t in record_times)):
-        problems.append(f"record_times: list of numbers >= 0 required (got {record_times!r})")
+    if not (isinstance(record_times, list) and all(map(is_number, record_times))):
+        problems.append(f"record_times: list of numbers required (got {record_times!r})")
     elif dynamic is not None:
-        problems += lattice_problems("record_times", record_times, dynamic.dt)
+        collect_problems(problems, "record_times: ", record_steps, record_times, dynamic.dt)
 
     fit = None
     if "fit" in doc:
@@ -235,19 +225,12 @@ def _write_csv(path, header: str, blocks) -> None:
             fh.write("\n".join(lines))
 
 
-def write_measure_csv(path, mu: GridMeasure) -> None:
-    """Rows `x_mid,mass,pdf`, one per cell."""
-    columns = [_fmt_column(mu.grid.midpoints), _fmt_column(mu.mass),
-               _fmt_column(pdf_values(mu))]
-    _write_csv(path, "x_mid,mass,pdf", [columns])
-
-
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Rows `time,x_mid,pdf` for every snapshot and cell, one block per
-    snapshot."""
+def write_trajectory_csv(path, snapshots) -> None:
+    """Rows `time,x_mid,pdf` for every (t, measure) snapshot and cell, one
+    block per snapshot."""
     x_mid = functools.cache(lambda grid: _fmt_column(grid.midpoints))
     blocks = ((repeat(_fmt(t)), x_mid(mu.grid), _fmt_column(pdf_values(mu)))
-              for t, mu in traj.snapshots)
+              for t, mu in snapshots)
     _write_csv(path, "time,x_mid,pdf", blocks)
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "DegenerateWeightsError",
     "DynamicConfig",
     "DynamicBatch",
-    "Trajectory",
     "weights",
     "euler_step",
     "run_until",
@@ -137,22 +136,6 @@ class DynamicBatch:
             start += len(rows)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-stamped measure snapshots; the first is the initial condition."""
-
-    snapshots: tuple
-
-    def __post_init__(self):
-        times = [t for t, _ in self.snapshots]
-        if not times or times[0] != 0.0 or any(a >= b for a, b in zip(times, times[1:])):
-            raise ValueError("snapshots must start at t=0 with strictly increasing times")
-
-    @property
-    def final_measure(self) -> GridMeasure:
-        return self.snapshots[-1][1]
-
-
 def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
     """The weight map U -> w(U), row by row along the last axis.
 
@@ -223,35 +206,51 @@ def _euler_iterates(config: DynamicConfig | DynamicBatch, model, mass: np.ndarra
         yield mass
 
 
-def lattice_step(t: float, dt: float) -> int:
-    """The step index k with k * dt = t; ValueError if t is off the lattice."""
-    k = round(t / dt)
-    if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"record time {t} is not a multiple of dt={dt}")
-    return k
+def record_steps(times, dt: float) -> dict[int, float]:
+    """The Euler step k of each record time t = k dt, as {k: t} in step order.
+
+    One ConfigError lists every problem: a negative time, a time off the
+    step lattice (by more than 1e-9 max(1, t)), two times on one step, a
+    positive time on step 0 (that step is the t = 0 initial snapshot), and
+    no time after t = 0.
+    """
+    times = [float(t) for t in times]
+    steps, problems = {}, []
+    for t in times:
+        k = round(t / dt)
+        if t < 0.0:
+            problems.append(f"record times must be >= 0 (got {t!r})")
+        elif abs(k * dt - t) > 1e-9 * max(1.0, t):
+            problems.append(f"record time {t} is not a multiple of dt={dt}")
+        elif k == 0 and t > 0.0:
+            problems.append(f"record time {t} falls on step 0, the t = 0 initial snapshot")
+        elif k in steps:
+            problems.append(f"record times {steps[k]} and {t} both fall on step {k}")
+        else:
+            steps[k] = t
+    if not any(t > 0.0 for t in times):
+        problems.append(f"record times need a positive maximum (got {times!r})")
+    if problems:
+        raise ConfigError(problems)
+    return dict(sorted(steps.items()))
 
 
 def _recorded(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, record_times):
-    """Yield (t, m_k) for each requested time t = k dt > 0 (snapped to the
-    step lattice), stepping m_0 = mass with Euler up to the last of them.
-    ValueError unless the times are >= 0 with a positive maximum."""
-    times = [float(t) for t in record_times]
-    if not times or min(times) < 0.0 or max(times) <= 0.0:
-        raise ValueError(f"record times must be >= 0 with a positive maximum (got {times!r})")
-    record = {lattice_step(t, config.dt): t for t in times}
+    """Yield (t, m_k) for each requested time t = k dt > 0, stepping
+    m_0 = mass with Euler up to the last of them; `record_steps` maps the
+    times to steps."""
+    record = record_steps(record_times, config.dt)
     for k, mass in enumerate(_euler_iterates(config, model, mass, max(record)), start=1):
         if k in record:
             yield record[k], mass
 
 
-def run_until(config: DynamicConfig, model, init: GridMeasure, record_times) -> Trajectory:
-    """Integrate with fixed-step Euler to the last requested time, recording
-    at each requested time (snapped to the step lattice). The initial
-    condition at t = 0 is always the first snapshot."""
-    snapshots = [(0.0, init)]
-    for t, mass in _recorded(config, model, init.mass, record_times):
-        snapshots.append((t, GridMeasure(config.grid, mass)))
-    return Trajectory(tuple(snapshots))
+def run_until(config: DynamicConfig, model, init: GridMeasure, record_times) -> tuple:
+    """Integrate with fixed-step Euler to the last requested time. Returns
+    the snapshots ((0.0, init), (t, measure), ...): the initial condition,
+    then one per requested time t > 0, labelled with that time."""
+    return ((0.0, init), *((t, GridMeasure(config.grid, mass))
+                           for t, mass in _recorded(config, model, init.mass, record_times)))
 
 
 @dataclass(frozen=True)
@@ -371,19 +370,13 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
     observed order between consecutive etas, log(err_a/err_b)/log(eta_a/eta_b),
     is reported on the row of the smaller eta.
 
-    A ConfigError names `etas` unless they are distinct and decreasing, and
-    `times` unless they are distinct and >= 0 with a positive maximum.
+    A ConfigError names `etas` unless they are distinct and decreasing;
+    `record_steps` states the rule for `times`.
     """
     etas = [float(e) for e in etas]
-    times = sorted(float(t) for t in times)
-    problems = []
     if not etas or any(a <= b for a, b in zip(etas, etas[1:])):
-        problems.append(f"etas: distinct numbers in decreasing order required (got {etas!r})")
-    if not times or times[0] < 0.0 or times[-1] <= 0.0 or len(set(times)) < len(times):
-        problems.append("times: distinct numbers >= 0 with a positive maximum required "
-                        f"(got {times!r})")
-    if problems:
-        raise ConfigError(problems)
+        raise ConfigError([f"etas: distinct numbers in decreasing order required (got {etas!r})"])
+    times = sorted(float(t) for t in times)
 
     configs = [replace(base, eta=eta) for eta in (LIMIT_NOISE, *etas)]
     per_stack = max(1, STACK_CELLS // base.grid.n)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rational_logit import CompetitionParams, CompetitionUtility, DynamicConfig, Grid
 from rational_logit.cli import main
 from rational_logit.dataio import load_run_config
 
@@ -91,6 +92,8 @@ class TestConfigErrors:
         ("stationary", {"dynamic.eta": float("inf")}),
         ("stationary", {"utility.a": float("inf")}),
         ("simulate", {"record_times": [0.005]}),  # off the dt = 0.01 lattice
+        ("simulate", {"record_times": [0.5, 0.5000000001]}),  # both on step 50
+        ("simulate", {"record_times": [1e-12, 0.5]}),  # a positive time on step 0
         ("stationary", {"dynamic.max_steps": True}),
         ("fit", {"fit": {**FIT, "levels": 1.5}}),
         ("fit", {"fit": {**FIT, "points_per_dim": 2.5}}),
@@ -101,7 +104,8 @@ class TestConfigErrors:
         ("stationary", {"utility": None}),
         ("fit", {"dynamic.eta": "limit",
                  "fit": {"free": ["kappa"], "bounds": {"kappa": [0.0, 1.0]}, "levels": 0}}),
-    ], ids=["eta-infinity", "a-infinity", "record-time-off-lattice", "max-steps-bool",
+    ], ids=["eta-infinity", "a-infinity", "record-time-off-lattice", "record-times-one-step",
+            "record-time-on-step-0", "max-steps-bool",
             "fit-levels-fraction", "fit-points-fraction", "fit-free-string",
             "fit-bounds-list", "fit-not-object", "grid-not-object", "utility-null",
             "limit-fit-kappa-from-zero"])
@@ -182,6 +186,8 @@ class TestConfigErrors:
         ("--etas", "-0.1"),
         ("--etas", "0.1,0.1"),
         ("--times", "1,1"),
+        ("--times", "0.5,0.5000000001"),
+        ("--times", "1e-12,0.5"),
     ])
     def test_convergence_eta_list_rules(self, tmp_path, config_path, option, value):
         out = tmp_path / "out"
@@ -244,7 +250,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("data_text, code, status", [
         ("yr,catch\n2000,1\n", 1, "config-error"),
         (None, 3, "io-error"),
-    ], ids=["malformed", "missing"])
+        ("year,catch\n", 1, "config-error"),
+    ], ids=["malformed", "missing", "no-records"])
     def test_data_file(self, tmp_path, data_text, code, status):
         data = tmp_path / "data.csv"
         if data_text is not None:
@@ -472,3 +479,14 @@ def test_refinement_table_reads_solver_results(tmp_path, monkeypatch):
     for _, small_steps, limit_steps, max_gap, variational_gap in rows:
         assert int(small_steps) > 0 and int(limit_steps) > 0
         assert float(max_gap) > 0.0 and 0.0 < float(variational_gap) <= 2.0
+
+
+def test_layer_timing_writes_both_tables():
+    # the timing script's own use of run_until and the CSV writers, on one small grid
+    module = load_script(ROOT / "scripts" / "time_layers.py")
+    grid = Grid(50)
+    row = module.time_writers(DynamicConfig(1.0, 0.01, grid),
+                              CompetitionUtility(grid, CompetitionParams()))
+    assert set(row) == {"trajectory_csv_s", "trajectory_csv_bytes", "trajectory_csv_peak_bytes",
+                        "measure_csv_us", "measure_csv_bytes"}
+    assert all(value > 0 for value in row.values())

@@ -8,9 +8,9 @@ import pytest
 from rational_logit.calibration import FitSpec
 from rational_logit.dataio import (CatchDataset, ConfigError, bundled_catches_path,
                                    load_catches, load_run_config, normalize,
-                                   write_convergence_csv, write_measure_csv,
-                                   write_pdf_table, write_trajectory_csv)
-from rational_logit.dynamics import ConvergenceRow, DynamicConfig, Trajectory, run_until
+                                   write_convergence_csv, write_pdf_table,
+                                   write_trajectory_csv)
+from rational_logit.dynamics import ConvergenceRow, DynamicConfig, run_until
 from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
@@ -23,6 +23,11 @@ def save_catches(path, dataset: CatchDataset) -> None:
     for year, catches in dataset.records:
         lines += [f"{year},{c}" for c in catches]
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_measure_table(path, mu: GridMeasure) -> None:
+    """A measure's `x_mid,mass,pdf` table, as the stationary subcommand writes it."""
+    write_pdf_table(path, mu.grid.midpoints, [mu.mass, pdf_values(mu)], ["mass", "pdf"])
 
 
 class TestBundledAsset:
@@ -192,7 +197,7 @@ class TestRunConfig:
 class TestCsvEmission:
     def test_measure_csv(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_measure_csv(path, uniform(Grid(4)))
+        write_measure_table(path, uniform(Grid(4)))
         lines = path.read_text().splitlines()
         assert lines[0] == "x_mid,mass,pdf"
         assert len(lines) == 5
@@ -202,7 +207,7 @@ class TestCsvEmission:
         g = Grid(5)
         mu = GridMeasure(g, np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
         path = tmp_path / "m.csv"
-        write_measure_csv(path, mu)
+        write_measure_table(path, mu)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         np.testing.assert_array_equal([float(r[1]) for r in rows], mu.mass)
 
@@ -234,9 +239,9 @@ class TestCsvEmission:
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.5)
         model = CompetitionUtility(g, CompetitionParams())
-        traj = run_until(cfg, model, uniform(g), [0.5, 1.0])
+        snapshots = run_until(cfg, model, uniform(g), [0.5, 1.0])
         path = tmp_path / "t.csv"
-        write_trajectory_csv(path, traj)
+        write_trajectory_csv(path, snapshots)
         lines = path.read_text().splitlines()
         assert lines[0] == "time,x_mid,pdf"
         assert len(lines) == 1 + 3 * 4
@@ -254,8 +259,8 @@ class TestCsvEmission:
     def test_emission_bit_identical(self, tmp_path):
         g = Grid(8)
         mu = GridMeasure(g, np.full(8, 0.125))
-        write_measure_csv(tmp_path / "a.csv", mu)
-        write_measure_csv(tmp_path / "b.csv", mu)
+        write_measure_table(tmp_path / "a.csv", mu)
+        write_measure_table(tmp_path / "b.csv", mu)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert b"\r" not in (tmp_path / "a.csv").read_bytes()
 
@@ -279,9 +284,9 @@ def ref_measure_csv(path, mu):
     _ref_write(path, lines)
 
 
-def ref_trajectory_csv(path, traj):
+def ref_trajectory_csv(path, snapshots):
     lines = ["time,x_mid,pdf"]
-    for t, mu in traj.snapshots:
+    for t, mu in snapshots:
         for x, p in zip(mu.grid.midpoints, pdf_values(mu)):
             lines.append(f"{_ref_fmt(t)},{_ref_fmt(x)},{_ref_fmt(p)}")
     _ref_write(path, lines)
@@ -314,22 +319,22 @@ def random_measure(rng, n: int) -> GridMeasure:
 class TestWritersMatchReference:
     def test_measure_csv(self, tmp_path, n):
         mu = random_measure(np.random.default_rng(n), n)
-        write_measure_csv(tmp_path / "lib.csv", mu)
+        write_measure_table(tmp_path / "lib.csv", mu)
         ref_measure_csv(tmp_path / "ref.csv", mu)
         assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_trajectory_csv(self, tmp_path, n):
         rng = np.random.default_rng(n + 1)
         times = (0.0, 0.001, 0.003, 0.1, 1.7, 10.0)
-        traj = Trajectory(tuple((t, random_measure(rng, n)) for t in times))
-        write_trajectory_csv(tmp_path / "lib.csv", traj)
-        ref_trajectory_csv(tmp_path / "ref.csv", traj)
+        snapshots = tuple((t, random_measure(rng, n)) for t in times)
+        write_trajectory_csv(tmp_path / "lib.csv", snapshots)
+        ref_trajectory_csv(tmp_path / "ref.csv", snapshots)
         data = (tmp_path / "lib.csv").read_bytes()
         assert data == (tmp_path / "ref.csv").read_bytes()
         rows = [line.split(",") for line in data.decode().splitlines()[1:]]
         assert [float(r[0]) for r in rows[::n]] == list(times)
         np.testing.assert_array_equal([float(r[2]) for r in rows],
-                                      np.concatenate([pdf_values(mu) for _, mu in traj.snapshots]))
+                                      np.concatenate([pdf_values(mu) for _, mu in snapshots]))
 
     def test_pdf_table(self, tmp_path, n):
         rng = np.random.default_rng(n + 2)

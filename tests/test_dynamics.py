@@ -68,8 +68,8 @@ def per_eta_reference(base, model, init, etas, times):
     run_until of the limit equation: the reference of the batched table."""
     def pdfs(eta):
         cfg = DynamicConfig(base.kappa, eta, base.grid, base.dt, base.delta)
-        traj = run_until(cfg, model, init, times)
-        return {t: pdf_values(m) for t, m in traj.snapshots if t in times}
+        snapshots = run_until(cfg, model, init, times)
+        return {t: pdf_values(m) for t, m in snapshots if t in times}
 
     ref = pdfs(LIMIT_NOISE)
     return {(eta, t): float(np.max(np.abs(pdf - ref[t])))
@@ -294,15 +294,15 @@ class TestRunUntil:
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         model = constant_model(g)
         times = [0.25, 0.5, 0.75]
-        traj = run_until(cfg, model, uniform(g), times)
-        assert len(traj.snapshots) == 4
-        assert [t for t, _ in traj.snapshots] == [0.0, 0.25, 0.5, 0.75]
+        snapshots = run_until(cfg, model, uniform(g), times)
+        assert len(snapshots) == 4
+        assert [t for t, _ in snapshots] == [0.0, 0.25, 0.5, 0.75]
 
     def test_constant_utility_stays_uniform(self):
         g = Grid(6)
         cfg = DynamicConfig(0.3, 0.1, g, dt=0.1)
-        traj = run_until(cfg, constant_model(g), uniform(g), [0.5, 1.0])
-        for _, mu in traj.snapshots:
+        snapshots = run_until(cfg, constant_model(g), uniform(g), [0.5, 1.0])
+        for _, mu in snapshots:
             np.testing.assert_allclose(mu.mass, 1.0 / 6.0, atol=1e-12)
 
     def test_geometric_decay_to_uniform(self):
@@ -314,9 +314,9 @@ class TestRunUntil:
         raw[0] = 1.0
         init = GridMeasure(g, raw)
         times = [0.5, 1.0, 2.0]
-        traj = run_until(cfg, constant_model(g), init, times)
+        snapshots = run_until(cfg, constant_model(g), init, times)
         d0 = variational_distance(init, uniform(g))
-        for t, mu in traj.snapshots[1:]:
+        for t, mu in snapshots[1:]:
             expected = d0 * (1.0 - dt) ** round(t / dt)
             assert variational_distance(mu, uniform(g)) == pytest.approx(expected, rel=1e-9)
             assert expected == pytest.approx(d0 * math.exp(-t), rel=1e-2)
@@ -339,6 +339,16 @@ class TestRunUntil:
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError, match="positive maximum"):
+            run_until(cfg, constant_model(g), uniform(g), times)
+
+    # both on step 2; a positive time within the tolerance of step 0
+    @pytest.mark.parametrize("times, problem", [([0.5, 0.5], "both fall on step 2"),
+                                                ([0.5, 0.5000000001], "both fall on step 2"),
+                                                ([1e-12, 0.5], "falls on step 0")])
+    def test_rejects_times_that_share_a_step(self, times, problem):
+        g = Grid(4)
+        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
+        with pytest.raises(ValueError, match=problem):
             run_until(cfg, constant_model(g), uniform(g), times)
 
     def test_degenerate_carries_step_index(self):
