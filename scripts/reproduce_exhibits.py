@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from rational_logit import (LIMIT_NOISE, CompetitionUtility, Grid, bundled_catches_path,
-                            empirical_pdf, load_catches, load_run_config, normalize,
-                            pdf_values, solve_stationary, uniform, variational_distance,
-                            write_pdf_table)
+                            empirical_pdf, load_catches, load_run_config, pdf_values,
+                            solve_stationary, uniform, variational_distance, write_pdf_table)
 from rational_logit.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +45,20 @@ def transient_config(eta) -> Path:
     path = OUT / f"transient_config_eta_{eta}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
+
+
+def empirical_vs_model(path: Path) -> None:
+    """The bundled catch data's PDF beside the fitted config's stationary
+    PDF, on a common 20-bin grid."""
+    bins = 20
+    run_config = load_run_config(CONFIG)
+    grid = run_config.dynamic.grid
+    model = CompetitionUtility(grid, run_config.utility)
+    solution = solve_stationary(run_config.dynamic, model, uniform(grid))
+    centers = (np.arange(bins) + 0.5) / bins
+    write_pdf_table(path, centers, [empirical_pdf(load_catches(bundled_catches_path()), bins),
+                                    coarsen_pdf(solution.final_measure.mass, bins)],
+                    names=["pdf_empirical", "pdf_model"])
 
 
 def limit_gap_refinement(path: Path) -> None:
@@ -77,17 +90,7 @@ def main() -> int:
         rc |= cli_main(["simulate", "--config", str(transient_config(eta)),
                         "--out", str(OUT / f"transient_eta_{eta}")])
 
-    # empirical vs fitted-model PDF on a common 20-bin grid
-    sample = normalize(load_catches(bundled_catches_path()))
-    bins = 20
-    run_config = load_run_config(CONFIG)
-    grid = run_config.dynamic.grid
-    model = CompetitionUtility(grid, run_config.utility)
-    solution = solve_stationary(run_config.dynamic, model, uniform(grid))
-    centers = (np.arange(bins) + 0.5) / bins
-    write_pdf_table(OUT / "empirical_vs_model_pdf.csv", centers,
-                    [empirical_pdf(sample, bins), coarsen_pdf(solution.final_measure.mass, bins)],
-                    names=["pdf_empirical", "pdf_model"])
+    empirical_vs_model(OUT / "empirical_vs_model_pdf.csv")
     limit_gap_refinement(OUT / "limit_gap_refinement.csv")
     print(f"exhibits written under {OUT}")
     return rc

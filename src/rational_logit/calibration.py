@@ -18,7 +18,6 @@ from .measures import check_fields, is_integer, is_number, mean_and_std, uniform
 from .utility import CompetitionParams, CompetitionUtility
 
 __all__ = [
-    "EmpiricalSample",
     "FitSpec",
     "FitResult",
     "NonStationaryError",
@@ -37,38 +36,25 @@ class NonStationaryError(RuntimeError):
     stationarity threshold within the allotted number of steps."""
 
 
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """Per-year-max normalized efforts, pooled across years."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            raise ValueError("normalized values must lie in [0, 1]")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-def empirical_stats(sample: EmpiricalSample) -> tuple[float, float]:
-    """Population mean and standard deviation of the pooled values."""
-    if sample.values.size == 0:
+def empirical_stats(values: np.ndarray) -> tuple[float, float]:
+    """Population mean and standard deviation of the pooled normalized values."""
+    if values.size == 0:
         raise ValueError("empirical_stats: empty sample")
-    return float(sample.values.mean()), float(sample.values.std())
+    return float(values.mean()), float(values.std())
 
 
-def empirical_pdf(sample: EmpiricalSample, bins: int = 20) -> np.ndarray:
-    """Histogram density over uniform bins of [0, 1] (count/total/binwidth);
-    the right edge 1.0 falls into the last bin."""
+def empirical_pdf(values: np.ndarray, bins: int = 20) -> np.ndarray:
+    """Histogram density of values in [0, 1] over uniform bins of [0, 1]
+    (count/total/binwidth); the right edge 1.0 falls into the last bin."""
     if bins < 2:
         raise ValueError("empirical_pdf: bins must be >= 2")
-    if sample.values.size == 0:
+    if values.size == 0:
         raise ValueError("empirical_pdf: empty sample")
-    idx = np.minimum((sample.values * bins).astype(int), bins - 1)
+    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails too
+        raise ValueError("empirical_pdf: values must lie in [0, 1]")
+    idx = np.minimum((values * bins).astype(int), bins - 1)
     counts = np.bincount(idx, minlength=bins).astype(float)
-    return counts / sample.values.size * bins
+    return counts / values.size * bins
 
 
 # the [lo, hi] bounds each free parameter may take

@@ -114,10 +114,9 @@ def _fit(args, run_config, manifest):
     data_path = Path(args.data) if args.data else dataio.bundled_catches_path()
     manifest.doc["inputs"].append(str(data_path))
     try:
-        catches = dataio.load_catches(data_path)
+        target = empirical_stats(dataio.load_catches(data_path))
     except ValueError as exc:  # a malformed file; an unreadable one stays an OSError
         raise dataio.ConfigError([f"--data: {exc}"]) from None
-    target = empirical_stats(dataio.normalize(catches))
     result = fit_search(run_config.fit, target, run_config.dynamic, run_config.utility)
     doc = {"fitted_parameters": result.best,
            "objective": result.objective,
@@ -154,8 +153,6 @@ def _sweep_kappa(args, run_config, manifest):
         raise dataio.ConfigError(["--kappas: numbers distinct in 6 significant digits required "
                                   f"(got {args.kappas!r})"])
     base = run_config.dynamic
-    if base.eta is None:
-        raise dataio.ConfigError(["dynamic.eta: sweep-kappa needs positive noise"])
     problems = []
     configs = [dataio.collect_problems(problems, "--kappas: ", replace, base, kappa=kappa)
                for kappa in kappas]

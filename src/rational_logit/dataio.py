@@ -18,18 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import FREE_PARAM_ORDER, EmpiricalSample, FitSpec
+from .calibration import FREE_PARAM_ORDER, FitSpec
 from .dynamics import LIMIT_NOISE, DynamicConfig, record_steps
 from .measures import ConfigError, Grid, is_number, pdf_values
 from .utility import CompetitionParams
 
 __all__ = [
-    "CatchDataset",
     "ConfigError",
     "RunConfig",
     "bundled_catches_path",
     "load_catches",
-    "normalize",
     "collect_problems",
     "load_run_config",
     "write_trajectory_csv",
@@ -43,32 +41,18 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True)
-class CatchDataset:
-    """Per-year catch counts; each year needs a strictly positive maximum."""
-
-    records: tuple  # ((year, (catch, ...)), ...)
-
-    def __post_init__(self):
-        for year, catches in self.records:
-            if len(catches) == 0:
-                raise ValueError(f"year {year}: no records")
-            if max(catches) <= 0:
-                raise ValueError(f"year {year}: maximum catch is 0, normalization undefined")
-
-
 def bundled_catches_path() -> Path:
     """Path of the shipped competition dataset."""
     return Path(resources.files("rational_logit").joinpath("data/catches.csv"))
 
 
-def load_catches(path) -> CatchDataset:
-    """Parse a `year,catch` CSV of at least one record into a CatchDataset,
-    preserving row order."""
+def load_catches(path) -> np.ndarray:
+    """Parse a `year,catch` CSV of at least one record and return each catch
+    divided by its own year's maximum, in row order."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "year,catch":
         raise ValueError(f"{path}: expected header 'year,catch'")
-    by_year: dict[str, list[int]] = {}
+    rows, maxima = [], {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -82,19 +66,14 @@ def load_catches(path) -> CatchDataset:
             raise ValueError(f"{path}:{lineno}: catch {raw!r} is not an integer") from None
         if catch < 0:
             raise ValueError(f"{path}:{lineno}: negative catch {catch}")
-        by_year.setdefault(year, []).append(catch)
-    if not by_year:
+        rows.append((year, catch))
+        maxima[year] = max(maxima.get(year, 0), catch)
+    if not rows:
         raise ValueError(f"{path}: no catch records")
-    return CatchDataset(tuple((y, tuple(c)) for y, c in by_year.items()))
-
-
-def normalize(dataset: CatchDataset) -> EmpiricalSample:
-    """Divide each catch by its own year's maximum and pool the values."""
-    values = []
-    for _, catches in dataset.records:
-        year_max = max(catches)
-        values += [c / year_max for c in catches]
-    return EmpiricalSample(np.array(values))
+    for year, year_max in maxima.items():
+        if year_max == 0:
+            raise ValueError(f"{path}: year {year}: maximum catch is 0, normalization undefined")
+    return np.array([catch / maxima[year] for year, catch in rows])
 
 
 @dataclass(frozen=True)

@@ -209,16 +209,18 @@ def _euler_iterates(config: DynamicConfig | DynamicBatch, model, mass: np.ndarra
 def record_steps(times, dt: float) -> dict[int, float]:
     """The Euler step k of each record time t = k dt, as {k: t} in step order.
 
-    One ConfigError lists every problem: a negative time, a time off the
-    step lattice (by more than 1e-9 max(1, t)), two times on one step, a
-    positive time on step 0 (that step is the t = 0 initial snapshot), and
-    no time after t = 0.
+    One ConfigError lists every problem: a time that is not finite, a
+    negative time, a time off the step lattice (by more than
+    1e-9 max(1, t)), two times on one step, a positive time on step 0 (that
+    step is the t = 0 initial snapshot), and no time after t = 0.
     """
     times = [float(t) for t in times]
     steps, problems = {}, []
     for t in times:
-        k = round(t / dt)
-        if t < 0.0:
+        k = round(t / dt) if math.isfinite(t) else None
+        if k is None:
+            problems.append(f"record time {t} is not a finite number")
+        elif t < 0.0:
             problems.append(f"record times must be >= 0 (got {t!r})")
         elif abs(k * dt - t) > 1e-9 * max(1.0, t):
             problems.append(f"record time {t} is not a multiple of dt={dt}")

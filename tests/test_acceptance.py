@@ -12,7 +12,7 @@ import pytest
 
 from oracles import BilinearUtility, d_e_kappa, e_kappa, refine, scaled_limit_residual
 from rational_logit.calibration import empirical_stats
-from rational_logit.dataio import bundled_catches_path, load_catches, normalize
+from rational_logit.dataio import bundled_catches_path, load_catches
 from rational_logit.dynamics import (DynamicConfig, euler_step,
                                      eta_convergence_table, run_until,
                                      run_to_stationary, solve_stationary, weights)
@@ -72,7 +72,7 @@ def eta_table(fitted_model):
 
 
 def test_criterion_1_dataset_statistics():
-    sample = normalize(load_catches(bundled_catches_path()))
+    sample = load_catches(bundled_catches_path())
     mean, std = empirical_stats(sample)
     ok = abs(mean - 0.32471) <= 5e-5 and abs(std - 0.30352) <= 5e-4
     report("1 dataset statistics", ok, f"mean={mean:.5f} std={std:.5f}")

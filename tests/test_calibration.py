@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from rational_logit import calibration
-from rational_logit.calibration import (EmpiricalSample, FitSpec, NonStationaryError,
-                                        empirical_pdf, empirical_stats, fit_objective,
-                                        fit_search)
-from rational_logit.dataio import bundled_catches_path, load_catches, normalize
+from rational_logit.calibration import (FitSpec, NonStationaryError, empirical_pdf,
+                                        empirical_stats, fit_objective, fit_search)
+from rational_logit.dataio import bundled_catches_path, load_catches
 from rational_logit.dynamics import LIMIT_NOISE, DynamicConfig, run_to_stationary
 from rational_logit.measures import Grid, mean_and_std, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
@@ -19,7 +18,7 @@ COARSE_BASE = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, COARSE_DELTA, max
 
 @pytest.fixture(scope="module")
 def table_sample():
-    return normalize(load_catches(bundled_catches_path()))
+    return load_catches(bundled_catches_path())
 
 
 def coarse_moments(params, eta=0.01, kappa=1.0):
@@ -40,34 +39,28 @@ class TestEmpiricalStats:
         assert std == pytest.approx(0.30352, abs=5e-4)
 
     def test_single_year(self):
-        sample = EmpiricalSample(np.array([0.5, 1.0]))
-        mean, std = empirical_stats(sample)
+        mean, std = empirical_stats(np.array([0.5, 1.0]))
         assert mean == 0.75 and std == 0.25
 
     def test_permutation_invariant(self, table_sample):
         rng = np.random.default_rng(0)
-        shuffled = EmpiricalSample(rng.permutation(table_sample.values))
+        shuffled = rng.permutation(table_sample)
         np.testing.assert_allclose(empirical_stats(shuffled),
                                    empirical_stats(table_sample), rtol=1e-12)
 
     def test_empty_sample(self):
         with pytest.raises(ValueError):
-            empirical_stats(EmpiricalSample(np.array([])))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            EmpiricalSample(np.array([0.5, 1.2]))
+            empirical_stats(np.array([]))
 
 
 class TestEmpiricalPdf:
     def test_all_at_one(self):
-        sample = EmpiricalSample(np.ones(5))
-        np.testing.assert_array_equal(empirical_pdf(sample, 10),
+        np.testing.assert_array_equal(empirical_pdf(np.ones(5), 10),
                                       [0.0] * 9 + [10.0])
 
     def test_uniform_synthetic(self):
         values = (np.arange(1000) + 0.5) / 1000
-        pdf = empirical_pdf(EmpiricalSample(values), 10)
+        pdf = empirical_pdf(values, 10)
         np.testing.assert_allclose(pdf, 1.0, atol=1e-12)
 
     def test_integrates_to_one(self, table_sample):
@@ -82,7 +75,12 @@ class TestEmpiricalPdf:
 
     def test_rejects_few_bins(self):
         with pytest.raises(ValueError):
-            empirical_pdf(EmpiricalSample(np.array([0.5])), 1)
+            empirical_pdf(np.array([0.5]), 1)
+
+    def test_rejects_out_of_range(self):
+        for values in ([0.5, 1.2], [-0.1, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                empirical_pdf(np.array(values))
 
 
 class TestFitObjective:

@@ -375,15 +375,17 @@ class TestSweepKappa:
         assert len(lines) == 1 + 50
 
     def test_matches_stationary_bit_exactly(self, tmp_path, config_path):
-        out_sweep, out_stat = tmp_path / "sweep", tmp_path / "stat"
-        main(["sweep-kappa", "--config", str(config_path), "--out", str(out_sweep),
-              "--kappas", "1"])
-        main(["stationary", "--config", str(config_path), "--out", str(out_stat)])
-        sweep_pdf = [line.split(",")[1] for line in
-                     (out_sweep / "kappa_sweep_pdf.csv").read_text().splitlines()[1:]]
-        stat_pdf = [line.split(",")[2] for line in
-                    (out_stat / "stationary_pdf.csv").read_text().splitlines()[1:]]
-        assert sweep_pdf == stat_pdf
+        limit_path = write_config(tmp_path, {"dynamic.eta": "limit"}, name="limit.json")
+        for cfg in (config_path, limit_path):
+            out_sweep, out_stat = tmp_path / cfg.stem / "sweep", tmp_path / cfg.stem / "stat"
+            assert main(["sweep-kappa", "--config", str(cfg), "--out", str(out_sweep),
+                         "--kappas", "1"]) == 0
+            assert main(["stationary", "--config", str(cfg), "--out", str(out_stat)]) == 0
+            sweep_pdf = [line.split(",")[1] for line in
+                         (out_sweep / "kappa_sweep_pdf.csv").read_text().splitlines()[1:]]
+            stat_pdf = [line.split(",")[2] for line in
+                        (out_stat / "stationary_pdf.csv").read_text().splitlines()[1:]]
+            assert sweep_pdf == stat_pdf, cfg.name
 
     def test_per_kappa_solver_recorded(self, tmp_path, config_path):
         out = tmp_path / "out"
@@ -415,6 +417,9 @@ class TestSweepKappa:
         cfg = write_config(tmp_path, {"dynamic.eta": "limit"})
         out = tmp_path / "out"
         assert main(["sweep-kappa", "--config", str(cfg), "--out", str(out)]) == 1
+        # the default kappas include 0, which the vanishing-noise limit excludes
+        error = read_manifest(out)["error"]
+        assert "--kappas" in error and "vanishing-noise limit" in error
 
 
 class TestManifest:
@@ -479,6 +484,19 @@ def test_refinement_table_reads_solver_results(tmp_path, monkeypatch):
     for _, small_steps, limit_steps, max_gap, variational_gap in rows:
         assert int(small_steps) > 0 and int(limit_steps) > 0
         assert float(max_gap) > 0.0 and 0.0 < float(variational_gap) <= 2.0
+
+
+def test_empirical_vs_model_table(tmp_path):
+    # the exhibit script's own use of load_catches and empirical_pdf
+    module = load_script(ROOT / "scripts" / "reproduce_exhibits.py")
+    path = tmp_path / "empirical_vs_model_pdf.csv"
+    module.empirical_vs_model(path)
+    header, *rows = path.read_text().splitlines()
+    assert header == "x_mid,pdf_empirical,pdf_model"
+    assert len(rows) == 20
+    empirical, model = np.array([[float(v) for v in row.split(",")[1:]] for row in rows]).T
+    assert empirical.sum() == pytest.approx(20.0, abs=1e-12)
+    assert model.sum() == pytest.approx(20.0, abs=1e-12)
 
 
 def test_layer_timing_writes_both_tables():

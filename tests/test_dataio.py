@@ -6,23 +6,17 @@ import numpy as np
 import pytest
 
 from rational_logit.calibration import FitSpec
-from rational_logit.dataio import (CatchDataset, ConfigError, bundled_catches_path,
-                                   load_catches, load_run_config, normalize,
-                                   write_convergence_csv, write_pdf_table,
+from rational_logit.dataio import (ConfigError, bundled_catches_path, load_catches,
+                                   load_run_config, write_convergence_csv, write_pdf_table,
                                    write_trajectory_csv)
 from rational_logit.dynamics import ConvergenceRow, DynamicConfig, run_until
 from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 ASSET_SHA256 = "2c6c23642492e5060d55e06dc2a6697a0209d009bf10a5114847bf41d4cd90aa"
-
-
-def save_catches(path, dataset: CatchDataset) -> None:
-    """Write a CatchDataset back as the `year,catch` CSV that load_catches reads."""
-    lines = ["year,catch"]
-    for year, catches in dataset.records:
-        lines += [f"{year},{c}" for c in catches]
-    path.write_text("\n".join(lines) + "\n")
+# the bundled file's years in row order: (records, maximum catch) of each
+ASSET_YEARS = {"2016": (16, 43), "2017": (13, 42), "2018": (10, 53), "2019": (15, 41),
+               "2023": (15, 82)}
 
 
 def write_measure_table(path, mu: GridMeasure) -> None:
@@ -36,29 +30,24 @@ class TestBundledAsset:
         assert digest == ASSET_SHA256
 
     def test_total_records(self):
-        dataset = load_catches(bundled_catches_path())
-        assert sum(len(catches) for _, catches in dataset.records) == 69
-        assert len(dataset.records) == 5
-
-    def test_year_counts(self):
-        dataset = load_catches(bundled_catches_path())
-        counts = {year: len(catches) for year, catches in dataset.records}
-        assert counts == {"2016": 16, "2017": 13, "2018": 10, "2019": 15, "2023": 15}
+        assert load_catches(bundled_catches_path()).shape == (69,)
 
     def test_year_maxima(self):
-        dataset = load_catches(bundled_catches_path())
-        maxima = {year: max(catches) for year, catches in dataset.records}
-        assert maxima["2016"] == 43
-        assert maxima["2023"] == 82
+        # each year's block holds its maximum catch once, as 1.0
+        values = load_catches(bundled_catches_path())
+        ends = np.cumsum([count for count, _ in ASSET_YEARS.values()])
+        for block in np.split(values, ends[:-1]):
+            assert (block == 1.0).sum() == 1
 
 
 class TestLoadCatches:
-    def test_round_trip(self, tmp_path):
-        dataset = load_catches(bundled_catches_path())
-        out = tmp_path / "copy.csv"
-        save_catches(out, dataset)
-        assert load_catches(out) == dataset
-        assert out.read_bytes() == bundled_catches_path().read_bytes()
+    def test_round_trip(self):
+        # each year's values times its maximum give back the file's catches
+        values = iter(load_catches(bundled_catches_path()))
+        lines = ["year,catch"]
+        for year, (count, year_max) in ASSET_YEARS.items():
+            lines += [f"{year},{round(next(values) * year_max)}" for _ in range(count)]
+        assert "\n".join(lines) + "\n" == bundled_catches_path().read_text()
 
     def test_rejects_negative(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -87,21 +76,24 @@ class TestLoadCatches:
 
 class TestNormalize:
     def test_known_values(self):
-        sample = normalize(load_catches(bundled_catches_path()))
-        assert 1.0 / 43.0 in sample.values  # smallest 2016 catch over its max
-        assert np.isclose(sample.values, 1.0).sum() >= 5  # one per year
+        values = load_catches(bundled_catches_path())
+        assert 1.0 / 43.0 in values  # smallest 2016 catch over its max
+        assert (values == 1.0).sum() == 5  # one per year
 
     def test_range_and_yearly_max(self):
-        dataset = load_catches(bundled_catches_path())
-        sample = normalize(dataset)
-        assert sample.values.min() >= 0.0 and sample.values.max() == 1.0
-        assert {year: max(catches) for year, catches in dataset.records} == {
-            "2016": 43, "2017": 42, "2018": 53, "2019": 41, "2023": 82}
+        values = load_catches(bundled_catches_path())
+        assert values.min() == 0.0 and values.max() == 1.0
 
-    def test_singleton_year(self):
-        dataset = CatchDataset((("y", (5,)),))
-        sample = normalize(dataset)
-        np.testing.assert_array_equal(sample.values, [1.0])
+    def test_singleton_year(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("year,catch\ny,5\n")
+        np.testing.assert_array_equal(load_catches(path), [1.0])
+
+    def test_row_order(self, tmp_path):
+        # interleaved years: each catch over its own year's maximum, in row order
+        path = tmp_path / "mixed.csv"
+        path.write_text("year,catch\n2016,2\n2017,3\n2016,4\n2017,6\n2017,0\n")
+        np.testing.assert_array_equal(load_catches(path), [0.5, 0.5, 1.0, 1.0, 0.0])
 
 
 class TestRunConfig:

@@ -12,13 +12,14 @@ from hypothesis.extra import numpy as hnp
 from oracles import BilinearUtility, DenseCompetition, anderson_lstsq, from_masses
 from rational_logit import dynamics
 from rational_logit.calibration import empirical_stats, fit_search
-from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config, normalize
+from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config
 from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE, STACK_CELLS,
                                      DegenerateWeightsError, DynamicBatch, DynamicConfig,
                                      StationarySolution, eta_convergence_table,
                                      euler_step, run_to_stationary, run_until,
                                      solve_stationary, weights)
-from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform, variational_distance
+from rational_logit.measures import (ConfigError, Grid, GridMeasure, pdf_values, uniform,
+                                     variational_distance)
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 FIT_AB = Path(__file__).resolve().parents[1] / "configs" / "fit_ab.json"
@@ -351,6 +352,13 @@ class TestRunUntil:
         with pytest.raises(ValueError, match=problem):
             run_until(cfg, constant_model(g), uniform(g), times)
 
+    @pytest.mark.parametrize("times", [[math.nan, 1.0], [math.inf], [-math.inf, 0.5]])
+    def test_rejects_non_finite_record_time(self, times):
+        g = Grid(4)
+        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
+        with pytest.raises(ConfigError, match="is not a finite number"):
+            run_until(cfg, constant_model(g), uniform(g), times)
+
     def test_degenerate_carries_step_index(self):
         # strictly negative utility everywhere: first step already fails
         g = Grid(8)
@@ -517,7 +525,7 @@ class TestSolveStationary:
     def test_first_fit_level_needs_no_lstsq(self, monkeypatch):
         calls = count_lstsq(monkeypatch)
         run = load_run_config(FIT_AB)
-        target = empirical_stats(normalize(load_catches(bundled_catches_path())))
+        target = empirical_stats(load_catches(bundled_catches_path()))
         result = fit_search(replace(run.fit, levels=0), target, run.dynamic, run.utility)
         assert result.evaluation_count == 25
         assert all(error is None for _, _, error in result.evaluations)
