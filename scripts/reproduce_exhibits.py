@@ -23,7 +23,7 @@ import numpy as np
 
 from rational_logit import (LIMIT_NOISE, CompetitionUtility, Grid, bundled_catches_path,
                             empirical_pdf, load_catches, load_run_config, pdf_values,
-                            solve_stationary, uniform, variational_distance, write_pdf_table)
+                            solve_stationary, variational_distance, write_pdf_table)
 from rational_logit.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,7 +54,7 @@ def empirical_vs_model(path: Path) -> None:
     run_config = load_run_config(CONFIG)
     grid = run_config.dynamic.grid
     model = CompetitionUtility(grid, run_config.utility)
-    solution = solve_stationary(run_config.dynamic, model, uniform(grid))
+    solution = solve_stationary(run_config.dynamic, model)
     centers = (np.arange(bins) + 0.5) / bins
     write_pdf_table(path, centers, [empirical_pdf(load_catches(bundled_catches_path()), bins),
                                     coarsen_pdf(solution.final_measure.mass, bins)],
@@ -70,8 +70,7 @@ def limit_gap_refinement(path: Path) -> None:
     for n in REFINEMENT_N:
         grid = Grid(n)
         model = CompetitionUtility(grid, run_config.utility)
-        small, limit = (solve_stationary(replace(run_config.dynamic, eta=eta, grid=grid),
-                                         model, uniform(grid))
+        small, limit = (solve_stationary(replace(run_config.dynamic, eta=eta, grid=grid), model)
                         for eta in (0.01, LIMIT_NOISE))
         mu, nu = small.final_measure, limit.final_measure
         gap = float(np.max(np.abs(pdf_values(mu) - pdf_values(nu))))

@@ -65,12 +65,11 @@ def median_us(fn, samples: int = 7, sample_seconds: float = 0.1) -> float:
 
 
 def timed_solve(solve, config, model, runs: int = 1):
-    """Median seconds of `runs` stationary solves from the uniform start,
-    and the result of the last."""
+    """Median seconds of `runs` stationary solves and the result of the last."""
     seconds = []
     for _ in range(runs):
         t0 = time.perf_counter()
-        result = solve(config, model, uniform(config.grid))
+        result = solve(config, model)
         seconds.append(time.perf_counter() - t0)
     return statistics.median(seconds), result
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import DegenerateWeightsError, DynamicConfig, solve_stationary
-from .measures import check_fields, is_integer, is_number, mean_and_std, uniform
+from .measures import check_fields, is_integer, is_number, mean_and_std
 from .utility import CompetitionParams, CompetitionUtility
 
 __all__ = [
@@ -57,20 +57,12 @@ def empirical_pdf(values: np.ndarray, bins: int = 20) -> np.ndarray:
     return counts / values.size * bins
 
 
-# the [lo, hi] bounds each free parameter may take
-_BOUND_RULES = {
-    "a": ("0 <= lo < hi required", lambda lo, hi: 0.0 <= lo < hi),
-    "b": ("0 <= lo < hi required", lambda lo, hi: 0.0 <= lo < hi),
-    "eta": ("0 < lo < hi required", lambda lo, hi: 0.0 < lo < hi),
-    "kappa": ("0 <= lo < hi <= 1 required", lambda lo, hi: 0.0 <= lo < hi <= 1.0),
-}
-
-
 @dataclass(frozen=True)
 class FitSpec:
     """The search: free parameters among {a, b, eta, kappa} with their
     bounds, and the schedule of the multi-level grid. Everything else comes
-    from the base DynamicConfig and CompetitionParams given to fit_search."""
+    from the base DynamicConfig and CompetitionParams given to fit_search,
+    ranges included."""
 
     free: tuple = ()
     bounds: dict = field(default_factory=dict)
@@ -87,8 +79,8 @@ class FitSpec:
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                         and all(map(is_number, pair))):
                     problems.append(f"bounds.{name}: [lo, hi] pair required (got {pair!r})")
-                elif name in _BOUND_RULES and not _BOUND_RULES[name][1](*pair):
-                    problems.append(f"bounds.{name}: {_BOUND_RULES[name][0]} (got {pair!r})")
+                elif not pair[0] < pair[1]:
+                    problems.append(f"bounds.{name}: lo < hi required (got {pair!r})")
                 if name not in self.free:
                     problems.append(f"bounds.{name}: bound for a parameter not in fit.free")
         check_fields(self, [
@@ -107,10 +99,9 @@ class FitSpec:
 def fit_objective(params: CompetitionParams, config: DynamicConfig,
                   target: tuple[float, float]) -> tuple[float, tuple[float, float]]:
     """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2 and the stationary
-    moments (m, s) from the uniform initial condition, for one parameter
-    point."""
+    moments (m, s), for one parameter point."""
     model = CompetitionUtility(config.grid, params)
-    solution = solve_stationary(config, model, uniform(config.grid))
+    solution = solve_stationary(config, model)
     if not solution.stationary:
         raise NonStationaryError(f"no stationary state within {config.max_steps} steps "
                                  f"({solution.fallback})")
@@ -143,9 +134,10 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
     test.
 
     A point is `params` with its a and b and `base` with its eta and kappa,
-    so every other setting, max_steps included, is the base run's. A point
-    that DynamicConfig rejects (kappa = 0 under the limit equation) raises
-    ValueError; the first point has every free parameter at its lower bound.
+    so every other setting, max_steps included, is the base run's. Each
+    level builds all its points before it solves any, so a point that
+    CompetitionParams or DynamicConfig rejects (a negative a, kappa = 0
+    under the limit equation) raises their ConfigError before any solve.
     """
     free = tuple(p for p in FREE_PARAM_ORDER if p in spec.free)
     bounds = original = spec.bounds  # a [lo, hi] pair per free parameter, no other
@@ -157,10 +149,13 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
 
     for _level in range(spec.levels + 1):
         axes = [np.linspace(bounds[p][0], bounds[p][1], spec.points_per_dim) for p in free]
+        points = []  # the whole level, built before any point is solved
         for combo in itertools.product(*axes) if free else [()]:
             assignment = dict(zip(free, map(float, combo)))
             point = replace(params, **{p: assignment[p] for p in free if p in ("a", "b")})
             config = replace(base, **{p: assignment[p] for p in free if p in ("eta", "kappa")})
+            points.append((assignment, point, config))
+        for assignment, point, config in points:
             try:
                 obj, moments = fit_objective(point, config, target)
             except (NonStationaryError, DegenerateWeightsError) as exc:

@@ -92,8 +92,7 @@ def _simulate(args, run_config, manifest):
 
 
 def _stationary(args, run_config, manifest):
-    solution = solve_stationary(run_config.dynamic, _model(run_config),
-                                uniform(run_config.dynamic.grid))
+    solution = solve_stationary(run_config.dynamic, _model(run_config))
     mu = solution.final_measure
     mean, std = mean_and_std(mu)
     dataio.write_pdf_table(manifest.output("stationary_pdf.csv"), mu.grid.midpoints,
@@ -161,7 +160,7 @@ def _sweep_kappa(args, run_config, manifest):
     model = _model(run_config)
     columns, solvers = [], {}
     for name, config in zip(names, configs):
-        solution = solve_stationary(config, model, uniform(base.grid))
+        solution = solve_stationary(config, model)
         columns.append(pdf_values(solution.final_measure))
         solvers[name] = {"solver": solution.solver, "steps": solution.steps,
                          "stationary": solution.stationary, "fallback": solution.fallback}

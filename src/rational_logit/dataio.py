@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import FREE_PARAM_ORDER, FitSpec
-from .dynamics import LIMIT_NOISE, DynamicConfig, record_steps
+from .dynamics import LIMIT_NOISE, DynamicConfig, record_steps, record_time_problems
 from .measures import ConfigError, Grid, is_number, pdf_values
 from .utility import CompetitionParams
 
@@ -160,6 +160,8 @@ def load_run_config(path) -> RunConfig:
         problems.append(f"record_times: list of numbers required (got {record_times!r})")
     elif dynamic is not None:
         collect_problems(problems, "record_times: ", record_steps, record_times, dynamic.dt)
+    else:  # the parts of the rule that need no dt
+        problems += ["record_times: " + p for p in record_time_problems(record_times)]
 
     fit = None
     if "fit" in doc:
@@ -167,10 +169,13 @@ def load_run_config(path) -> RunConfig:
         if isinstance(bounds, dict):  # FitSpec reports any other value, once
             sections["fit"]["bounds"] = _object(bounds, "fit.bounds", FREE_PARAM_ORDER, problems)
         fit = collect_problems(problems, "fit.", FitSpec, **sections["fit"])
-        if fit is not None and dynamic is not None:
-            # fit_search's first point: every free parameter at its lower bound
-            collect_problems(problems, "fit.bounds.", replace, dynamic,
-                             **{p: fit.bounds[p][0] for p in ("eta", "kappa") if p in fit.free})
+        if fit is not None:  # each type's range rule is an interval: check the box's corners
+            for side in (0, 1):  # every free parameter at its lower, then its upper bound
+                corner = {p: pair[side] for p, pair in fit.bounds.items()}
+                for section, names in ((dynamic, ("eta", "kappa")), (params, ("a", "b"))):
+                    if section is not None:
+                        collect_problems(problems, "fit.bounds.", replace, section,
+                                         **{p: corner[p] for p in names if p in corner})
     if problems:
         raise ConfigError(problems)
 

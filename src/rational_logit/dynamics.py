@@ -17,15 +17,16 @@ a convex combination of two simplex points, so the iterates stay on the
 simplex by construction. Only recorded snapshots and final states are
 wrapped (and validated) as GridMeasures.
 
-A stationary state is the fixed point mass = weights(U(mass)).
-`solve_stationary` finds it by Anderson mixing on that fixed-point
-equation, clipping each iterate to the simplex, and falls back to the
-Euler `run_to_stationary` (recording why) when mixing misses the threshold
-within its budget, leaves no positive finite mass, or meets a degenerate
-limit weight map. `run_to_stationary` stays the reference the tests compare
-against; `run_until` and the eta table keep Euler because there the
-transient is the object of study. `run_until` steps one run; the eta table
-steps its limit reference and every eta together, as the rows of one stack.
+A stationary state is the fixed point mass = weights(U(mass)), the same
+from any start, so both solvers start from uniform. `solve_stationary`
+finds it by Anderson mixing, clipping each iterate to the simplex, and
+falls back to the Euler `run_to_stationary` (recording why) when mixing
+misses the threshold within its budget, leaves no positive finite mass, or
+meets a degenerate limit weight map. `run_to_stationary` stays the
+reference the tests compare against; `run_until` and the eta table keep
+Euler, and their start, because there the transient is the object of
+study. `run_until` steps one run; the eta table steps its limit reference
+and every eta together, as the rows of one stack.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .kexp import log_e_kappa
 from .measures import (ConfigError, Grid, GridMeasure, check_fields, is_integer, is_number,
-                       pdf_values, store_floats)
+                       pdf_values, store_floats, uniform)
 
 __all__ = [
     "LIMIT_NOISE",
@@ -206,23 +207,31 @@ def _euler_iterates(config: DynamicConfig | DynamicBatch, model, mass: np.ndarra
         yield mass
 
 
+def record_time_problems(times) -> list[str]:
+    """The problems of record times that need no dt: a time that is not
+    finite, a negative time, and no time after t = 0."""
+    times = [float(t) for t in times]
+    problems = [f"record time {t} is not a finite number" if not math.isfinite(t)
+                else f"record times must be >= 0 (got {t!r})"
+                for t in times if not 0.0 <= t < math.inf]
+    if not any(t > 0.0 for t in times):
+        problems.append(f"record times need a positive maximum (got {times!r})")
+    return problems
+
+
 def record_steps(times, dt: float) -> dict[int, float]:
     """The Euler step k of each record time t = k dt, as {k: t} in step order.
 
-    One ConfigError lists every problem: a time that is not finite, a
-    negative time, a time off the step lattice (by more than
-    1e-9 max(1, t)), two times on one step, a positive time on step 0 (that
-    step is the t = 0 initial snapshot), and no time after t = 0.
+    One ConfigError lists every problem: those of `record_time_problems`,
+    then a time off the step lattice (by more than 1e-9 max(1, t)), two
+    times on one step, and a positive time on step 0 (that step is the
+    t = 0 initial snapshot).
     """
     times = [float(t) for t in times]
-    steps, problems = {}, []
-    for t in times:
-        k = round(t / dt) if math.isfinite(t) else None
-        if k is None:
-            problems.append(f"record time {t} is not a finite number")
-        elif t < 0.0:
-            problems.append(f"record times must be >= 0 (got {t!r})")
-        elif abs(k * dt - t) > 1e-9 * max(1.0, t):
+    steps, problems = {}, record_time_problems(times)
+    for t in (t for t in times if 0.0 <= t < math.inf):
+        k = round(t / dt)
+        if abs(k * dt - t) > 1e-9 * max(1.0, t):
             problems.append(f"record time {t} is not a multiple of dt={dt}")
         elif k == 0 and t > 0.0:
             problems.append(f"record time {t} falls on step 0, the t = 0 initial snapshot")
@@ -230,8 +239,6 @@ def record_steps(times, dt: float) -> dict[int, float]:
             problems.append(f"record times {steps[k]} and {t} both fall on step {k}")
         else:
             steps[k] = t
-    if not any(t > 0.0 for t in times):
-        problems.append(f"record times need a positive maximum (got {times!r})")
     if problems:
         raise ConfigError(problems)
     return dict(sorted(steps.items()))
@@ -269,13 +276,13 @@ class StationarySolution:
     fallback: str | None = None
 
 
-def run_to_stationary(config: DynamicConfig, model, init: GridMeasure) -> StationarySolution:
-    """Step until the per-step PDF change max_i N |mass'_i - mass_i| falls
-    to the threshold delta; returns the post-step measure at the smallest
-    such step k as the stationary solution of solver "euler", or the
-    measure after config.max_steps steps as a nonstationary one."""
+def run_to_stationary(config: DynamicConfig, model) -> StationarySolution:
+    """Step from uniform until the per-step PDF change max_i N |mass'_i -
+    mass_i| falls to the threshold delta; returns the post-step measure at
+    the smallest such step k as the stationary solution of solver "euler",
+    or the measure after config.max_steps steps as a nonstationary one."""
     n = config.grid.n
-    mass = init.mass
+    mass = uniform(config.grid).mass
     for k, nxt in enumerate(_euler_iterates(config, model, mass, config.max_steps)):
         if n * float(np.abs(nxt - mass).max()) <= config.delta:
             return StationarySolution(GridMeasure(config.grid, nxt), True, k, "euler")
@@ -336,21 +343,21 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray,
     raise _AndersonStalled(f"Anderson mixing missed delta within {max_iterations} iterations")
 
 
-def solve_stationary(config: DynamicConfig, model, init: GridMeasure) -> StationarySolution:
-    """The stationary state mass = weights(U(mass)) reached from `init`.
+def solve_stationary(config: DynamicConfig, model) -> StationarySolution:
+    """The stationary state mass = weights(U(mass)), from the uniform start.
 
     Anderson mixing runs for at most min(config.max_steps,
     ANDERSON_MAX_ITERATIONS) iterations and stops at N max|w(U(m)) - m| <=
     delta, a test 1/dt stricter than the per-step Euler test of
     `run_to_stationary`. If it misses, leaves no positive finite mass, or
-    the limit weight map degenerates, `run_to_stationary` runs from `init`
-    with the full max_steps, and `fallback` says why.
+    the limit weight map degenerates, `run_to_stationary` runs with the full
+    max_steps, and `fallback` says why.
     """
     try:
-        mass, iterations = _anderson(config, model, init.mass,
+        mass, iterations = _anderson(config, model, uniform(config.grid).mass,
                                      min(config.max_steps, ANDERSON_MAX_ITERATIONS))
     except (_AndersonStalled, DegenerateWeightsError) as exc:
-        return replace(run_to_stationary(config, model, init), fallback=str(exc))
+        return replace(run_to_stationary(config, model), fallback=str(exc))
     return StationarySolution(GridMeasure(config.grid, mass), True, iterations, "anderson")
 
 

@@ -5,15 +5,18 @@ or in the captured output of a failing run) and then asserts. The expensive
 stationary runs at the fitted parameters are shared through module fixtures.
 """
 
+import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import BilinearUtility, d_e_kappa, e_kappa, refine, scaled_limit_residual
 from rational_logit.calibration import empirical_stats
-from rational_logit.dataio import bundled_catches_path, load_catches
-from rational_logit.dynamics import (DynamicConfig, euler_step,
+from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config
+from rational_logit.dynamics import (LIMIT_NOISE, DynamicConfig, euler_step,
                                      eta_convergence_table, run_until,
                                      run_to_stationary, solve_stationary, weights)
 from rational_logit.measures import Grid, mean_and_std, pdf_values, uniform, variational_distance
@@ -24,6 +27,7 @@ DT = 0.001
 DELTA = 1e-11
 FITTED = CompetitionParams()  # a=0.27, b=0.23, c=1, d=1, alpha=0.2, epsilon=1/N
 GRID = Grid(N)
+FITTED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fitted.json"
 
 
 def report(label, ok, detail=""):
@@ -57,7 +61,7 @@ def stationary_runs(fitted_model):
     for kappa, eta in combos:
         config = DynamicConfig(kappa, eta, GRID, DT, DELTA)
         t0 = time.monotonic()
-        traj = run_to_stationary(config, fitted_model, uniform(GRID))
+        traj = run_to_stationary(config, fitted_model)
         seconds = time.monotonic() - t0
         assert traj.stationary
         runs[(kappa, eta)] = (config, traj, seconds)
@@ -246,6 +250,33 @@ def test_criterion_6b_limit_proximity(stationary_runs):
            f"eta=0.01 run stopped at step {small.steps}")
 
 
+@pytest.mark.parametrize("eta", [0.01, LIMIT_NOISE], ids=["eta-0.01", "limit"])
+def test_finite_difference_convergence_order(eta):
+    """The stationary state of configs/fitted.json converges at first order
+    in N. The reference at N = 32,000 is summed onto each coarser grid and
+    the error is the variational (L1) distance there; errors must fall
+    strictly with N, and each observed order log2(e_N / e_2N) must lie in
+    [0.8, 1.2]."""
+    run = load_run_config(FITTED_CONFIG)
+
+    def solve(n_cells):
+        config = replace(run.dynamic, eta=eta, grid=Grid(n_cells))
+        solution = solve_stationary(config, CompetitionUtility(config.grid, run.utility))
+        assert solution.stationary
+        return solution.final_measure.mass
+
+    reference_n, sizes = 32_000, (250, 500, 1000, 2000)
+    reference = solve(reference_n)
+    errors = [float(np.abs(solve(n) - reference.reshape(n, reference_n // n).sum(axis=1)).sum())
+              for n in sizes]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    ok = (all(a > b for a, b in zip(errors, errors[1:]))
+          and all(0.8 <= order <= 1.2 for order in orders))
+    report(f"finite-difference convergence, eta={'limit' if eta is None else eta}", ok,
+           f"errors {', '.join(f'{e:.3e}' for e in errors)} at N={sizes}; "
+           f"orders {', '.join(f'{o:.2f}' for o in orders)} (gate [0.8, 1.2])")
+
+
 def test_vanishing_noise_error_monotone(eta_table):
     for t in (1.0, 10.0):
         rows = sorted((r for r in eta_table if r.time == t),
@@ -270,7 +301,7 @@ def assert_matches_euler(config, model, euler_measure):
     """solve_stationary against an Euler stationary state of the same config:
     moments within 1e-9, PDF max-norm within 1e-7, and the per-step Euler
     residual of criterion 5(g) within delta at the returned point."""
-    solution = solve_stationary(config, model, uniform(config.grid))
+    solution = solve_stationary(config, model)
     assert solution.solver == "anderson" and solution.fallback is None
     assert solution.stationary
     mu = solution.final_measure
@@ -291,6 +322,6 @@ def test_anderson_matches_euler_on_fit_box(n_cells, a, b):
     grid = Grid(n_cells)
     config = DynamicConfig(1.0, 0.01, grid, DT, DELTA)
     model = CompetitionUtility(grid, CompetitionParams(a=a, b=b))
-    euler = run_to_stationary(config, model, uniform(grid))
+    euler = run_to_stationary(config, model)
     assert euler.stationary
     assert_matches_euler(config, model, euler.final_measure)

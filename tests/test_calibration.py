@@ -6,7 +6,7 @@ from rational_logit.calibration import (FitSpec, NonStationaryError, empirical_p
                                         empirical_stats, fit_objective, fit_search)
 from rational_logit.dataio import bundled_catches_path, load_catches
 from rational_logit.dynamics import LIMIT_NOISE, DynamicConfig, run_to_stationary
-from rational_logit.measures import Grid, mean_and_std, uniform
+from rational_logit.measures import Grid, mean_and_std
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 # coarse solver settings: keep every fit evaluation around tens of ms
@@ -24,7 +24,7 @@ def table_sample():
 def coarse_moments(params, eta=0.01, kappa=1.0):
     config = DynamicConfig(kappa, eta, COARSE_GRID, COARSE_DT, COARSE_DELTA, max_steps=200_000)
     model = CompetitionUtility(COARSE_GRID, params)
-    traj = run_to_stationary(config, model, uniform(COARSE_GRID))
+    traj = run_to_stationary(config, model)
     return mean_and_std(traj.final_measure)
 
 
@@ -76,6 +76,10 @@ class TestEmpiricalPdf:
     def test_rejects_few_bins(self):
         with pytest.raises(ValueError):
             empirical_pdf(np.array([0.5]), 1)
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError, match="empty sample"):
+            empirical_pdf(np.array([]))
 
     def test_rejects_out_of_range(self):
         for values in ([0.5, 1.2], [-0.1, 0.5], [0.5, np.nan]):
@@ -139,12 +143,8 @@ class TestFitSearch:
         assert result.best == {"a": 0.27, "b": 0.23, "eta": 0.01, "kappa": 1.0}
 
     def test_validates_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bounds\.a: lo < hi required"):
             FitSpec(free=("a",), bounds={"a": (0.5, 0.5)})
-        with pytest.raises(ValueError):
-            FitSpec(free=("kappa",), bounds={"kappa": (0.5, 1.5)})
-        with pytest.raises(ValueError):
-            FitSpec(free=("eta",), bounds={"eta": (0.0, 0.1)})
         with pytest.raises(ValueError):
             FitSpec(free=("zzz",), bounds={"zzz": (0.0, 1.0)})
         with pytest.raises(ValueError, match="shrink"):
@@ -153,10 +153,11 @@ class TestFitSearch:
             FitSpec(free=("a",), bounds={"a": (0.2, 0.3), "b": (0.1, 0.2)})
 
     def test_rejects_negative_a_b_bounds(self):
-        # CompetitionParams would reject those points one by one
+        # CompetitionParams states the range; the search meets it before any solve
         for name in ("a", "b"):
-            with pytest.raises(ValueError, match=rf"bounds\.{name}"):
-                FitSpec(free=(name,), bounds={name: (-0.1, 0.3)})
+            spec = FitSpec(free=(name,), bounds={name: (-0.1, 0.3)}, levels=0)
+            with pytest.raises(ValueError, match=rf"{name}: number >= 0 required \(got -0\.1\)"):
+                fit_search(spec, (0.3, 0.3), COARSE_BASE, CompetitionParams())
 
     @pytest.mark.parametrize("bounds", [{}, {"b": (0.1, 0.3)}, {"a": (0.1,)}, {"a": 0.2}])
     def test_rejects_missing_or_malformed_bounds(self, bounds):
@@ -165,7 +166,7 @@ class TestFitSearch:
 
     def test_rejects_zero_kappa_under_limit(self, monkeypatch):
         # DynamicConfig rejects the kappa = 0 point of the limit equation,
-        # and the first point has every free parameter at its lower bound
+        # and a level builds all its points before it solves any
         evaluated = []
 
         def record(params, config, target):
@@ -185,6 +186,13 @@ class TestFitSearch:
             fit_search(spec, (0.3, 0.3), limit, CompetitionParams())
             assert evaluated == kappas
             evaluated.clear()
+        # a box past a type's range, at either end, is met before any solve too
+        for name, pair, message in [("a", (-0.1, 0.3), "a: number >= 0 required"),
+                                    ("kappa", (0.5, 1.5), r"kappa: number in \[0, 1\] required")]:
+            spec = FitSpec(free=(name,), bounds={name: pair}, levels=0, points_per_dim=2)
+            with pytest.raises(ValueError, match=message):
+                fit_search(spec, (0.3, 0.3), limit, CompetitionParams())
+            assert evaluated == []
 
     def test_empty_free_set_is_the_base_run(self):
         # every setting of the base run reaches the point, bit for bit

@@ -71,6 +71,15 @@ class TestSimulate:
         assert code == 3
         assert read_manifest(out)["status"] == "io-error"
 
+    def test_out_below_a_file_exits_3(self, tmp_path, config_path, capsys):
+        # no directory can be made there, so not even the manifest is written
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert main(["stationary", "--config", str(config_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unexpected_exception_exits_4_with_manifest(self, tmp_path, config_path,
                                                         monkeypatch):
         def broken(*args, **kwargs):
@@ -94,6 +103,7 @@ class TestConfigErrors:
         ("simulate", {"record_times": [0.005]}),  # off the dt = 0.01 lattice
         ("simulate", {"record_times": [0.5, 0.5000000001]}),  # both on step 50
         ("simulate", {"record_times": [1e-12, 0.5]}),  # a positive time on step 0
+        ("simulate", {"record_times": 1.0}),
         ("stationary", {"dynamic.max_steps": True}),
         ("fit", {"fit": {**FIT, "levels": 1.5}}),
         ("fit", {"fit": {**FIT, "points_per_dim": 2.5}}),
@@ -105,7 +115,7 @@ class TestConfigErrors:
         ("fit", {"dynamic.eta": "limit",
                  "fit": {"free": ["kappa"], "bounds": {"kappa": [0.0, 1.0]}, "levels": 0}}),
     ], ids=["eta-infinity", "a-infinity", "record-time-off-lattice", "record-times-one-step",
-            "record-time-on-step-0", "max-steps-bool",
+            "record-time-on-step-0", "record-times-not-list", "max-steps-bool",
             "fit-levels-fraction", "fit-points-fraction", "fit-free-string",
             "fit-bounds-list", "fit-not-object", "grid-not-object", "utility-null",
             "limit-fit-kappa-from-zero"])
@@ -231,6 +241,26 @@ class TestConfigErrors:
         assert manifest["status"] == "config-error"
         name = "b" if "b" in bounds else "a"
         assert f"fit.bounds.{name}: [lo, hi] pair required" in manifest["error"]
+
+    @pytest.mark.parametrize("overrides, problem", [
+        ({"fit": {**FIT, "bounds": {"a": [-0.1, 0.3]}}},
+         "fit.bounds.a: number >= 0 required (got -0.1)"),
+        ({"fit": {**FIT, "free": ["kappa"], "bounds": {"kappa": [0.5, 1.5]}}},
+         "fit.bounds.kappa: number in [0, 1] required (got 1.5)"),
+        ({"fit": {**FIT, "free": ["eta"], "bounds": {"eta": [0.0, 0.1]}}},
+         "fit.bounds.eta: positive number required (got 0.0)"),
+        ({"dynamic.eta": "limit",
+          "fit": {**FIT, "free": ["kappa"], "bounds": {"kappa": [0.0, 1.0]}}},
+         "fit.bounds.kappa: number in (0, 1] required by the vanishing-noise limit (got 0.0)"),
+    ], ids=["a-lower", "kappa-upper", "eta-lower", "limit-kappa-from-zero"])
+    def test_fit_box_corners_keep_the_types_ranges(self, tmp_path, overrides, problem):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        assert problem in manifest["error"]
+        assert not (out / "fit.json").exists()
 
     def test_fit_bounds_not_an_object(self, tmp_path):
         cfg = write_config(tmp_path, {"fit": {**FIT, "bounds": [0.2, 0.3]}})
@@ -497,6 +527,24 @@ def test_empirical_vs_model_table(tmp_path):
     empirical, model = np.array([[float(v) for v in row.split(",")[1:]] for row in rows]).T
     assert empirical.sum() == pytest.approx(20.0, abs=1e-12)
     assert model.sum() == pytest.approx(20.0, abs=1e-12)
+
+
+def test_layer_timing_per_size(monkeypatch):
+    # the timing script's own use of both stationary solvers, DynamicBatch,
+    # weights and euler_step, each timed by a single call
+    module = load_script(ROOT / "scripts" / "time_layers.py")
+
+    def one_call(fn, samples=7, sample_seconds=0.1):
+        fn()
+        return 1.0
+
+    monkeypatch.setattr(module, "median_us", one_call)
+    row = module.time_size(50)
+    assert row["stationary_solver"] == "anderson" and row["stationary_iterations"] > 0
+    assert row["anderson_iteration_us"] > 0.0
+    assert row["euler_steps"] > row["stationary_iterations"]
+    assert all(row[key] == 1.0 for key in ("values_us", "weights_us", "euler_step_us",
+                                           "batched_step_us", "measure_csv_us"))
 
 
 def test_layer_timing_writes_both_tables():

@@ -61,6 +61,17 @@ class TestLoadCatches:
         with pytest.raises(ValueError, match="not an integer"):
             load_catches(path)
 
+    def test_rejects_three_fields(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("year,catch\n2016,5\n2016,3,1\n")
+        with pytest.raises(ValueError, match=":3: expected 2 fields, got 3"):
+            load_catches(path)
+
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("year,catch\n2016,2\n\n   \n2016,4\n")
+        np.testing.assert_array_equal(load_catches(path), [0.5, 1.0])
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n2016,5\n")
@@ -150,6 +161,20 @@ class TestRunConfig:
                       "utility.alpha", "init"):
             assert field in joined
 
+    @pytest.mark.parametrize("dt", [0.01, 3.0], ids=["dt-valid", "dt-out-of-range"])
+    def test_record_time_problems_that_need_no_dt(self, tmp_path, dt):
+        # a negative time and no positive one are reported whether or not dt is valid
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dynamic": {"kappa": 1.0, "eta": 0.01, "dt": dt},
+                                    "record_times": [-1.0]}))
+        with pytest.raises(ConfigError) as err:
+            load_run_config(path)
+        assert err.value.problems[-2:] == [
+            "record_times: record times must be >= 0 (got -1.0)",
+            "record_times: record times need a positive maximum (got [-1.0])"]
+        assert ("dynamic.dt: number in (0, 1] required (got 3.0)" in err.value.problems) == (
+            dt == 3.0)
+
     def test_missing_kappa_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dynamic": {"eta": 0.01}}))
@@ -222,6 +247,10 @@ class TestCsvEmission:
     def test_pdf_table_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
             write_pdf_table(tmp_path / "p.csv", [0.5], [[1.0, 2.0]], names=["pdf"])
+
+    def test_pdf_table_one_name_per_series(self, tmp_path):
+        with pytest.raises(ValueError, match="one name per series"):
+            write_pdf_table(tmp_path / "p.csv", [0.5], [[1.0], [2.0]], names=["pdf"])
 
     def test_pdf_table_needs_a_series(self, tmp_path):
         with pytest.raises(ValueError, match="at least one series"):

@@ -23,6 +23,7 @@ from rational_logit.measures import (ConfigError, Grid, GridMeasure, pdf_values,
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 FIT_AB = Path(__file__).resolve().parents[1] / "configs" / "fit_ab.json"
+FITTED = FIT_AB.with_name("fitted.json")
 
 
 def constant_model(grid, value=1.0):
@@ -373,7 +374,7 @@ class TestRunToStationary:
     def test_returns_an_euler_solution(self):
         g = Grid(16)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
-        solution = run_to_stationary(cfg, CompetitionUtility(g, CompetitionParams()), uniform(g))
+        solution = run_to_stationary(cfg, CompetitionUtility(g, CompetitionParams()))
         assert isinstance(solution, StationarySolution)
         assert solution.solver == "euler" and solution.fallback is None
         assert solution.stationary
@@ -381,7 +382,7 @@ class TestRunToStationary:
     def test_immediate_stationarity(self):
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g, max_steps=100)
-        traj = run_to_stationary(cfg, constant_model(g), uniform(g))
+        traj = run_to_stationary(cfg, constant_model(g))
         assert traj.stationary
         assert traj.steps == 0
 
@@ -389,7 +390,7 @@ class TestRunToStationary:
         g = Grid(16)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300, max_steps=10)
         model = CompetitionUtility(g, CompetitionParams())
-        traj = run_to_stationary(cfg, model, uniform(g))
+        traj = run_to_stationary(cfg, model)
         assert not traj.stationary
         assert traj.steps == 10
 
@@ -397,7 +398,7 @@ class TestRunToStationary:
         g = Grid(64)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        traj = run_to_stationary(cfg, model, uniform(g))
+        traj = run_to_stationary(cfg, model)
         assert traj.stationary
         mu = traj.final_measure
         # the stationarity check controls the per-step PDF change, which is
@@ -418,15 +419,15 @@ class TestRunToStationary:
         with pytest.raises(ValueError, match="utility vector must be finite"):
             run_until(cfg, NaNUtility(), uniform(g), [1.0])
         with pytest.raises(ValueError, match="utility vector must be finite"):
-            run_to_stationary(cfg, NaNUtility(), uniform(g))
+            run_to_stationary(cfg, NaNUtility())
 
     @pytest.mark.parametrize("c, eps_cells", [(1.0, 1), (1.5, 3)])
     def test_same_stop_as_dense_oracle(self, c, eps_cells):
         g = Grid(64)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-10, max_steps=100_000)
         params = CompetitionParams(c=c, epsilon=eps_cells / g.n)
-        fast = run_to_stationary(cfg, CompetitionUtility(g, params), uniform(g))
-        dense = run_to_stationary(cfg, DenseCompetition(g, params), uniform(g))
+        fast = run_to_stationary(cfg, CompetitionUtility(g, params))
+        dense = run_to_stationary(cfg, DenseCompetition(g, params))
         assert (fast.stationary, fast.steps) == (dense.stationary, dense.steps)
         assert fast.stationary
         np.testing.assert_allclose(pdf_values(fast.final_measure), pdf_values(dense.final_measure),
@@ -436,7 +437,7 @@ class TestRunToStationary:
         g = Grid(32)
         cfg = DynamicConfig(0.5, 0.02, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        traj = run_to_stationary(cfg, model, uniform(g))
+        traj = run_to_stationary(cfg, model)
         mu = traj.final_measure
         assert np.all(mu.mass >= 0.0)
         assert abs(mu.mass.sum() - 1.0) <= 1e-12
@@ -446,7 +447,7 @@ class TestSolveStationary:
     def test_immediate_stationarity(self):
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g, max_steps=100)
-        solution = solve_stationary(cfg, constant_model(g), uniform(g))
+        solution = solve_stationary(cfg, constant_model(g))
         assert solution.solver == "anderson" and solution.fallback is None
         assert (solution.stationary, solution.steps) == (True, 0)
 
@@ -454,7 +455,7 @@ class TestSolveStationary:
         g = Grid(64)
         cfg = DynamicConfig(0.5, 0.02, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        solution = solve_stationary(cfg, model, uniform(g))
+        solution = solve_stationary(cfg, model)
         assert solution.solver == "anderson"
         mass = solution.final_measure.mass
         residual = weights(cfg, model.values(mass)) - mass
@@ -465,7 +466,7 @@ class TestSolveStationary:
         g = Grid(64)
         cfg = DynamicConfig(1.0, 0.01, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        first, second = (solve_stationary(cfg, model, uniform(g)) for _ in range(2))
+        first, second = (solve_stationary(cfg, model) for _ in range(2))
         assert (first.stationary, first.steps) == (second.stationary, second.steps)
         assert np.array_equal(first.final_measure.mass, second.final_measure.mass)
 
@@ -474,8 +475,8 @@ class TestSolveStationary:
         g = Grid(16)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300, max_steps=max_steps)
         model = CompetitionUtility(g, CompetitionParams())
-        solution = solve_stationary(cfg, model, uniform(g))
-        reference = run_to_stationary(cfg, model, uniform(g))
+        solution = solve_stationary(cfg, model)
+        reference = run_to_stationary(cfg, model)
         assert solution.solver == "euler"
         budget = min(max_steps, ANDERSON_MAX_ITERATIONS)
         assert f"missed delta within {budget} iterations" in solution.fallback
@@ -488,7 +489,7 @@ class TestSolveStationary:
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
         monkeypatch.setattr(dynamics.np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
-        solution = solve_stationary(cfg, model, uniform(g))
+        solution = solve_stationary(cfg, model)
         assert solution.solver == "euler"
         assert solution.fallback == "Anderson update 2 left no positive finite mass"
         assert solution.stationary
@@ -499,7 +500,7 @@ class TestSolveStationary:
         cfg = replace(run.dynamic, grid=Grid(n))
         for a, b in itertools.product(run.fit.bounds["a"], run.fit.bounds["b"]):
             model = CompetitionUtility(cfg.grid, replace(run.utility, a=a, b=b))
-            solution = solve_stationary(cfg, model, uniform(cfg.grid))
+            solution = solve_stationary(cfg, model)
             mass, iterations = anderson_lstsq(cfg, model, uniform(cfg.grid).mass,
                                               ANDERSON_MAX_ITERATIONS)
             assert solution.solver == "anderson"
@@ -516,7 +517,7 @@ class TestSolveStationary:
         g = Grid(64)
         cfg = DynamicConfig(1.0, 0.01, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        solution = solve_stationary(cfg, model, uniform(g))
+        solution = solve_stationary(cfg, model)
         assert solution.solver == "anderson" and solution.fallback is None
         assert len(calls) == solution.steps - 1  # every update but the first
         mass = solution.final_measure.mass
@@ -547,7 +548,7 @@ class TestSolveStationary:
 
         g = Grid(32)
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.01, delta=1e-9, max_steps=100_000)
-        solution = solve_stationary(cfg, FlickeringUtility(g), uniform(g))
+        solution = solve_stationary(cfg, FlickeringUtility(g))
         assert solution.solver == "euler"
         assert "nonpositive" in solution.fallback
         assert solution.stationary
@@ -557,7 +558,7 @@ class TestSolveStationary:
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g, max_steps=10)
         model = BilinearUtility(g, lambda x, y: -1.0 - x * y)
         with pytest.raises(DegenerateWeightsError) as info:
-            solve_stationary(cfg, model, uniform(g))
+            solve_stationary(cfg, model)
         assert info.value.step == 0
 
     def test_nonfinite_utility_rejected(self):
@@ -568,7 +569,24 @@ class TestSolveStationary:
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25, max_steps=10)
         with pytest.raises(ValueError, match="utility vector must be finite"):
-            solve_stationary(cfg, NaNUtility(), uniform(g))
+            solve_stationary(cfg, NaNUtility())
+
+    @pytest.mark.parametrize("eta", [0.01, LIMIT_NOISE], ids=["eta-0.01", "limit"])
+    def test_state_does_not_depend_on_the_start(self, eta):
+        # sparse random starts, half of them floored at 1e-3, all reach the
+        # state the solver reaches from uniform
+        run = load_run_config(FITTED)
+        cfg = replace(run.dynamic, kappa=1.0, eta=eta)
+        model = CompetitionUtility(cfg.grid, run.utility)
+        reference = solve_stationary(cfg, model).final_measure.mass
+        rng = np.random.default_rng(20261019)
+        for k in range(10):
+            start = rng.dirichlet(np.full(cfg.grid.n, 0.05))
+            if k % 2:
+                start = np.maximum(start, 1e-3)
+                start /= start.sum()
+            mass, _ = dynamics._anderson(cfg, model, start, ANDERSON_MAX_ITERATIONS)
+            assert np.abs(mass - reference).sum() <= 1e-10, k
 
     def test_rejects_empty_budget(self):
         g = Grid(8)

@@ -56,6 +56,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_masses(Grid(2), [-0.1, 1.1])
 
+    @pytest.mark.parametrize("mass, message", [
+        ([1.0], "shape"), ([0.25, 0.25, 0.5], "shape"), ([[0.5, 0.5]], "shape"),
+        ([1.5, -0.5], "nonnegative"), ([np.nan, 1.0], "nonnegative"),
+    ], ids=["short", "long", "two-dimensional", "negative", "nan"])
+    def test_rejects_bad_mass(self, mass, message):
+        with pytest.raises(ValueError, match=message):
+            GridMeasure(Grid(2), np.array(mass))
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             GridMeasure(Grid(2), np.array([0.5, 0.6]))
