@@ -44,7 +44,7 @@ from rational_logit import (LIMIT_NOISE, CompetitionParams, CompetitionUtility, 
                             write_trajectory_csv)
 
 EULER_MAX_N = 2000  # about 18,000 steps per solve; larger grids take minutes
-ANDERSON_RUNS = 5  # one solve at N=500 takes about 15 ms and varies by half from run to run
+ANDERSON_RUNS = 5  # one solve at N=500 takes about 3 ms and varies by half from run to run
 BATCH_ETAS = (LIMIT_NOISE, 0.1, 0.01, 1e-3, 1e-4)  # the eta table's rows
 SNAPSHOT_TIMES = [k / 1000 for k in range(1, 101)]  # every step of dt = 1e-3 to t = 0.1
 

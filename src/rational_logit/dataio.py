@@ -149,8 +149,10 @@ def load_run_config(path) -> RunConfig:
         problems.append(f'dynamic.eta: positive number or "limit" required (got {eta!r})')
         eta = 1.0
     eta = LIMIT_NOISE if eta == "limit" else eta
+    # a grid that failed is reported under grid.; Grid(2) stands in to check the rest
     dynamic = collect_problems(problems, "dynamic.", DynamicConfig,
-                               **{**sections["dynamic"], "grid": grid, "eta": eta})
+                               **{**sections["dynamic"], "eta": eta,
+                                  "grid": Grid(2) if grid is None else grid})
     params = collect_problems(problems, "utility.", CompetitionParams, **sections["utility"])
     init = doc.get("init", "uniform")
     if init != "uniform":

@@ -19,14 +19,16 @@ wrapped (and validated) as GridMeasures.
 
 A stationary state is the fixed point mass = weights(U(mass)), the same
 from any start, so both solvers start from uniform. `solve_stationary`
-finds it by Anderson mixing, clipping each iterate to the simplex, and
-falls back to the Euler `run_to_stationary` (recording why) when mixing
-misses the threshold within its budget, leaves no positive finite mass, or
-meets a degenerate limit weight map. `run_to_stationary` stays the
-reference the tests compare against; `run_until` and the eta table keep
-Euler, and their start, because there the transient is the object of
-study. `run_until` steps one run; the eta table steps its limit reference
-and every eta together, as the rows of one stack.
+finds it by Anderson mixing, clipping each iterate to the simplex: first
+with a large mixing weight that gives up where it stalls, then from the
+start again with a small one. It falls back to the Euler
+`run_to_stationary` (recording why) when mixing misses the threshold
+within its budget, leaves no positive finite mass, or meets a degenerate
+limit weight map. `run_to_stationary` stays the reference the tests
+compare against; `run_until` and the eta table keep Euler, and their
+start, because there the transient is the object of study. `run_until`
+steps one run; the eta table steps its limit reference and every eta
+together, as the rows of one stack.
 """
 
 from __future__ import annotations
@@ -58,10 +60,18 @@ __all__ = [
 # sentinel for the vanishing-noise limit equation (eta = 0)
 LIMIT_NOISE = None
 
-# Anderson mixing: number of past differences kept, the mixing weight on
-# the fixed-point residual, and the iteration cap before the Euler fallback
+# Anderson mixing: number of past differences kept; the mixing weight on
+# the fixed-point residual, large first and small where the large one gives
+# up (at kappa = 0 the weight map's Lipschitz constant grows like 1/eta, and
+# there the large weight diverges); the give-up rule of the large weight:
+# max|f| past ANDERSON_GROWTH times its best so far, or that best not
+# halved within ANDERSON_PATIENCE iterations; and the iteration cap before
+# the Euler fallback, shared by both weights
 ANDERSON_DEPTH = 5
-ANDERSON_BETA = 0.05
+ANDERSON_BETA = 0.5
+ANDERSON_SAFE_BETA = 0.05
+ANDERSON_GROWTH = 10.0
+ANDERSON_PATIENCE = 50
 ANDERSON_MAX_ITERATIONS = 2000
 
 # rows x cells of one Euler stack in the eta table. Past about 64 KiB per
@@ -101,6 +111,7 @@ class DynamicConfig:
              lambda v: self.eta is not None or v != 0.0),
             ("eta", "positive number required",
              lambda v: v is None or (is_number(v) and v > 0.0)),
+            ("grid", "Grid instance required", lambda v: isinstance(v, Grid)),
             # dt <= 1 keeps each Euler step a convex combination on the simplex
             ("dt", "number in (0, 1] required", lambda v: is_number(v) and 0.0 < v <= 1.0),
             ("delta", "positive number required", lambda v: is_number(v) and v > 0.0),
@@ -265,9 +276,10 @@ def run_until(config: DynamicConfig, model, init: GridMeasure, record_times) -> 
 @dataclass(frozen=True)
 class StationarySolution:
     """A stationary solve: the final measure, whether it met the threshold
-    delta, the iteration count of the solver that produced it, that
-    solver's name ("anderson" or "euler"), and why Anderson mixing gave way
-    to Euler (None when it did not)."""
+    delta, the iteration count of the solver that produced it (of both
+    mixing weights, for Anderson mixing), that solver's name ("anderson" or
+    "euler"), and why Anderson mixing gave way to Euler (None when it did
+    not)."""
 
     final_measure: GridMeasure
     stationary: bool
@@ -295,9 +307,11 @@ class _AndersonStalled(RuntimeError):
     message is the fallback reason."""
 
 
-def _anderson(config: DynamicConfig, model, mass: np.ndarray,
-              max_iterations: int) -> tuple[np.ndarray, int]:
-    """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m.
+def _anderson(config: DynamicConfig, model, mass: np.ndarray, beta: float,
+              budget: int, spent: int = 0,
+              give_up: bool = False) -> tuple[np.ndarray | None, int]:
+    """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m,
+    with mixing weight beta, for at most budget - spent iterations.
 
     Returns the first iterate with N max|f| <= delta and its iteration
     count. The last ANDERSON_DEPTH differences of f and of g = m + beta f
@@ -310,18 +324,33 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray,
     dF^T. Every update is clipped to >= 0 and renormalized, so each
     iterate stays on the simplex; _AndersonStalled is raised when the
     budget runs out or an update leaves no positive finite mass.
+
+    With give_up, the loop instead returns (None, iterations so far) when
+    max|f| grows past ANDERSON_GROWTH times its best, when that best has
+    not halved within ANDERSON_PATIENCE iterations, or when an update
+    leaves no positive finite mass.
     """
     n = config.grid.n
     df, dg = np.empty((ANDERSON_DEPTH, n)), np.empty((ANDERSON_DEPTH, n))
     gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
     prev = None  # f and g of the previous iterate
+    best = mark = math.inf  # the smallest max|f| so far, and its value when it last halved
+    halved = 0  # the iteration at which it last halved
+    max_iterations = budget - spent
     for k in range(max_iterations + 1):
         f = weights(config, model.values(mass)) - mass
-        if n * float(np.abs(f).max()) <= config.delta:
+        residual = float(np.abs(f).max())
+        if n * residual <= config.delta:
             return mass, k
         if k == max_iterations:
             break
-        g = mass + ANDERSON_BETA * f
+        if give_up:
+            best = min(best, residual)
+            if best <= 0.5 * mark:
+                mark, halved = best, k
+            if residual > ANDERSON_GROWTH * best or k - halved >= ANDERSON_PATIENCE:
+                return None, k
+        g = mass + beta * f
         nxt = g
         if prev is not None:
             row = (k - 1) % ANDERSON_DEPTH  # the oldest row once the buffers are full
@@ -338,24 +367,39 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray,
         nxt = np.maximum(nxt, 0.0)
         total = float(nxt.sum())
         if not (math.isfinite(total) and total > 0.0):
+            if give_up:
+                return None, k + 1
             raise _AndersonStalled(f"Anderson update {k + 1} left no positive finite mass")
         mass = nxt / total
-    raise _AndersonStalled(f"Anderson mixing missed delta within {max_iterations} iterations")
+    raise _AndersonStalled(f"Anderson mixing missed delta within {budget} iterations")
+
+
+def _mix(config: DynamicConfig, model, start: np.ndarray) -> tuple[np.ndarray, int]:
+    """The fixed point by Anderson mixing from `start`: at ANDERSON_BETA
+    until it gives up, then from `start` again at ANDERSON_SAFE_BETA. Both
+    weights share the budget min(config.max_steps, ANDERSON_MAX_ITERATIONS),
+    and the iteration count is their sum; `_anderson` states the rest."""
+    budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
+    mass, spent = _anderson(config, model, start, ANDERSON_BETA, budget, give_up=True)
+    if mass is not None:
+        return mass, spent
+    mass, iterations = _anderson(config, model, start, ANDERSON_SAFE_BETA, budget, spent)
+    return mass, spent + iterations
 
 
 def solve_stationary(config: DynamicConfig, model) -> StationarySolution:
     """The stationary state mass = weights(U(mass)), from the uniform start.
 
-    Anderson mixing runs for at most min(config.max_steps,
-    ANDERSON_MAX_ITERATIONS) iterations and stops at N max|w(U(m)) - m| <=
-    delta, a test 1/dt stricter than the per-step Euler test of
+    Anderson mixing (`_mix`: a large mixing weight, and a small one where
+    that gives up) runs for at most min(config.max_steps,
+    ANDERSON_MAX_ITERATIONS) iterations in all and stops at N max|w(U(m)) -
+    m| <= delta, a test 1/dt stricter than the per-step Euler test of
     `run_to_stationary`. If it misses, leaves no positive finite mass, or
     the limit weight map degenerates, `run_to_stationary` runs with the full
     max_steps, and `fallback` says why.
     """
     try:
-        mass, iterations = _anderson(config, model, uniform(config.grid).mass,
-                                     min(config.max_steps, ANDERSON_MAX_ITERATIONS))
+        mass, iterations = _mix(config, model, uniform(config.grid).mass)
     except (_AndersonStalled, DegenerateWeightsError) as exc:
         return replace(run_to_stationary(config, model), fallback=str(exc))
     return StationarySolution(GridMeasure(config.grid, mass), True, iterations, "anderson")

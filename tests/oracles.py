@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from rational_logit.dynamics import ANDERSON_BETA, ANDERSON_DEPTH, _AndersonStalled, weights
+from rational_logit.dynamics import ANDERSON_DEPTH, _AndersonStalled, weights
 from rational_logit.kexp import log_e_kappa
 from rational_logit.measures import Grid, GridMeasure, variational_distance
 
@@ -153,13 +153,13 @@ class DenseCompetition:
         return self._reward.values(mass) + self.params.d * np.maximum(self.params.alpha - tail, 0.0)
 
 
-def anderson_lstsq(config, model, mass: np.ndarray,
+def anderson_lstsq(config, model, mass: np.ndarray, beta: float,
                    max_iterations: int) -> tuple[np.ndarray, int]:
     """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m,
-    with the histories in deques and a fresh lstsq on the stacked dF
-    columns every iteration: the reference of the library's ring-buffer,
-    Gram-matrix `dynamics._anderson`, with the same depth, mixing weight,
-    clipping and messages.
+    with mixing weight beta, the histories in deques and a fresh lstsq on
+    the stacked dF columns every iteration: the reference of the library's
+    ring-buffer, Gram-matrix `dynamics._anderson` without its give-up rule,
+    with the same depth, clipping and messages.
 
     Returns the first iterate with N max|f| <= delta and its iteration
     count. Every update is clipped to >= 0 and renormalized, so each
@@ -179,11 +179,11 @@ def anderson_lstsq(config, model, mass: np.ndarray,
             dx.append(mass - prev[0])
             df.append(f - prev[1])
         prev = mass, f
-        nxt = mass + ANDERSON_BETA * f
+        nxt = mass + beta * f
         if dx:
             dfm = np.column_stack(df)
             gamma = np.linalg.lstsq(dfm, f, rcond=None)[0]
-            nxt -= (np.column_stack(dx) + ANDERSON_BETA * dfm) @ gamma
+            nxt -= (np.column_stack(dx) + beta * dfm) @ gamma
         nxt = np.maximum(nxt, 0.0)
         total = float(nxt.sum())
         if not (math.isfinite(total) and total > 0.0):

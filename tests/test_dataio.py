@@ -161,6 +161,16 @@ class TestRunConfig:
                       "utility.alpha", "init"):
             assert field in joined
 
+    def test_bad_grid_is_reported_once(self, tmp_path):
+        # the failed grid section is not reported again under dynamic.grid
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"n": 1},
+                                    "dynamic": {"kappa": 1.0, "eta": 0.01, "dt": 3.0}}))
+        with pytest.raises(ConfigError) as err:
+            load_run_config(path)
+        assert err.value.problems == ["grid.n: integer >= 2 required (got 1)",
+                                      "dynamic.dt: number in (0, 1] required (got 3.0)"]
+
     @pytest.mark.parametrize("dt", [0.01, 3.0], ids=["dt-valid", "dt-out-of-range"])
     def test_record_time_problems_that_need_no_dt(self, tmp_path, dt):
         # a negative time and no positive one are reported whether or not dt is valid

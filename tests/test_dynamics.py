@@ -13,11 +13,11 @@ from oracles import BilinearUtility, DenseCompetition, anderson_lstsq, from_mass
 from rational_logit import dynamics
 from rational_logit.calibration import empirical_stats, fit_search
 from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config
-from rational_logit.dynamics import (ANDERSON_MAX_ITERATIONS, LIMIT_NOISE, STACK_CELLS,
-                                     DegenerateWeightsError, DynamicBatch, DynamicConfig,
-                                     StationarySolution, eta_convergence_table,
-                                     euler_step, run_to_stationary, run_until,
-                                     solve_stationary, weights)
+from rational_logit.dynamics import (ANDERSON_BETA, ANDERSON_MAX_ITERATIONS, ANDERSON_SAFE_BETA,
+                                     LIMIT_NOISE, STACK_CELLS, DegenerateWeightsError,
+                                     DynamicBatch, DynamicConfig, StationarySolution,
+                                     eta_convergence_table, euler_step, run_to_stationary,
+                                     run_until, solve_stationary, weights)
 from rational_logit.measures import (ConfigError, Grid, GridMeasure, pdf_values, uniform,
                                      variational_distance)
 from rational_logit.utility import CompetitionParams, CompetitionUtility
@@ -54,6 +54,17 @@ class NaNRowUtility:
         if u.ndim == 2 and len(u) > self.row:
             u[self.row] = np.nan
         return u
+
+
+class CountingModel:
+    """A model that counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def values(self, mass):
+        self.calls += 1
+        return self.inner.values(mass)
 
 
 def count_lstsq(monkeypatch) -> list:
@@ -107,6 +118,12 @@ class TestConfig:
     def test_rejects_nonfinite(self, field, value):
         with pytest.raises(ValueError, match=field):
             DynamicConfig(**{"kappa": 1.0, "eta": 0.1, "grid": Grid(4), field: value})
+
+    @pytest.mark.parametrize("grid", [500, None, "Grid(500)"])
+    def test_rejects_grid_that_is_no_grid(self, grid):
+        with pytest.raises(ConfigError) as err:
+            DynamicConfig(1.0, 0.01, grid)
+        assert err.value.problems == [f"grid: Grid instance required (got {grid!r})"]
 
     def test_default_step_budget(self):
         assert DynamicConfig(1.0, 0.01, Grid(4)).max_steps == 1_000_000
@@ -484,6 +501,56 @@ class TestSolveStationary:
         assert not solution.stationary
         assert np.array_equal(solution.final_measure.mass, reference.final_measure.mass)
 
+    @pytest.mark.parametrize("limit, max_steps, calls", [
+        (False, 5, 1), (False, ANDERSON_MAX_ITERATIONS + 10, 2), (True, 10, 2)],
+        ids=["eta-0.05-budget-5", "eta-0.05-stagnant", "limit-kappa-0.1"])
+    def test_budget_counts_both_mixing_weights(self, monkeypatch, limit, max_steps, calls):
+        # every Anderson call, at either weight, draws on one budget of
+        # min(max_steps, 2000) iterations, so at most that many updates
+        # precede the Euler fallback. The large weight gives up when its
+        # residual stagnates at roundoff (no halving within 50 iterations)
+        # or, at the limit with kappa 0.1, grows after a few iterations
+        if limit:
+            run = load_run_config(FITTED)
+            cfg = replace(run.dynamic, kappa=0.1, eta=LIMIT_NOISE, max_steps=max_steps)
+            model = CompetitionUtility(cfg.grid, run.utility)
+        else:
+            g = Grid(16)
+            cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300, max_steps=max_steps)
+            model = CompetitionUtility(g, CompetitionParams())
+        anderson, evaluations = dynamics._anderson, []
+
+        def counted(config, model, *args, **kwargs):
+            counter = CountingModel(model)
+            evaluations.append(counter)
+            return anderson(config, counter, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_anderson", counted)
+        solution = solve_stationary(cfg, model)
+        budget = min(max_steps, ANDERSON_MAX_ITERATIONS)
+        assert solution.solver == "euler"
+        assert f"missed delta within {budget} iterations" in solution.fallback
+        assert len(evaluations) == calls
+        # a call's last evaluation makes no update
+        assert sum(c.calls - 1 for c in evaluations) <= budget
+
+    def test_stalled_large_weight_gives_the_small_weights_state(self):
+        # at the limit with kappa 0.1 the large weight gives up; the state is
+        # then bit for bit that of the small weight alone, from uniform
+        run = load_run_config(FITTED)
+        cfg = replace(run.dynamic, kappa=0.1, eta=LIMIT_NOISE)
+        model = CompetitionUtility(cfg.grid, run.utility)
+        start = uniform(cfg.grid).mass
+        gave_up, large = dynamics._anderson(cfg, model, start, ANDERSON_BETA,
+                                            ANDERSON_MAX_ITERATIONS, give_up=True)
+        mass, small = dynamics._anderson(cfg, model, start, ANDERSON_SAFE_BETA,
+                                         ANDERSON_MAX_ITERATIONS)
+        solution = solve_stationary(cfg, model)
+        assert gave_up is None and large > 0
+        assert solution.solver == "anderson" and solution.fallback is None
+        assert solution.steps == large + small
+        assert np.array_equal(solution.final_measure.mass, mass)
+
     def test_update_without_finite_mass_falls_back(self, monkeypatch):
         g = Grid(16)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
@@ -502,7 +569,7 @@ class TestSolveStationary:
             model = CompetitionUtility(cfg.grid, replace(run.utility, a=a, b=b))
             solution = solve_stationary(cfg, model)
             mass, iterations = anderson_lstsq(cfg, model, uniform(cfg.grid).mass,
-                                              ANDERSON_MAX_ITERATIONS)
+                                              ANDERSON_BETA, ANDERSON_MAX_ITERATIONS)
             assert solution.solver == "anderson"
             assert abs(solution.steps - iterations) <= 10
             np.testing.assert_allclose(pdf_values(solution.final_measure),
@@ -585,7 +652,7 @@ class TestSolveStationary:
             if k % 2:
                 start = np.maximum(start, 1e-3)
                 start /= start.sum()
-            mass, _ = dynamics._anderson(cfg, model, start, ANDERSON_MAX_ITERATIONS)
+            mass, _ = dynamics._mix(cfg, model, start)
             assert np.abs(mass - reference).sum() <= 1e-10, k
 
     def test_rejects_empty_budget(self):
