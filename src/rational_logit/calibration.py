@@ -25,7 +25,6 @@ __all__ = [
     "empirical_pdf",
     "fit_objective",
     "fit_search",
-    "FREE_PARAM_ORDER",
 ]
 
 FREE_PARAM_ORDER = ("a", "b", "eta", "kappa")
@@ -59,41 +58,35 @@ def empirical_pdf(values: np.ndarray, bins: int = 20) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitSpec:
-    """The search: free parameters among {a, b, eta, kappa} with their
-    bounds, and the schedule of the multi-level grid. Everything else comes
-    from the base DynamicConfig and CompetitionParams given to fit_search,
-    ranges included."""
+    """The search: the box, a [lo, hi] bound for each free parameter among
+    {a, b, eta, kappa}, and the schedule of the multi-level grid. Everything
+    else comes from the base DynamicConfig and CompetitionParams given to
+    fit_search, ranges included; an empty box is the base run."""
 
-    free: tuple = ()
     bounds: dict = field(default_factory=dict)
     levels: int = 2
     points_per_dim: int = 5
     shrink: float = 0.5
 
     def __post_init__(self):
-        names = lambda v: isinstance(v, (list, tuple)) and all(p in FREE_PARAM_ORDER for p in v)
         problems = []
-        if names(self.free) and isinstance(self.bounds, dict):
-            for name in dict.fromkeys([*self.bounds, *self.free]):
-                pair = self.bounds.get(name)
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                        and all(map(is_number, pair))):
-                    problems.append(f"bounds.{name}: [lo, hi] pair required (got {pair!r})")
-                elif not pair[0] < pair[1]:
-                    problems.append(f"bounds.{name}: lo < hi required (got {pair!r})")
-                if name not in self.free:
-                    problems.append(f"bounds.{name}: bound for a parameter not in fit.free")
+        for name, pair in self.bounds.items() if isinstance(self.bounds, dict) else ():
+            if name not in FREE_PARAM_ORDER:
+                problems.append(f"bounds.{name}: unknown key")
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(map(is_number, pair))):
+                problems.append(f"bounds.{name}: [lo, hi] pair required (got {pair!r})")
+            elif not pair[0] < pair[1]:
+                problems.append(f"bounds.{name}: lo < hi required (got {pair!r})")
         check_fields(self, [
-            ("free", f"list of names among {', '.join(FREE_PARAM_ORDER)} required", names),
             ("bounds", "mapping of names to [lo, hi] pairs required",
              lambda v: isinstance(v, dict)),
             ("levels", "integer >= 0 required", lambda v: is_integer(v) and v >= 0),
             ("points_per_dim", "integer >= 2 required", lambda v: is_integer(v) and v >= 2),
             ("shrink", "number in (0, 1) required", lambda v: is_number(v) and 0.0 < v < 1.0),
         ], problems)
-        object.__setattr__(self, "free", tuple(self.free))
-        object.__setattr__(self, "bounds",
-                           {p: tuple(map(float, pair)) for p, pair in self.bounds.items()})
+        object.__setattr__(self, "bounds", {p: tuple(map(float, self.bounds[p]))
+                                            for p in FREE_PARAM_ORDER if p in self.bounds})
 
 
 def fit_objective(params: CompetitionParams, config: DynamicConfig,
@@ -124,14 +117,15 @@ class FitResult:
 
 def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
                params: CompetitionParams) -> FitResult:
-    """Deterministic multi-level grid search over the free parameters.
+    """Deterministic multi-level grid search over the free parameters, the
+    keys of spec.bounds.
 
     Each level evaluates the Cartesian product of points_per_dim values per
     free parameter, then shrinks the bounds around the best point by the
     shrink factor (clipped to the original bounds). Ties break toward the
     smaller parameter vector in the order (a, b, eta, kappa), which the
     lexicographic enumeration order guarantees with a strict improvement
-    test.
+    test. An empty box is the base point alone, solved once.
 
     A point is `params` with its a and b and `base` with its eta and kappa,
     so every other setting, max_steps included, is the base run's. Each
@@ -139,18 +133,18 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
     CompetitionParams or DynamicConfig rejects (a negative a, kappa = 0
     under the limit equation) raises their ConfigError before any solve.
     """
-    free = tuple(p for p in FREE_PARAM_ORDER if p in spec.free)
-    bounds = original = spec.bounds  # a [lo, hi] pair per free parameter, no other
+    bounds = original = spec.bounds  # in FREE_PARAM_ORDER
+    free = tuple(bounds)
 
     best_assignment: dict = {}
     best_obj = np.inf
     best_moments = (np.nan, np.nan)
     evaluations = []
 
-    for _level in range(spec.levels + 1):
+    for _level in range(spec.levels + 1 if free else 1):
         axes = [np.linspace(bounds[p][0], bounds[p][1], spec.points_per_dim) for p in free]
         points = []  # the whole level, built before any point is solved
-        for combo in itertools.product(*axes) if free else [()]:
+        for combo in itertools.product(*axes):
             assignment = dict(zip(free, map(float, combo)))
             point = replace(params, **{p: assignment[p] for p in free if p in ("a", "b")})
             config = replace(base, **{p: assignment[p] for p in free if p in ("eta", "kappa")})

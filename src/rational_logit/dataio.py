@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import FREE_PARAM_ORDER, FitSpec
+from .calibration import FitSpec
 from .dynamics import LIMIT_NOISE, DynamicConfig, record_steps, record_time_problems
 from .measures import ConfigError, Grid, is_number, pdf_values
 from .utility import CompetitionParams
@@ -138,7 +138,7 @@ def load_run_config(path) -> RunConfig:
     # each section's keys and defaults; Grid has no default size
     schema = {"grid": {"n": 500}, "dynamic": _keys(DynamicConfig, "grid"),
               "utility": _keys(CompetitionParams), "fit": _keys(FitSpec)}
-    problems = [f"{k}: unknown key" for k in doc if k not in (*schema, "init", "record_times")]
+    problems = [f"{k}: unknown key" for k in doc if k not in (*schema, "record_times")]
     sections = {name: {**keys, **_object(doc.get(name, {}), name, keys, problems)}
                 for name, keys in schema.items()}
 
@@ -154,9 +154,6 @@ def load_run_config(path) -> RunConfig:
                                **{**sections["dynamic"], "eta": eta,
                                   "grid": Grid(2) if grid is None else grid})
     params = collect_problems(problems, "utility.", CompetitionParams, **sections["utility"])
-    init = doc.get("init", "uniform")
-    if init != "uniform":
-        problems.append(f'init: only "uniform" is supported (got {init!r})')
     record_times = doc.get("record_times", [1.0, 10.0])
     if not (isinstance(record_times, list) and all(map(is_number, record_times))):
         problems.append(f"record_times: list of numbers required (got {record_times!r})")
@@ -167,9 +164,6 @@ def load_run_config(path) -> RunConfig:
 
     fit = None
     if "fit" in doc:
-        bounds = sections["fit"]["bounds"]
-        if isinstance(bounds, dict):  # FitSpec reports any other value, once
-            sections["fit"]["bounds"] = _object(bounds, "fit.bounds", FREE_PARAM_ORDER, problems)
         fit = collect_problems(problems, "fit.", FitSpec, **sections["fit"])
         if fit is not None:  # each type's range rule is an interval: check the box's corners
             for side in (0, 1):  # every free parameter at its lower, then its upper bound
@@ -183,7 +177,7 @@ def load_run_config(path) -> RunConfig:
 
     resolved = {**{name: {key: value for key, value in sections[name].items() if value is not None}
                    for name in ("grid", "dynamic", "utility")},
-                "init": init, "record_times": record_times}
+                "record_times": record_times}
     if fit is not None:
         resolved["fit"] = sections["fit"]
     # as a manifest records it, so that copy loads to an equal RunConfig

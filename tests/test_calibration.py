@@ -113,21 +113,21 @@ class TestFitSearch:
         # self-consistency: targets generated at a = 0.27 are recovered
         # within the final grid resolution
         target = coarse_moments(CompetitionParams(a=0.27))
-        spec = FitSpec(free=("a",), bounds={"a": (0.1, 0.5)}, levels=2, points_per_dim=5)
+        spec = FitSpec(bounds={"a": (0.1, 0.5)}, levels=2, points_per_dim=5)
         result = fit_search(spec, target, COARSE_BASE, CompetitionParams())
         assert result.best["a"] == pytest.approx(0.27, abs=0.03)
         assert result.objective <= 5e-4
 
     def test_pure_grid_search(self):
         target = (0.3, 0.3)
-        spec = FitSpec(free=("a",), bounds={"a": (0.2, 0.4)}, levels=0, points_per_dim=3)
+        spec = FitSpec(bounds={"a": (0.2, 0.4)}, levels=0, points_per_dim=3)
         result = fit_search(spec, target, COARSE_BASE, CompetitionParams())
         assert result.evaluation_count == 3
         assert min(abs(result.best["a"] - v) for v in (0.2, 0.3, 0.4)) < 1e-12
 
     def test_stays_inside_bounds_and_trace_consistent(self):
         target = coarse_moments(CompetitionParams())
-        spec = FitSpec(free=("a", "b"), bounds={"a": (0.2, 0.35), "b": (0.15, 0.3)},
+        spec = FitSpec(bounds={"a": (0.2, 0.35), "b": (0.15, 0.3)},
                        levels=1, points_per_dim=3)
         result = fit_search(spec, target, COARSE_BASE, CompetitionParams())
         assert 0.2 <= result.best["a"] <= 0.35
@@ -136,33 +136,32 @@ class TestFitSearch:
         assert result.objective <= min(objectives) + 1e-15
 
     def test_empty_free_set_single_evaluation(self):
+        # an empty box is the base point, solved once at any number of levels
         target = (0.3, 0.3)
-        spec = FitSpec(free=(), bounds={}, levels=0)
-        result = fit_search(spec, target, COARSE_BASE, CompetitionParams())
-        assert result.evaluation_count == 1
-        assert result.best == {"a": 0.27, "b": 0.23, "eta": 0.01, "kappa": 1.0}
+        for spec in (FitSpec(levels=0), FitSpec()):
+            result = fit_search(spec, target, COARSE_BASE, CompetitionParams())
+            assert result.evaluation_count == 1
+            assert result.best == {"a": 0.27, "b": 0.23, "eta": 0.01, "kappa": 1.0}
 
     def test_validates_bounds(self):
         with pytest.raises(ValueError, match=r"bounds\.a: lo < hi required"):
-            FitSpec(free=("a",), bounds={"a": (0.5, 0.5)})
-        with pytest.raises(ValueError):
-            FitSpec(free=("zzz",), bounds={"zzz": (0.0, 1.0)})
+            FitSpec(bounds={"a": (0.5, 0.5)})
+        with pytest.raises(ValueError, match=r"bounds\.zzz: unknown key"):
+            FitSpec(bounds={"zzz": (0.0, 1.0)})
         with pytest.raises(ValueError, match="shrink"):
-            FitSpec(free=("a",), bounds={"a": (0.2, 0.3)}, shrink="x")
-        with pytest.raises(ValueError, match=r"bounds\.b: bound for a parameter not in fit\.free"):
-            FitSpec(free=("a",), bounds={"a": (0.2, 0.3), "b": (0.1, 0.2)})
+            FitSpec(bounds={"a": (0.2, 0.3)}, shrink="x")
 
     def test_rejects_negative_a_b_bounds(self):
         # CompetitionParams states the range; the search meets it before any solve
         for name in ("a", "b"):
-            spec = FitSpec(free=(name,), bounds={name: (-0.1, 0.3)}, levels=0)
+            spec = FitSpec(bounds={name: (-0.1, 0.3)}, levels=0)
             with pytest.raises(ValueError, match=rf"{name}: number >= 0 required \(got -0\.1\)"):
                 fit_search(spec, (0.3, 0.3), COARSE_BASE, CompetitionParams())
 
-    @pytest.mark.parametrize("bounds", [{}, {"b": (0.1, 0.3)}, {"a": (0.1,)}, {"a": 0.2}])
+    @pytest.mark.parametrize("bounds", [{"a": (0.1,)}, {"a": 0.2}])
     def test_rejects_missing_or_malformed_bounds(self, bounds):
         with pytest.raises(ValueError, match=r"bounds\.a: \[lo, hi\] pair required"):
-            FitSpec(free=("a",), bounds=bounds)
+            FitSpec(bounds=bounds)
 
     def test_rejects_zero_kappa_under_limit(self, monkeypatch):
         # DynamicConfig rejects the kappa = 0 point of the limit equation,
@@ -177,11 +176,11 @@ class TestFitSearch:
         limit = DynamicConfig(1.0, LIMIT_NOISE, COARSE_GRID, COARSE_DT, COARSE_DELTA)
         for free, kappas in [(("kappa",), [0.1, 1.0]), (("a", "kappa"), [0.1, 1.0, 0.1, 1.0])]:
             bounds = {p: {"a": (0.2, 0.3), "kappa": (0.0, 1.0)}[p] for p in free}
-            spec = FitSpec(free=free, bounds=bounds, levels=0, points_per_dim=2)
+            spec = FitSpec(bounds=bounds, levels=0, points_per_dim=2)
             with pytest.raises(ValueError, match="limit"):
                 fit_search(spec, (0.3, 0.3), limit, CompetitionParams())
             assert evaluated == []
-            spec = FitSpec(free=free, bounds={**bounds, "kappa": (0.1, 1.0)}, levels=0,
+            spec = FitSpec(bounds={**bounds, "kappa": (0.1, 1.0)}, levels=0,
                            points_per_dim=2)
             fit_search(spec, (0.3, 0.3), limit, CompetitionParams())
             assert evaluated == kappas
@@ -189,7 +188,7 @@ class TestFitSearch:
         # a box past a type's range, at either end, is met before any solve too
         for name, pair, message in [("a", (-0.1, 0.3), "a: number >= 0 required"),
                                     ("kappa", (0.5, 1.5), r"kappa: number in \[0, 1\] required")]:
-            spec = FitSpec(free=(name,), bounds={name: pair}, levels=0, points_per_dim=2)
+            spec = FitSpec(bounds={name: pair}, levels=0, points_per_dim=2)
             with pytest.raises(ValueError, match=message):
                 fit_search(spec, (0.3, 0.3), limit, CompetitionParams())
             assert evaluated == []
@@ -199,12 +198,12 @@ class TestFitSearch:
         base = DynamicConfig(0.5, 0.02, COARSE_GRID, 0.02, 1e-8, max_steps=50_000)
         params = CompetitionParams(a=0.3, b=0.2, c=1.5, epsilon=0.03)
         target = (0.3, 0.3)
-        result = fit_search(FitSpec(free=(), bounds={}, levels=0), target, base, params)
+        result = fit_search(FitSpec(levels=0), target, base, params)
         assert result.objective == fit_objective(params, base, target)[0]
         assert result.best == {"a": 0.3, "b": 0.2, "eta": 0.02, "kappa": 0.5}
 
     def test_all_failures_reported(self):
-        spec = FitSpec(free=("a",), bounds={"a": (0.1, 0.5)}, levels=0, points_per_dim=2)
+        spec = FitSpec(bounds={"a": (0.1, 0.5)}, levels=0, points_per_dim=2)
         base = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, 1e-300, max_steps=1)
         with pytest.raises(RuntimeError, match="every evaluation failed"):
             fit_search(spec, (0.3, 0.3), base, CompetitionParams())

@@ -17,7 +17,6 @@ COARSE = {
     "dynamic": {"kappa": 1.0, "eta": 0.05, "dt": 0.01, "delta": 1e-8,
                 "max_steps": 100000},
     "utility": {"a": 0.27, "b": 0.23, "c": 1.0, "d": 1.0, "alpha": 0.2},
-    "init": "uniform",
     "record_times": [0.5, 1.0],
 }
 
@@ -93,7 +92,7 @@ class TestSimulate:
         assert "KeyError" in manifest["error"] and "injected" in manifest["error"]
 
 
-FIT = {"free": ["a"], "bounds": {"a": [0.2, 0.3]}, "levels": 0, "points_per_dim": 2}
+FIT = {"bounds": {"a": [0.2, 0.3]}, "levels": 0, "points_per_dim": 2}
 
 
 class TestConfigErrors:
@@ -107,17 +106,16 @@ class TestConfigErrors:
         ("stationary", {"dynamic.max_steps": True}),
         ("fit", {"fit": {**FIT, "levels": 1.5}}),
         ("fit", {"fit": {**FIT, "points_per_dim": 2.5}}),
-        ("fit", {"fit": {**FIT, "free": "a"}}),
         ("fit", {"fit": {**FIT, "bounds": [0.2, 0.3]}}),
         ("fit", {"fit": 5}),
         ("stationary", {"grid": 5}),
         ("stationary", {"utility": None}),
         ("fit", {"dynamic.eta": "limit",
-                 "fit": {"free": ["kappa"], "bounds": {"kappa": [0.0, 1.0]}, "levels": 0}}),
+                 "fit": {"bounds": {"kappa": [0.0, 1.0]}, "levels": 0}}),
     ], ids=["eta-infinity", "a-infinity", "record-time-off-lattice", "record-times-one-step",
             "record-time-on-step-0", "record-times-not-list", "max-steps-bool",
-            "fit-levels-fraction", "fit-points-fraction", "fit-free-string",
-            "fit-bounds-list", "fit-not-object", "grid-not-object", "utility-null",
+            "fit-levels-fraction", "fit-points-fraction", "fit-bounds-list",
+            "fit-not-object", "grid-not-object", "utility-null",
             "limit-fit-kappa-from-zero"])
     def test_exits_1_with_manifest(self, tmp_path, subcommand, overrides):
         cfg = write_config(tmp_path, overrides)
@@ -133,7 +131,10 @@ class TestConfigErrors:
         ("fit", {"fit": {**FIT, "max_steps": 10}}, "fit.max_steps"),
         ("fit", {"fit": {**FIT, "bounds": {"a": [0.2, 0.3], "c": [0.5, 1.0]}}},
          "fit.bounds.c"),
-    ], ids=["top-level", "grid", "dynamic", "utility", "fit-max-steps", "fit-bounds"])
+        ("stationary", {"init": "uniform"}, "init"),
+        ("fit", {"fit": {**FIT, "free": ["a"]}}, "fit.free"),
+    ], ids=["top-level", "grid", "dynamic", "utility", "fit-max-steps", "fit-bounds", "init",
+            "fit-free"])
     def test_unknown_key_named_by_path(self, tmp_path, subcommand, overrides, path):
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"
@@ -157,23 +158,6 @@ class TestConfigErrors:
                         "fit_: unknown key", "dynamic.dt: number in (0, 1] required"):
             assert problem in error
         assert not (out / "stationary_pdf.csv").exists()
-
-    @pytest.mark.parametrize("extra", [{}, {"dt": 3.0}], ids=["alone", "with-other-problems"])
-    def test_bound_for_fixed_parameter(self, tmp_path, extra):
-        doc = json.loads((CONFIGS / "fit_ab.json").read_text())
-        doc["fit"]["free"] = ["a"]
-        doc["dynamic"].update(extra)
-        cfg = tmp_path / "fit_a.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
-        manifest = read_manifest(out)
-        assert manifest["status"] == "config-error"
-        assert "fit.bounds.b: bound for a parameter not in fit.free" in manifest["error"]
-        assert "fit.bounds.a" not in manifest["error"]
-        if extra:
-            assert "dynamic.dt: number in (0, 1] required" in manifest["error"]
-        assert not (out / "fit.json").exists()
 
     @pytest.mark.parametrize("subcommand, option", [
         ("convergence-eta", "--etas"),
@@ -230,9 +214,9 @@ class TestConfigErrors:
         assert not (out / "kappa_sweep_pdf.csv").exists()
 
     @pytest.mark.parametrize("bounds", [
-        {}, {"a": 0.2}, {"a": [0.2]}, {"a": [0.1, 0.2, 0.3]}, {"a": ["lo", 0.3]},
+        {"a": 0.2}, {"a": [0.2]}, {"a": [0.1, 0.2, 0.3]}, {"a": ["lo", 0.3]},
         {"a": [0.2, 0.3], "b": 0.5},
-    ], ids=["missing", "scalar", "one-value", "three-values", "not-numbers", "extra-scalar"])
+    ], ids=["scalar", "one-value", "three-values", "not-numbers", "extra-scalar"])
     def test_fit_bound_pair_required(self, tmp_path, bounds):
         cfg = write_config(tmp_path, {"fit": {**FIT, "bounds": bounds}})
         out = tmp_path / "out"
@@ -245,12 +229,12 @@ class TestConfigErrors:
     @pytest.mark.parametrize("overrides, problem", [
         ({"fit": {**FIT, "bounds": {"a": [-0.1, 0.3]}}},
          "fit.bounds.a: number >= 0 required (got -0.1)"),
-        ({"fit": {**FIT, "free": ["kappa"], "bounds": {"kappa": [0.5, 1.5]}}},
+        ({"fit": {**FIT, "bounds": {"kappa": [0.5, 1.5]}}},
          "fit.bounds.kappa: number in [0, 1] required (got 1.5)"),
-        ({"fit": {**FIT, "free": ["eta"], "bounds": {"eta": [0.0, 0.1]}}},
+        ({"fit": {**FIT, "bounds": {"eta": [0.0, 0.1]}}},
          "fit.bounds.eta: positive number required (got 0.0)"),
         ({"dynamic.eta": "limit",
-          "fit": {**FIT, "free": ["kappa"], "bounds": {"kappa": [0.0, 1.0]}}},
+          "fit": {**FIT, "bounds": {"kappa": [0.0, 1.0]}}},
          "fit.bounds.kappa: number in (0, 1] required by the vanishing-noise limit (got 0.0)"),
     ], ids=["a-lower", "kappa-upper", "eta-lower", "limit-kappa-from-zero"])
     def test_fit_box_corners_keep_the_types_ranges(self, tmp_path, overrides, problem):
@@ -286,7 +270,7 @@ class TestConfigErrors:
         data = tmp_path / "data.csv"
         if data_text is not None:
             data.write_text(data_text)
-        cfg = write_config(tmp_path, {"fit": {"free": [], "bounds": {}, "levels": 0}})
+        cfg = write_config(tmp_path, {"fit": {"bounds": {}, "levels": 0}})
         out = tmp_path / "out"
         assert main(["fit", "--config", str(cfg), "--out", str(out),
                      "--data", str(data)]) == code
@@ -342,7 +326,7 @@ class TestStationary:
 
 class TestFit:
     def test_fit_document(self, tmp_path):
-        cfg = write_config(tmp_path, {"fit": {"free": [], "bounds": {}, "levels": 0}})
+        cfg = write_config(tmp_path, {"fit": {"bounds": {}, "levels": 0}})
         out = tmp_path / "out"
         assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "fit.json").read_text())
@@ -366,7 +350,7 @@ class TestFit:
     def test_fit_with_custom_data(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("year,catch\n2000,1\n2000,2\n2000,4\n")
-        cfg = write_config(tmp_path, {"fit": {"free": [], "bounds": {}, "levels": 0}})
+        cfg = write_config(tmp_path, {"fit": {"bounds": {}, "levels": 0}})
         out = tmp_path / "out"
         assert main(["fit", "--config", str(cfg), "--out", str(out),
                      "--data", str(data)]) == 0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -115,7 +116,6 @@ class TestRunConfig:
             "dynamic": {"kappa": 1.0, "eta": 0.01, "dt": 0.01, "delta": 1e-9,
                         "max_steps": 1000},
             "utility": {"a": 0.27, "b": 0.23},
-            "init": "uniform",
             "record_times": [1.0],
         }))
         rc = load_run_config(path)
@@ -198,7 +198,7 @@ class TestRunConfig:
             load_run_config(path)
 
     def test_defaults_are_the_types_defaults(self, tmp_path):
-        doc = {"dynamic": {"kappa": 1.0, "eta": 0.01}, "fit": {"free": [], "bounds": {}}}
+        doc = {"dynamic": {"kappa": 1.0, "eta": 0.01}, "fit": {"bounds": {}}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         resolved = load_run_config(path).resolved
@@ -213,12 +213,23 @@ class TestRunConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "dynamic": {"kappa": 1.0, "eta": 0.01},
-            "fit": {"free": ["a"], "bounds": {"a": [0.1, 0.5]}, "levels": 1},
+            "fit": {"bounds": {"b": [0.2, 0.3], "a": [0.1, 0.5]}, "levels": 1},
         }))
         rc = load_run_config(path)
         assert rc.fit is not None
-        assert rc.fit.free == ("a",)
+        assert list(rc.fit.bounds) == ["a", "b"]  # the free parameters, in FREE_PARAM_ORDER
         assert rc.fit.bounds["a"] == (0.1, 0.5)
+
+    def test_shipped_configs_and_readme_schema_load(self, tmp_path):
+        # a key the loader no longer accepts cannot stay in a config or the docs
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text().split("## Configuration schema", 1)[1]
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "readme.json").write_text(block)
+        paths = [*sorted((root / "configs").glob("*.json")), tmp_path / "readme.json"]
+        assert len(paths) >= 3
+        for path in paths:
+            load_run_config(path)
 
 
 class TestCsvEmission:
