@@ -6,8 +6,8 @@ from .utility import CompetitionParams, CompetitionUtility
 from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicBatch, DynamicConfig,
                        StationarySolution, eta_convergence_table, euler_step,
                        run_to_stationary, run_until, solve_stationary, weights)
-from .calibration import (FitResult, FitSpec, NonStationaryError, empirical_pdf,
-                          empirical_stats, fit_objective, fit_search)
+from .calibration import (FitResult, FitSpec, empirical_pdf, empirical_stats, fit_objective,
+                          fit_search)
 from .dataio import (ConfigError, RunConfig, bundled_catches_path, load_catches,
                      load_run_config, write_convergence_csv, write_pdf_table,
                      write_trajectory_csv)

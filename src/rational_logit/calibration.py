@@ -13,14 +13,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import DegenerateWeightsError, DynamicConfig, solve_stationary
+from .dynamics import DegenerateWeightsError, DynamicConfig, StationarySolution, solve_stationary
 from .measures import check_fields, is_integer, is_number, mean_and_std
 from .utility import CompetitionParams, CompetitionUtility
 
 __all__ = [
     "FitSpec",
     "FitResult",
-    "NonStationaryError",
     "empirical_stats",
     "empirical_pdf",
     "fit_objective",
@@ -28,11 +27,6 @@ __all__ = [
 ]
 
 FREE_PARAM_ORDER = ("a", "b", "eta", "kappa")
-
-
-class NonStationaryError(RuntimeError):
-    """Neither Anderson mixing nor the Euler fallback reached the
-    stationarity threshold within the allotted number of steps."""
 
 
 def empirical_stats(values: np.ndarray) -> tuple[float, float]:
@@ -89,18 +83,15 @@ class FitSpec:
                                             for p in FREE_PARAM_ORDER if p in self.bounds})
 
 
-def fit_objective(params: CompetitionParams, config: DynamicConfig,
-                  target: tuple[float, float]) -> tuple[float, tuple[float, float]]:
-    """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2 and the stationary
-    moments (m, s), for one parameter point."""
-    model = CompetitionUtility(config.grid, params)
-    solution = solve_stationary(config, model)
-    if not solution.stationary:
-        raise NonStationaryError(f"no stationary state within {config.max_steps} steps "
-                                 f"({solution.fallback})")
+def fit_objective(params: CompetitionParams, config: DynamicConfig, target: tuple[float, float]
+                  ) -> tuple[float, tuple[float, float], StationarySolution]:
+    """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2, the moments (m, s)
+    and the solve they come from, for one parameter point. A solve that
+    missed delta is returned as it is (`stationary` false)."""
+    solution = solve_stationary(config, CompetitionUtility(config.grid, params))
     mean, std = mean_and_std(solution.final_measure)
     m_hat, s_hat = target
-    return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std)
+    return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std), solution
 
 
 @dataclass(frozen=True)
@@ -131,7 +122,9 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
     so every other setting, max_steps included, is the base run's. Each
     level builds all its points before it solves any, so a point that
     CompetitionParams or DynamicConfig rejects (a negative a, kappa = 0
-    under the limit equation) raises their ConfigError before any solve.
+    under the limit equation) raises their ConfigError before any solve. A
+    point whose solve is not stationary, or whose limit weight map
+    degenerates, is recorded as (assignment, None, why).
     """
     bounds = original = spec.bounds  # in FREE_PARAM_ORDER
     free = tuple(bounds)
@@ -151,9 +144,13 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
             points.append((assignment, point, config))
         for assignment, point, config in points:
             try:
-                obj, moments = fit_objective(point, config, target)
-            except (NonStationaryError, DegenerateWeightsError) as exc:
+                obj, moments, solution = fit_objective(point, config, target)
+            except DegenerateWeightsError as exc:
                 evaluations.append((assignment, None, repr(exc)))
+                continue
+            if not solution.stationary:
+                evaluations.append((assignment, None, f"no stationary state within "
+                                    f"{config.max_steps} steps ({solution.fallback})"))
                 continue
             evaluations.append((assignment, obj, None))
             if obj < best_obj:

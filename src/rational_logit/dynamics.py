@@ -4,7 +4,7 @@ Semi-discrete evolution d mass_i / dt = weights_i(U(mu)) - mass_i, stepped
 with fixed-step forward Euler. The softmax weights use the
 kappa-exponential for positive noise eta, or the normalized positive-part
 power max{U, 0}^(1/kappa) in the vanishing-noise limit. All weight
-computations run in log space so no finite utility can overflow them.
+computations run in log space, so no finite u/eta can overflow them.
 
 One Euler loop steps raw mass arrays: an (N,) vector under one
 DynamicConfig, or a (B, N) stack of independent runs under a DynamicBatch,
@@ -21,14 +21,15 @@ A stationary state is the fixed point mass = weights(U(mass)), the same
 from any start, so both solvers start from uniform. `solve_stationary`
 finds it by Anderson mixing, clipping each iterate to the simplex: first
 with a large mixing weight that gives up where it stalls, then from the
-start again with a small one. It falls back to the Euler
-`run_to_stationary` (recording why) when mixing misses the threshold
-within its budget, leaves no positive finite mass, or meets a degenerate
-limit weight map. `run_to_stationary` stays the reference the tests
-compare against; `run_until` and the eta table keep Euler, and their
-start, because there the transient is the object of study. `run_until`
-steps one run; the eta table steps its limit reference and every eta
-together, as the rows of one stack.
+start again with a small one. A stage that stops short returns why (the
+budget ran out, an update left no positive finite mass, the limit weight
+map degenerated, or the large weight gave up), and the next stage takes
+over: the small weight unless the budget ran out, then the Euler
+`run_to_stationary`, which records why as `fallback` and stays the
+reference the tests compare against. `run_until` and the eta table keep
+Euler, and their start, because there the transient is the object of
+study. `run_until` steps one run; the eta table steps its limit
+reference and every eta together, as the rows of one stack.
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
     the classical softmax at kappa = 0. Vanishing-noise limit:
     max{U_i, 0}^(1/kappa), normalized; a limit row with no positive
     utility raises DegenerateWeightsError. Computed in log space (shift
-    each row by its max) so no finite utility can overflow.
+    each row by its max), so no finite u/eta overflows; a row whose max is
+    not finite raises ValueError.
     """
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
@@ -177,7 +179,11 @@ def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
         for rows, kappa, eta in groups:
             logw[rows] = _log_weights(kappa, eta, u[rows])
     stack = u.ndim > 1  # keep a column per row; a vector's scalar is cheaper
-    logw -= logw.max(axis=-1, keepdims=stack)
+    top = logw.max(axis=-1, keepdims=stack)
+    if not (np.isfinite(top).all() if stack else math.isfinite(top)):
+        raise ValueError("weight map overflow: eta is too small for these utilities "
+                         "(u/eta, or ln(u)/kappa in the limit, is not finite)")
+    logw -= top
     w = np.exp(logw, out=logw)
     w /= w.sum(axis=-1, keepdims=stack)
     return w
@@ -302,19 +308,13 @@ def run_to_stationary(config: DynamicConfig, model) -> StationarySolution:
     return StationarySolution(GridMeasure(config.grid, mass), False, config.max_steps, "euler")
 
 
-class _AndersonStalled(RuntimeError):
-    """Anderson mixing missed the threshold or left the simplex; the
-    message is the fallback reason."""
-
-
-def _anderson(config: DynamicConfig, model, mass: np.ndarray, beta: float,
-              budget: int, spent: int = 0,
-              give_up: bool = False) -> tuple[np.ndarray | None, int]:
+def _anderson(config: DynamicConfig, model, mass: np.ndarray, beta: float, budget: int,
+              give_up: bool = False) -> tuple[np.ndarray | None, int, str | None]:
     """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m,
-    with mixing weight beta, for at most budget - spent iterations.
+    with mixing weight beta, for at most `budget` iterations.
 
-    Returns the first iterate with N max|f| <= delta and its iteration
-    count. The last ANDERSON_DEPTH differences of f and of g = m + beta f
+    Returns (mass, iterations, None) at the first iterate with N max|f| <=
+    delta. The last ANDERSON_DEPTH differences of f and of g = m + beta f
     are the rows of two (depth, N) ring buffers, each new row written in
     place over the oldest. The mixing coefficients solve the normal
     equations of min |f - gamma @ dF|: the depth x depth Gram matrix
@@ -322,13 +322,13 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray, beta: float,
     forms or factors an N x depth matrix. The normal equations square the
     condition number, so a singular Gram matrix falls back to lstsq on
     dF^T. Every update is clipped to >= 0 and renormalized, so each
-    iterate stays on the simplex; _AndersonStalled is raised when the
-    budget runs out or an update leaves no positive finite mass.
+    iterate stays on the simplex.
 
-    With give_up, the loop instead returns (None, iterations so far) when
-    max|f| grows past ANDERSON_GROWTH times its best, when that best has
-    not halved within ANDERSON_PATIENCE iterations, or when an update
-    leaves no positive finite mass.
+    A run that stops short returns (None, iterations so far, why): when
+    the budget runs out, an update leaves no positive finite mass, or the
+    limit weight map degenerates at an iterate; with give_up, also when
+    max|f| grows past ANDERSON_GROWTH times its best, or that best has not
+    halved within ANDERSON_PATIENCE iterations.
     """
     n = config.grid.n
     df, dg = np.empty((ANDERSON_DEPTH, n)), np.empty((ANDERSON_DEPTH, n))
@@ -336,20 +336,24 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray, beta: float,
     prev = None  # f and g of the previous iterate
     best = mark = math.inf  # the smallest max|f| so far, and its value when it last halved
     halved = 0  # the iteration at which it last halved
-    max_iterations = budget - spent
-    for k in range(max_iterations + 1):
-        f = weights(config, model.values(mass)) - mass
+    for k in range(budget + 1):
+        try:
+            f = weights(config, model.values(mass)) - mass
+        except DegenerateWeightsError as exc:
+            return None, k, f"{exc} at Anderson iterate {k}"
         residual = float(np.abs(f).max())
         if n * residual <= config.delta:
-            return mass, k
-        if k == max_iterations:
-            break
+            return mass, k, None
+        if k == budget:
+            return None, k, f"Anderson mixing missed delta within {budget} iterations"
         if give_up:
             best = min(best, residual)
             if best <= 0.5 * mark:
                 mark, halved = best, k
-            if residual > ANDERSON_GROWTH * best or k - halved >= ANDERSON_PATIENCE:
-                return None, k
+            if residual > ANDERSON_GROWTH * best:
+                return None, k, f"Anderson residual grew past {ANDERSON_GROWTH:g} times its best"
+            if k - halved >= ANDERSON_PATIENCE:
+                return None, k, f"Anderson residual stalled for {ANDERSON_PATIENCE} iterations"
         g = mass + beta * f
         nxt = g
         if prev is not None:
@@ -367,41 +371,39 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray, beta: float,
         nxt = np.maximum(nxt, 0.0)
         total = float(nxt.sum())
         if not (math.isfinite(total) and total > 0.0):
-            if give_up:
-                return None, k + 1
-            raise _AndersonStalled(f"Anderson update {k + 1} left no positive finite mass")
+            return None, k + 1, f"Anderson update {k + 1} left no positive finite mass"
         mass = nxt / total
-    raise _AndersonStalled(f"Anderson mixing missed delta within {budget} iterations")
 
 
-def _mix(config: DynamicConfig, model, start: np.ndarray) -> tuple[np.ndarray, int]:
-    """The fixed point by Anderson mixing from `start`: at ANDERSON_BETA
-    until it gives up, then from `start` again at ANDERSON_SAFE_BETA. Both
-    weights share the budget min(config.max_steps, ANDERSON_MAX_ITERATIONS),
-    and the iteration count is their sum; `_anderson` states the rest."""
+def _mix(config: DynamicConfig, model, start: np.ndarray) -> tuple:
+    """`_anderson`'s (mass, iterations, why) from `start`: at ANDERSON_BETA
+    under the give-up rule, then, unless the budget ran out, from `start`
+    again at ANDERSON_SAFE_BETA. The stages share one budget of
+    min(config.max_steps, ANDERSON_MAX_ITERATIONS) iterations, named in
+    full where it runs out; why is otherwise the last stage's."""
     budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
-    mass, spent = _anderson(config, model, start, ANDERSON_BETA, budget, give_up=True)
-    if mass is not None:
-        return mass, spent
-    mass, iterations = _anderson(config, model, start, ANDERSON_SAFE_BETA, budget, spent)
-    return mass, spent + iterations
+    mass, spent, why = _anderson(config, model, start, ANDERSON_BETA, budget, give_up=True)
+    if mass is None and spent < budget:
+        mass, more, why = _anderson(config, model, start, ANDERSON_SAFE_BETA, budget - spent)
+        spent += more
+    if mass is None and spent == budget:
+        why = f"Anderson mixing missed delta within {budget} iterations"
+    return mass, spent, why
 
 
 def solve_stationary(config: DynamicConfig, model) -> StationarySolution:
     """The stationary state mass = weights(U(mass)), from the uniform start.
 
     Anderson mixing (`_mix`: a large mixing weight, and a small one where
-    that gives up) runs for at most min(config.max_steps,
+    that stops short) runs for at most min(config.max_steps,
     ANDERSON_MAX_ITERATIONS) iterations in all and stops at N max|w(U(m)) -
     m| <= delta, a test 1/dt stricter than the per-step Euler test of
-    `run_to_stationary`. If it misses, leaves no positive finite mass, or
-    the limit weight map degenerates, `run_to_stationary` runs with the full
-    max_steps, and `fallback` says why.
+    `run_to_stationary`. Where mixing returns no state, `run_to_stationary`
+    runs with the full max_steps, and `fallback` holds mixing's reason.
     """
-    try:
-        mass, iterations = _mix(config, model, uniform(config.grid).mass)
-    except (_AndersonStalled, DegenerateWeightsError) as exc:
-        return replace(run_to_stationary(config, model), fallback=str(exc))
+    mass, iterations, why = _mix(config, model, uniform(config.grid).mass)
+    if mass is None:
+        return replace(run_to_stationary(config, model), fallback=why)
     return StationarySolution(GridMeasure(config.grid, mass), True, iterations, "anderson")
 
 

@@ -3,7 +3,7 @@
 The kappa-exponential e_kappa(z) = (kappa*z + sqrt(kappa^2 z^2 + 1))^(1/kappa)
 interpolates between exp (kappa=0) and a rational-like function growing as
 z^(1/kappa). The softmax step needs only its log, computed here without
-ever forming e_kappa, so no finite utility can overflow it. The range of
+ever forming e_kappa, so no finite z can overflow it. The range of
 kappa is DynamicConfig's rule, checked once when a config is built.
 """
 

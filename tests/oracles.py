@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from rational_logit.dynamics import ANDERSON_DEPTH, _AndersonStalled, weights
+from rational_logit.dynamics import ANDERSON_DEPTH, weights
 from rational_logit.kexp import log_e_kappa
 from rational_logit.measures import Grid, GridMeasure, variational_distance
 
@@ -154,17 +154,18 @@ class DenseCompetition:
 
 
 def anderson_lstsq(config, model, mass: np.ndarray, beta: float,
-                   max_iterations: int) -> tuple[np.ndarray, int]:
+                   max_iterations: int) -> tuple[np.ndarray | None, int, str | None]:
     """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m,
     with mixing weight beta, the histories in deques and a fresh lstsq on
     the stacked dF columns every iteration: the reference of the library's
     ring-buffer, Gram-matrix `dynamics._anderson` without its give-up rule,
     with the same depth, clipping and messages.
 
-    Returns the first iterate with N max|f| <= delta and its iteration
-    count. Every update is clipped to >= 0 and renormalized, so each
-    iterate stays on the simplex; _AndersonStalled is raised when the
-    budget runs out or an update leaves no positive finite mass.
+    Returns (mass, iterations, None) at the first iterate with N max|f|
+    <= delta. Every update is clipped to >= 0 and renormalized, so each
+    iterate stays on the simplex; a run that stops short returns (None,
+    iterations so far, why) when the budget runs out or an update leaves
+    no positive finite mass.
     """
     n = config.grid.n
     dx, df = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
@@ -172,9 +173,9 @@ def anderson_lstsq(config, model, mass: np.ndarray, beta: float,
     for k in range(max_iterations + 1):
         f = weights(config, model.values(mass)) - mass
         if n * float(np.max(np.abs(f))) <= config.delta:
-            return mass, k
+            return mass, k, None
         if k == max_iterations:
-            break
+            return None, k, f"Anderson mixing missed delta within {max_iterations} iterations"
         if prev is not None:
             dx.append(mass - prev[0])
             df.append(f - prev[1])
@@ -187,6 +188,5 @@ def anderson_lstsq(config, model, mass: np.ndarray, beta: float,
         nxt = np.maximum(nxt, 0.0)
         total = float(nxt.sum())
         if not (math.isfinite(total) and total > 0.0):
-            raise _AndersonStalled(f"Anderson update {k + 1} left no positive finite mass")
+            return None, k + 1, f"Anderson update {k + 1} left no positive finite mass"
         mass = nxt / total
-    raise _AndersonStalled(f"Anderson mixing missed delta within {max_iterations} iterations")

@@ -1,12 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rational_logit import calibration
-from rational_logit.calibration import (FitSpec, NonStationaryError, empirical_pdf,
-                                        empirical_stats, fit_objective, fit_search)
-from rational_logit.dataio import bundled_catches_path, load_catches
-from rational_logit.dynamics import LIMIT_NOISE, DynamicConfig, run_to_stationary
-from rational_logit.measures import Grid, mean_and_std
+from rational_logit.calibration import (FitSpec, empirical_pdf, empirical_stats,
+                                        fit_objective, fit_search)
+from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config
+from rational_logit.dynamics import (LIMIT_NOISE, DynamicConfig, StationarySolution,
+                                     run_to_stationary)
+from rational_logit.measures import Grid, mean_and_std, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 # coarse solver settings: keep every fit evaluation around tens of ms
@@ -103,9 +107,21 @@ class TestFitObjective:
         assert obj_doubled > obj_at
 
     def test_nonstationary_reported_distinctly(self):
+        # a solve that misses delta comes back as it is, and the search
+        # records its point as a failure: on the coarse grid kappa 0 at
+        # eta 1e-3 needs more than 300 iterations, kappa 1 about 50
         config = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, 1e-300, max_steps=5)
-        with pytest.raises(NonStationaryError):
-            fit_objective(CompetitionParams(), config, (0.3, 0.3))
+        _, _, solution = fit_objective(CompetitionParams(), config, (0.3, 0.3))
+        assert not solution.stationary and solution.steps == 5
+        base = DynamicConfig(1.0, 1e-3, COARSE_GRID, COARSE_DT, COARSE_DELTA, max_steps=300)
+        _, _, missed = fit_objective(CompetitionParams(), replace(base, kappa=0.0), (0.3, 0.3))
+        assert not missed.stationary
+        spec = FitSpec(bounds={"kappa": (0.0, 1.0)}, levels=0, points_per_dim=2)
+        result = fit_search(spec, (0.3, 0.3), base, CompetitionParams())
+        assert [(point, error) for point, _, error in result.evaluations] == [
+            ({"kappa": 0.0}, f"no stationary state within 300 steps ({missed.fallback})"),
+            ({"kappa": 1.0}, None)]
+        assert result.evaluations[0][1] is None and result.best["kappa"] == 1.0
 
 
 class TestFitSearch:
@@ -170,7 +186,7 @@ class TestFitSearch:
 
         def record(params, config, target):
             evaluated.append(config.kappa)
-            return 0.0, target
+            return 0.0, target, StationarySolution(uniform(config.grid), True, 0, "anderson")
 
         monkeypatch.setattr(calibration, "fit_objective", record)
         limit = DynamicConfig(1.0, LIMIT_NOISE, COARSE_GRID, COARSE_DT, COARSE_DELTA)
@@ -201,6 +217,16 @@ class TestFitSearch:
         result = fit_search(FitSpec(levels=0), target, base, params)
         assert result.objective == fit_objective(params, base, target)[0]
         assert result.best == {"a": 0.3, "b": 0.2, "eta": 0.02, "kappa": 0.5}
+
+    def test_shipped_fit(self, table_sample):
+        # the full configs/fit_ab.json fit: three levels of 25 points at N = 500
+        run = load_run_config(Path(__file__).resolve().parents[1] / "configs" / "fit_ab.json")
+        result = fit_search(run.fit, empirical_stats(table_sample), run.dynamic, run.utility)
+        assert (result.best["a"], result.best["b"]) == pytest.approx((0.265625, 0.225),
+                                                                     rel=0, abs=1e-15)
+        assert result.evaluation_count == 75
+        assert all(error is None for _, _, error in result.evaluations)
+        assert result.objective <= 1e-5
 
     def test_all_failures_reported(self):
         spec = FitSpec(bounds={"a": (0.1, 0.5)}, levels=0, points_per_dim=2)

@@ -323,6 +323,15 @@ class TestStationary:
         assert manifest["status"] == "solver-error"
         assert "nonpositive" in manifest["error"]
 
+    def test_overflowing_weights_exit_2_naming_eta(self, tmp_path):
+        cfg = write_config(tmp_path, {"dynamic.eta": 1e-310})
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = read_manifest(out)
+        assert manifest["status"] == "solver-error"
+        assert "eta is too small" in manifest["error"]
+
 
 class TestFit:
     def test_fit_document(self, tmp_path):

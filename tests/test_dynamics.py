@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 from dataclasses import replace
@@ -54,6 +55,21 @@ class NaNRowUtility:
         if u.ndim == 2 and len(u) > self.row:
             u[self.row] = np.nan
         return u
+
+
+class FlickeringUtility:
+    """The competition utility, except that the evaluations numbered in
+    `bad` (from 1) are negative everywhere, so there the limit weight map
+    degenerates."""
+
+    def __init__(self, grid, bad):
+        self.inner = CompetitionUtility(grid, CompetitionParams())
+        self.bad, self.calls = bad, 0
+
+    def values(self, mass):
+        self.calls += 1
+        u = self.inner.values(mass)
+        return -np.abs(u) - 1.0 if self.calls in self.bad else u
 
 
 class CountingModel:
@@ -161,6 +177,14 @@ class TestLogitWeights:
         w = weights(cfg, np.array([0.0, 1.0, 2.0, 3.0]))
         assert np.all(np.isfinite(w))
         assert w[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.0])
+    def test_overflowing_u_over_eta_names_eta(self, kappa):
+        # at eta 1e-310 u/eta leaves the float range, at 1e-300 it does not
+        u = np.linspace(-0.5, 0.5, 8)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="eta is too small"):
+            weights(DynamicConfig(kappa, 1e-310, Grid(8)), u)
+        assert np.isfinite(weights(DynamicConfig(kappa, 1e-300, Grid(8)), u)).all()
 
 
 class TestLimitWeights:
@@ -534,6 +558,41 @@ class TestSolveStationary:
         # a call's last evaluation makes no update
         assert sum(c.calls - 1 for c in evaluations) <= budget
 
+    @pytest.mark.parametrize("case, iterations, why", [
+        ("converged", 14, None),
+        ("budget", 5, "Anderson mixing missed delta within 5 iterations"),
+        ("growth", 5, "Anderson residual grew past 10 times its best"),
+        ("patience", 78, "Anderson residual stalled for 50 iterations"),
+        ("no-mass", 2, "Anderson update 2 left no positive finite mass"),
+        ("degenerate", 3,
+         "all utilities nonpositive under the vanishing-noise limit at Anderson iterate 3")])
+    def test_every_anderson_exit_returns_its_reason(self, monkeypatch, case, iterations, why):
+        # the give-up rule fires only when asked for: by growth at the limit
+        # with kappa 0.1, by patience where delta 1e-300 leaves the residual
+        # stagnating at roundoff
+        g = Grid(16)
+        cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9)
+        model = CompetitionUtility(g, CompetitionParams())
+        budget = 5 if case == "budget" else ANDERSON_MAX_ITERATIONS
+        if case in ("budget", "patience"):
+            cfg = replace(cfg, delta=1e-300)
+        elif case == "growth":
+            run = load_run_config(FITTED)
+            cfg = replace(run.dynamic, kappa=0.1, eta=LIMIT_NOISE)
+            model = CompetitionUtility(cfg.grid, run.utility)
+        elif case == "no-mass":
+            monkeypatch.setattr(dynamics.np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
+        elif case == "degenerate":
+            cfg, model = replace(cfg, eta=LIMIT_NOISE), FlickeringUtility(g, bad={4})
+        start = uniform(cfg.grid).mass
+        mass, k, reason = dynamics._anderson(cfg, model, start, ANDERSON_BETA, budget,
+                                             give_up=case in ("growth", "patience"))
+        assert (mass is None, k, reason) == (why is not None, iterations, why)
+        if mass is not None:
+            assert cfg.grid.n * np.abs(weights(cfg, model.values(mass)) - mass).max() <= cfg.delta
+        if case == "budget":  # the lstsq reference stops alike
+            assert anderson_lstsq(cfg, model, start, ANDERSON_BETA, budget) == (None, k, why)
+
     def test_stalled_large_weight_gives_the_small_weights_state(self):
         # at the limit with kappa 0.1 the large weight gives up; the state is
         # then bit for bit that of the small weight alone, from uniform
@@ -541,10 +600,10 @@ class TestSolveStationary:
         cfg = replace(run.dynamic, kappa=0.1, eta=LIMIT_NOISE)
         model = CompetitionUtility(cfg.grid, run.utility)
         start = uniform(cfg.grid).mass
-        gave_up, large = dynamics._anderson(cfg, model, start, ANDERSON_BETA,
-                                            ANDERSON_MAX_ITERATIONS, give_up=True)
-        mass, small = dynamics._anderson(cfg, model, start, ANDERSON_SAFE_BETA,
-                                         ANDERSON_MAX_ITERATIONS)
+        gave_up, large, _ = dynamics._anderson(cfg, model, start, ANDERSON_BETA,
+                                               ANDERSON_MAX_ITERATIONS, give_up=True)
+        mass, small, _ = dynamics._anderson(cfg, model, start, ANDERSON_SAFE_BETA,
+                                            ANDERSON_MAX_ITERATIONS)
         solution = solve_stationary(cfg, model)
         assert gave_up is None and large > 0
         assert solution.solver == "anderson" and solution.fallback is None
@@ -568,8 +627,8 @@ class TestSolveStationary:
         for a, b in itertools.product(run.fit.bounds["a"], run.fit.bounds["b"]):
             model = CompetitionUtility(cfg.grid, replace(run.utility, a=a, b=b))
             solution = solve_stationary(cfg, model)
-            mass, iterations = anderson_lstsq(cfg, model, uniform(cfg.grid).mass,
-                                              ANDERSON_BETA, ANDERSON_MAX_ITERATIONS)
+            mass, iterations, _ = anderson_lstsq(cfg, model, uniform(cfg.grid).mass,
+                                                 ANDERSON_BETA, ANDERSON_MAX_ITERATIONS)
             assert solution.solver == "anderson"
             assert abs(solution.steps - iterations) <= 10
             np.testing.assert_allclose(pdf_values(solution.final_measure),
@@ -599,25 +658,27 @@ class TestSolveStationary:
         assert all(error is None for _, _, error in result.evaluations)
         assert calls == []
 
-    def test_degenerate_weights_mid_iteration_fall_back(self):
-        class FlickeringUtility:
-            """Competition utility, except that the fourth evaluation is
-            negative everywhere, so the limit weight map degenerates once."""
-
-            def __init__(self, grid):
-                self.inner = CompetitionUtility(grid, CompetitionParams())
-                self.calls = 0
-
-            def values(self, mass):
-                self.calls += 1
-                u = self.inner.values(mass)
-                return -np.abs(u) - 1.0 if self.calls == 4 else u
-
+    def test_degenerate_large_weight_iterate_hands_over(self):
+        # the fourth evaluation, iterate 3 of the large weight, degenerates;
+        # the small weight then runs from uniform as if alone
         g = Grid(32)
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.01, delta=1e-9, max_steps=100_000)
-        solution = solve_stationary(cfg, FlickeringUtility(g))
+        solution = solve_stationary(cfg, FlickeringUtility(g, bad={4}))
+        mass, small, why = dynamics._anderson(cfg, FlickeringUtility(g, bad=()), uniform(g).mass,
+                                              ANDERSON_SAFE_BETA, ANDERSON_MAX_ITERATIONS)
+        assert why is None
+        assert solution.solver == "anderson" and solution.fallback is None
+        assert solution.steps == 3 + small
+        assert np.array_equal(solution.final_measure.mass, mass)
+
+    def test_degeneracy_in_both_weights_falls_back(self):
+        # iterate 3 of each weight degenerates (evaluations 4 and 8), so
+        # Euler runs, from the ninth evaluation on
+        g = Grid(32)
+        cfg = DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.01, delta=1e-9, max_steps=100_000)
+        solution = solve_stationary(cfg, FlickeringUtility(g, bad={4, 8}))
         assert solution.solver == "euler"
-        assert "nonpositive" in solution.fallback
+        assert "nonpositive" in solution.fallback and "Anderson iterate 3" in solution.fallback
         assert solution.stationary
 
     def test_degenerate_start_raises_from_euler(self):
@@ -652,7 +713,7 @@ class TestSolveStationary:
             if k % 2:
                 start = np.maximum(start, 1e-3)
                 start /= start.sum()
-            mass, _ = dynamics._mix(cfg, model, start)
+            mass, _, _ = dynamics._mix(cfg, model, start)
             assert np.abs(mass - reference).sum() <= 1e-10, k
 
     def test_rejects_empty_budget(self):
@@ -724,3 +785,13 @@ class TestEtaConvergenceTable:
         rows = eta_convergence_table(base, model, uniform(g), [0.1, 0.01, 0.001], [1.0])
         errors = [r.error for r in rows]
         assert errors[0] > errors[1] > errors[2]
+
+
+def test_oracles_import_no_private_library_name():
+    # reference code must not lean on the internals it checks
+    tree = ast.parse((Path(__file__).with_name("oracles.py")).read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("rational_logit")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
