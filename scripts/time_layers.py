@@ -10,6 +10,8 @@ of ANDERSON_RUNS solves), with `anderson_iteration_us`, its microseconds
 per Anderson iteration (null if it fell back to Euler), all at the
 fitted parameters (kappa = 1, eta = 0.01, dt = 1e-3, delta = 1e-11, and
 the DynamicConfig default budget max_steps = 10^6), as one JSON document.
+`limit_weights_us` is the same `weights` call under the vanishing-noise
+limit (eta = LIMIT_NOISE) on the same utility, which has positive cells.
 `batched_step_us` is one Euler step of the eta table's (5, N) stack: the
 limit row and etas 0.1, 0.01, 1e-3, 1e-4 under one DynamicBatch.
 For N <= EULER_MAX_N it also times the Euler `run_to_stationary` reference
@@ -110,11 +112,13 @@ def time_size(n: int) -> dict:
     config = DynamicConfig(1.0, 0.01, grid)
     mass = uniform(grid).mass
     u = model.values(mass)
+    limit = replace(config, eta=LIMIT_NOISE)
     batch = DynamicBatch(replace(config, eta=eta) for eta in BATCH_ETAS)
     stack = np.repeat(mass[None, :], len(BATCH_ETAS), axis=0)
     row = {"build_s": build_s, "build_peak_bytes": peak, "held_bytes": held,
            "values_us": median_us(lambda: model.values(mass)),
            "weights_us": median_us(lambda: weights(config, u)),
+           "limit_weights_us": median_us(lambda: weights(limit, u)),
            "euler_step_us": median_us(lambda: euler_step(config, model, mass)),
            "batched_step_us": median_us(lambda: euler_step(batch, model, stack))}
     seconds, result = timed_solve(solve_stationary, config, model, runs=ANDERSON_RUNS)

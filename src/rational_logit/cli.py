@@ -100,7 +100,7 @@ def _stationary(args, run_config, manifest):
     moments = {"mean": mean, "std": std, "stationary": solution.stationary,
                "solver": solution.solver, "steps": solution.steps}
     manifest.output("moments.json").write_text(json.dumps(moments, indent=2) + "\n")
-    manifest.doc["termination"] = "stationary" if solution.stationary else "reached_final_time"
+    manifest.doc["termination"] = "stationary" if solution.stationary else "max_steps"
     manifest.doc["solver"] = solution.solver
     manifest.doc["fallback"] = solution.fallback
     if not solution.stationary:

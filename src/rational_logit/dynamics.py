@@ -19,17 +19,17 @@ wrapped (and validated) as GridMeasures.
 
 A stationary state is the fixed point mass = weights(U(mass)), the same
 from any start, so both solvers start from uniform. `solve_stationary`
-finds it by Anderson mixing, clipping each iterate to the simplex: first
-with a large mixing weight that gives up where it stalls, then from the
-start again with a small one. A stage that stops short returns why (the
-budget ran out, an update left no positive finite mass, the limit weight
-map degenerated, or the large weight gave up), and the next stage takes
-over: the small weight unless the budget ran out, then the Euler
-`run_to_stationary`, which records why as `fallback` and stays the
-reference the tests compare against. `run_until` and the eta table keep
-Euler, and their start, because there the transient is the object of
-study. `run_until` steps one run; the eta table steps its limit
-reference and every eta together, as the rows of one stack.
+runs the whole chain. Anderson mixing, clipping each iterate to the
+simplex, runs first with a large mixing weight that gives up where it
+stalls, then from the start again with a small one. A stage that stops
+short returns why (the budget ran out, an update left no positive finite
+mass, the limit weight map degenerated, or the large weight gave up), and
+the next stage takes over: the small weight unless the budget ran out,
+then the Euler `run_to_stationary`, the reference the tests compare
+against; `fallback` lists why each stage stopped short. `run_until` and
+the eta table keep Euler, and their start, because there the transient
+is the object of study. `run_until` steps one run; the eta table steps
+its limit reference and every eta together, as the rows of one stack.
 """
 
 from __future__ import annotations
@@ -284,8 +284,8 @@ class StationarySolution:
     """A stationary solve: the final measure, whether it met the threshold
     delta, the iteration count of the solver that produced it (of both
     mixing weights, for Anderson mixing), that solver's name ("anderson" or
-    "euler"), and why Anderson mixing gave way to Euler (None when it did
-    not)."""
+    "euler"), and why each stage before it stopped short, in stage order
+    and joined by "; " (None when the first mixing weight met delta)."""
 
     final_measure: GridMeasure
     stationary: bool
@@ -375,36 +375,30 @@ def _anderson(config: DynamicConfig, model, mass: np.ndarray, beta: float, budge
         mass = nxt / total
 
 
-def _mix(config: DynamicConfig, model, start: np.ndarray) -> tuple:
-    """`_anderson`'s (mass, iterations, why) from `start`: at ANDERSON_BETA
-    under the give-up rule, then, unless the budget ran out, from `start`
-    again at ANDERSON_SAFE_BETA. The stages share one budget of
-    min(config.max_steps, ANDERSON_MAX_ITERATIONS) iterations, named in
-    full where it runs out; why is otherwise the last stage's."""
-    budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
-    mass, spent, why = _anderson(config, model, start, ANDERSON_BETA, budget, give_up=True)
-    if mass is None and spent < budget:
-        mass, more, why = _anderson(config, model, start, ANDERSON_SAFE_BETA, budget - spent)
-        spent += more
-    if mass is None and spent == budget:
-        why = f"Anderson mixing missed delta within {budget} iterations"
-    return mass, spent, why
-
-
 def solve_stationary(config: DynamicConfig, model) -> StationarySolution:
     """The stationary state mass = weights(U(mass)), from the uniform start.
 
-    Anderson mixing (`_mix`: a large mixing weight, and a small one where
-    that stops short) runs for at most min(config.max_steps,
-    ANDERSON_MAX_ITERATIONS) iterations in all and stops at N max|w(U(m)) -
-    m| <= delta, a test 1/dt stricter than the per-step Euler test of
-    `run_to_stationary`. Where mixing returns no state, `run_to_stationary`
-    runs with the full max_steps, and `fallback` holds mixing's reason.
+    Anderson mixing runs at ANDERSON_BETA under the give-up rule, then,
+    where that stops short, from the start again at ANDERSON_SAFE_BETA. The
+    stages share min(config.max_steps, ANDERSON_MAX_ITERATIONS) iterations
+    and stop at N max|w(U(m)) - m| <= delta, a test 1/dt stricter than the
+    per-step Euler test of `run_to_stationary`, which runs with the full
+    max_steps where no stage meets it. `fallback` lists why each stage that
+    ran stopped short, the whole budget where it ran out.
     """
-    mass, iterations, why = _mix(config, model, uniform(config.grid).mass)
-    if mass is None:
-        return replace(run_to_stationary(config, model), fallback=why)
-    return StationarySolution(GridMeasure(config.grid, mass), True, iterations, "anderson")
+    budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
+    start, spent, whys = uniform(config.grid).mass, 0, []
+    for beta, give_up in ((ANDERSON_BETA, True), (ANDERSON_SAFE_BETA, False)):
+        mass, iterations, why = _anderson(config, model, start, beta, budget - spent, give_up)
+        spent += iterations
+        if mass is not None:
+            return StationarySolution(GridMeasure(config.grid, mass), True, spent, "anderson",
+                                      "; ".join(whys) or None)
+        if spent == budget:
+            whys.append(f"Anderson mixing missed delta within {budget} iterations")
+            break
+        whys.append(why)
+    return replace(run_to_stationary(config, model), fallback="; ".join(whys))
 
 
 @dataclass(frozen=True)

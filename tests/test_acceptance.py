@@ -325,3 +325,30 @@ def test_anderson_matches_euler_on_fit_box(n_cells, a, b):
     euler = run_to_stationary(config, model)
     assert euler.stationary
     assert_matches_euler(config, model, euler.final_measure)
+
+
+GAVE_UP = "Anderson residual grew past 10 times its best"
+STEP_COUNTS = [  # kappa, eta, solver, steps, fallback
+    (1.0, 0.01, "anderson", 48, None),
+    (0.0, 0.01, "anderson", 60, None),
+    (0.1, 0.01, "anderson", 60, None),
+    (0.5, 0.01, "anderson", 46, None),
+    (1.0, LIMIT_NOISE, "anderson", 60, None),
+    (0.0, 1e-3, "anderson", 627, GAVE_UP),
+    (0.1, 1e-3, "anderson", 237, GAVE_UP),
+    (0.1, LIMIT_NOISE, "anderson", 244, GAVE_UP),
+    (0.0, 3e-4, "euler", 17_941, "Anderson residual stalled for 50 iterations; "
+                                 "Anderson mixing missed delta within 2000 iterations")]
+
+
+@pytest.mark.parametrize("kappa, eta, solver, steps, fallback", STEP_COUNTS,
+                         ids=[f"kappa-{kappa:g}-eta-{'limit' if eta is None else f'{eta:g}'}"
+                              for kappa, eta, *_ in STEP_COUNTS])
+def test_stationary_step_counts(fitted_model, kappa, eta, solver, steps, fallback):
+    """The solver, iteration count and fallback reason of solve_stationary on
+    configs/fitted.json, pinned as part of its results: a change that moves
+    one of them changes the work the solve does."""
+    config = replace(load_run_config(FITTED_CONFIG).dynamic, kappa=kappa, eta=eta)
+    solution = solve_stationary(config, fitted_model)
+    assert solution.stationary
+    assert (solution.solver, solution.steps, solution.fallback) == (solver, steps, fallback)

@@ -302,7 +302,7 @@ class TestStationary:
         assert moments["solver"] == "euler" and moments["steps"] == 5
         manifest = read_manifest(out)
         assert manifest["status"] == "ok"
-        assert manifest["termination"] == "reached_final_time"
+        assert manifest["termination"] == "max_steps"
         assert "5 steps" in manifest["warning"]
         assert "missed delta within 5 iterations" in manifest["fallback"]
 
@@ -536,8 +536,8 @@ def test_layer_timing_per_size(monkeypatch):
     assert row["stationary_solver"] == "anderson" and row["stationary_iterations"] > 0
     assert row["anderson_iteration_us"] > 0.0
     assert row["euler_steps"] > row["stationary_iterations"]
-    assert all(row[key] == 1.0 for key in ("values_us", "weights_us", "euler_step_us",
-                                           "batched_step_us", "measure_csv_us"))
+    assert all(row[key] == 1.0 for key in ("values_us", "weights_us", "limit_weights_us",
+                                           "euler_step_us", "batched_step_us", "measure_csv_us"))
 
 
 def test_layer_timing_writes_both_tables():

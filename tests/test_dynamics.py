@@ -600,13 +600,14 @@ class TestSolveStationary:
         cfg = replace(run.dynamic, kappa=0.1, eta=LIMIT_NOISE)
         model = CompetitionUtility(cfg.grid, run.utility)
         start = uniform(cfg.grid).mass
-        gave_up, large, _ = dynamics._anderson(cfg, model, start, ANDERSON_BETA,
-                                               ANDERSON_MAX_ITERATIONS, give_up=True)
+        gave_up, large, why = dynamics._anderson(cfg, model, start, ANDERSON_BETA,
+                                                 ANDERSON_MAX_ITERATIONS, give_up=True)
         mass, small, _ = dynamics._anderson(cfg, model, start, ANDERSON_SAFE_BETA,
                                             ANDERSON_MAX_ITERATIONS)
         solution = solve_stationary(cfg, model)
         assert gave_up is None and large > 0
-        assert solution.solver == "anderson" and solution.fallback is None
+        assert solution.solver == "anderson"
+        assert solution.fallback == why == "Anderson residual grew past 10 times its best"
         assert solution.steps == large + small
         assert np.array_equal(solution.final_measure.mass, mass)
 
@@ -617,7 +618,9 @@ class TestSolveStationary:
         monkeypatch.setattr(dynamics.np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
         solution = solve_stationary(cfg, model)
         assert solution.solver == "euler"
-        assert solution.fallback == "Anderson update 2 left no positive finite mass"
+        # the second update of each weight is NaN, and each stage says so
+        why = "Anderson update 2 left no positive finite mass"
+        assert solution.fallback == f"{why}; {why}"
         assert solution.stationary
 
     @pytest.mark.parametrize("n", [64, 501])
@@ -667,7 +670,9 @@ class TestSolveStationary:
         mass, small, why = dynamics._anderson(cfg, FlickeringUtility(g, bad=()), uniform(g).mass,
                                               ANDERSON_SAFE_BETA, ANDERSON_MAX_ITERATIONS)
         assert why is None
-        assert solution.solver == "anderson" and solution.fallback is None
+        assert solution.solver == "anderson"
+        assert solution.fallback == ("all utilities nonpositive under the vanishing-noise limit "
+                                     "at Anderson iterate 3")
         assert solution.steps == 3 + small
         assert np.array_equal(solution.final_measure.mass, mass)
 
@@ -702,7 +707,7 @@ class TestSolveStationary:
     @pytest.mark.parametrize("eta", [0.01, LIMIT_NOISE], ids=["eta-0.01", "limit"])
     def test_state_does_not_depend_on_the_start(self, eta):
         # sparse random starts, half of them floored at 1e-3, all reach the
-        # state the solver reaches from uniform
+        # state the solver reaches from uniform, at the large weight alone
         run = load_run_config(FITTED)
         cfg = replace(run.dynamic, kappa=1.0, eta=eta)
         model = CompetitionUtility(cfg.grid, run.utility)
@@ -713,7 +718,9 @@ class TestSolveStationary:
             if k % 2:
                 start = np.maximum(start, 1e-3)
                 start /= start.sum()
-            mass, _, _ = dynamics._mix(cfg, model, start)
+            mass, _, why = dynamics._anderson(cfg, model, start, ANDERSON_BETA,
+                                              ANDERSON_MAX_ITERATIONS, give_up=True)
+            assert why is None, k
             assert np.abs(mass - reference).sum() <= 1e-10, k
 
     def test_rejects_empty_budget(self):
