@@ -129,18 +129,17 @@ def _fit(args, run_config, manifest):
 
 def _convergence_eta(args, run_config, manifest):
     base = run_config.dynamic
-    etas = sorted(_number_list("--etas", args.etas), reverse=True)
+    etas = _number_list("--etas", args.etas)
     times = _number_list("--times", args.times)
     problems = []
     dataio.collect_problems(problems, "--times: ", record_steps, times, base.dt)
+    if len(set(etas)) < len(etas):
+        problems.append(f"--etas: distinct numbers required (got {args.etas!r})")
     for prefix, eta in [("dynamic.", LIMIT_NOISE), *(("--etas: ", eta) for eta in etas)]:
         dataio.collect_problems(problems, prefix, replace, base, eta=eta)
     if problems:
         raise dataio.ConfigError(problems)
-    try:
-        rows = eta_convergence_table(base, _model(run_config), uniform(base.grid), etas, times)
-    except dataio.ConfigError as exc:  # its rule names `etas`: this option
-        raise dataio.ConfigError(f"--{p}" for p in exc.problems) from None
+    rows = eta_convergence_table(base, _model(run_config), uniform(base.grid), etas, times)
     dataio.write_convergence_csv(manifest.output("convergence_eta.csv"), rows)
 
 
@@ -148,11 +147,11 @@ def _sweep_kappa(args, run_config, manifest):
     # + 0.0 turns -0 into 0, so no column name or record key reads -0
     kappas = [k + 0.0 for k in _number_list("--kappas", args.kappas)]
     names = [f"{kappa:g}" for kappa in kappas]  # the CSV columns and the solvers keys
-    if len(set(names)) < len(names):
-        raise dataio.ConfigError(["--kappas: numbers distinct in 6 significant digits required "
-                                  f"(got {args.kappas!r})"])
-    base = run_config.dynamic
     problems = []
+    if len(set(names)) < len(names):
+        problems.append("--kappas: numbers distinct in 6 significant digits required "
+                        f"(got {args.kappas!r})")
+    base = run_config.dynamic
     configs = [dataio.collect_problems(problems, "--kappas: ", replace, base, kappa=kappa)
                for kappa in kappas]
     if problems:

@@ -158,19 +158,22 @@ def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
     the classical softmax at kappa = 0. Vanishing-noise limit:
     max{U_i, 0}^(1/kappa), normalized; a limit row with no positive
     utility raises DegenerateWeightsError. Computed in log space (shift
-    each row by its max), so no finite u/eta overflows; a row whose max is
-    not finite raises ValueError.
+    each row by its max); a u that is not finite, or a u/eta (ln(u)/kappa
+    in the limit) that would not be, raises ValueError before it divides.
     """
     u = np.asarray(u, dtype=float)
-    if not np.isfinite(u).all():
-        raise ValueError("utility vector must be finite")
     if isinstance(config, DynamicBatch):
         if u.shape != (len(config.configs), config.grid.n):
             raise ValueError(f"utility stack has shape {u.shape}, the batch has "
                              f"{len(config.configs)} rows of {config.grid.n} cells")
-        groups = config.groups
+        groups, configs = config.groups, config.configs
     else:
-        groups = [(..., config.kappa, config.eta)]
+        groups, configs = [(..., config.kappa, config.eta)], (config,)
+    try:  # sqrt(u.u) bounds every |u|; vdot, unlike matmul, overflows without a numpy warning
+        _check_range(configs, itertools.repeat(math.sqrt(np.vdot(u, u))))
+    except ValueError:  # the bound may be loose: max |u| row by row decides
+        _check_range(itertools.cycle(configs),
+                     np.maximum(u.max(axis=-1), -u.min(axis=-1)).reshape(-1).tolist())
     if len(groups) == 1:
         _, kappa, eta = groups[0]
         logw = _log_weights(kappa, eta, u)
@@ -179,14 +182,22 @@ def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
         for rows, kappa, eta in groups:
             logw[rows] = _log_weights(kappa, eta, u[rows])
     stack = u.ndim > 1  # keep a column per row; a vector's scalar is cheaper
-    top = logw.max(axis=-1, keepdims=stack)
-    if not (np.isfinite(top).all() if stack else math.isfinite(top)):
-        raise ValueError("weight map overflow: eta is too small for these utilities "
-                         "(u/eta, or ln(u)/kappa in the limit, is not finite)")
-    logw -= top
+    logw -= logw.max(axis=-1, keepdims=stack)
     w = np.exp(logw, out=logw)
     w /= w.sum(axis=-1, keepdims=stack)
     return w
+
+
+def _check_range(configs, sizes):
+    """Raise ValueError unless each size, a bound on a row's |u|, is finite,
+    and so is its config's size/eta, or 745/kappa in the limit (|ln u| < 745)."""
+    for c, size in zip(configs, sizes):
+        if not math.isfinite(size):
+            raise ValueError("utility vector must be finite")
+        # Python floats divide to inf where numpy would warn
+        if math.isinf(745.0 / c.kappa if c.eta is None else size / c.eta):
+            raise ValueError("weight map overflow: eta is too small for these utilities "
+                             "(u/eta, or ln(u)/kappa in the limit, is not finite)")
 
 
 def _log_weights(kappa: float, eta, u: np.ndarray) -> np.ndarray:
@@ -415,17 +426,17 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
 
     The limit-equation reference and every eta run step together, as the
     rows of one Euler stack (several stacks when the rows hold more than
-    STACK_CELLS cells), and are compared at the requested times. The
-    observed order between consecutive etas, log(err_a/err_b)/log(eta_a/eta_b),
-    is reported on the row of the smaller eta.
+    STACK_CELLS cells), and are compared at the requested times. Rows go
+    from the largest eta down; the observed order between consecutive
+    etas, log(err_a/err_b)/log(eta_a/eta_b), is on the row of the smaller.
 
-    A ConfigError names `etas` unless they are distinct and decreasing;
-    `record_steps` states the rule for `times`.
+    A ConfigError names `etas` unless they are one or more distinct
+    numbers, in any order; `record_steps` states the rule for `times`.
     """
     etas = [float(e) for e in etas]
-    if not etas or any(a <= b for a, b in zip(etas, etas[1:])):
-        raise ConfigError([f"etas: distinct numbers in decreasing order required (got {etas!r})"])
-    times = sorted(float(t) for t in times)
+    if not etas or len(set(etas)) < len(etas):
+        raise ConfigError([f"etas: one or more distinct numbers required (got {etas!r})"])
+    etas, times = sorted(etas, reverse=True), sorted(float(t) for t in times)
 
     configs = [replace(base, eta=eta) for eta in (LIMIT_NOISE, *etas)]
     per_stack = max(1, STACK_CELLS // base.grid.n)
@@ -440,13 +451,11 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
               for t, (ref, *runs) in pdfs.items() for eta, pdf in zip(etas, runs)}
 
     rows = []
-    for i, eta in enumerate(etas):
+    for prev, eta in zip([None, *etas], etas):  # the largest eta has no previous one
         for t in times:
+            err_a, err_b = errors.get((prev, t), 0.0), errors[(eta, t)]
             rate = None
-            if i > 0:
-                prev = etas[i - 1]
-                err_a, err_b = errors[(prev, t)], errors[(eta, t)]
-                if err_a > 0.0 and err_b > 0.0:
-                    rate = math.log(err_a / err_b) / math.log(prev / eta)
-            rows.append(ConvergenceRow(eta, t, errors[(eta, t)], rate))
+            if err_a > 0.0 and err_b > 0.0:
+                rate = math.log(err_a / err_b) / math.log(prev / eta)
+            rows.append(ConvergenceRow(eta, t, err_b, rate))
     return rows

@@ -228,6 +228,19 @@ class TestFitSearch:
         assert all(error is None for _, _, error in result.evaluations)
         assert result.objective <= 1e-5
 
+    def test_point_degenerate_at_the_start_is_recorded(self):
+        # at b = 0 every utility is -a x < 0 under the limit, so the first
+        # point degenerates at step 0 and the search goes on to b = 0.1
+        spec = FitSpec(bounds={"b": [0.0, 0.1]}, levels=0, points_per_dim=2)
+        base = DynamicConfig(1.0, LIMIT_NOISE, Grid(50))
+        result = fit_search(spec, (0.3, 0.3), base, CompetitionParams(a=1.0, b=0.0, d=0.0))
+        assert result.evaluations[0] == ({"b": 0.0}, None, "DegenerateWeightsError('all "
+                                         "utilities nonpositive under the vanishing-noise "
+                                         "limit at step 0')")
+        [(point, objective, error)] = result.evaluations[1:]
+        assert point == {"b": 0.1} and error is None and np.isfinite(objective)
+        assert result.best["b"] == 0.1 and result.objective == objective
+
     def test_all_failures_reported(self):
         spec = FitSpec(bounds={"a": (0.1, 0.5)}, levels=0, points_per_dim=2)
         base = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, 1e-300, max_steps=1)

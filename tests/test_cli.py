@@ -203,6 +203,22 @@ class TestConfigErrors:
         assert manifest["status"] == "config-error"
         assert "--kappas" in manifest["error"]
 
+    def test_repeated_etas_in_the_users_words(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        assert main(["convergence-eta", "--config", str(config_path), "--out", str(out),
+                     "--etas", "0.01,0.1,0.01"]) == 1
+        error = read_manifest(out)["error"]
+        assert "--etas: distinct numbers required (got '0.01,0.1,0.01')" in error
+        assert "order" not in error
+
+    def test_sweep_kappa_repeat_and_range_in_one_error(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        assert main(["sweep-kappa", "--config", str(config_path), "--out", str(out),
+                     "--kappas", "2,2"]) == 1
+        error = read_manifest(out)["error"]
+        assert "--kappas: numbers distinct in 6 significant digits required" in error
+        assert "--kappas: kappa: number in [0, 1] required (got 2.0)" in error
+
     @pytest.mark.parametrize("value", ["0,2,1", "2", "-0.5"])
     def test_sweep_kappa_out_of_range(self, tmp_path, config_path, value):
         out = tmp_path / "out"
@@ -326,8 +342,7 @@ class TestStationary:
     def test_overflowing_weights_exit_2_naming_eta(self, tmp_path):
         cfg = write_config(tmp_path, {"dynamic.eta": 1e-310})
         out = tmp_path / "out"
-        with np.errstate(over="ignore"):
-            assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == 2
         manifest = read_manifest(out)
         assert manifest["status"] == "solver-error"
         assert "eta is too small" in manifest["error"]
@@ -520,6 +535,28 @@ def test_empirical_vs_model_table(tmp_path):
     empirical, model = np.array([[float(v) for v in row.split(",")[1:]] for row in rows]).T
     assert empirical.sum() == pytest.approx(20.0, abs=1e-12)
     assert model.sum() == pytest.approx(20.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("codes, expected", [
+    ([0] * 7, 0),
+    ([0, 1, 0, 2, 0, 0, 0], 1),  # OR-ing them would read 3, an I/O error
+    ([2, 0, 1, 0, 0, 0, 0], 2),
+    ([0, 0, 0, 0, 0, 0, 2], 2),
+])
+def test_exhibits_return_the_first_failure(tmp_path, monkeypatch, codes, expected):
+    module = load_script(ROOT / "scripts" / "reproduce_exhibits.py")
+    calls = []
+
+    def fake_cli_main(argv):
+        calls.append(argv[0])
+        return codes[len(calls) - 1]
+
+    monkeypatch.setattr(module, "cli_main", fake_cli_main)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    monkeypatch.setattr(module, "empirical_vs_model", lambda path: None)
+    monkeypatch.setattr(module, "limit_gap_refinement", lambda path: None)
+    assert module.main() == expected
+    assert calls == ["stationary", "convergence-eta", "sweep-kappa"] + ["simulate"] * 4
 
 
 def test_layer_timing_per_size(monkeypatch):

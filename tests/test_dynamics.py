@@ -182,9 +182,25 @@ class TestLogitWeights:
     def test_overflowing_u_over_eta_names_eta(self, kappa):
         # at eta 1e-310 u/eta leaves the float range, at 1e-300 it does not
         u = np.linspace(-0.5, 0.5, 8)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="eta is too small"):
+        with pytest.raises(ValueError, match="eta is too small"):
             weights(DynamicConfig(kappa, 1e-310, Grid(8)), u)
         assert np.isfinite(weights(DynamicConfig(kappa, 1e-300, Grid(8)), u)).all()
+
+    def test_huge_finite_utilities_are_in_range(self):
+        # sqrt(u.u) overflows in the first case, and divided by 1e-300 it
+        # would in the second; each row's own max |u| then decides
+        w = weights(DynamicConfig(1.0, 1.0, Grid(3)), np.array([-1e200, 0.0, 1e200]))
+        assert np.isfinite(w).all() and w.argmax() == 2
+        batch = DynamicBatch(DynamicConfig(1.0, eta, Grid(4)) for eta in (1e-300, 1.0))
+        assert np.isfinite(weights(batch, np.array([np.full(4, 1e-10), np.full(4, 1e100)]))).all()
+
+    def test_overflowing_row_of_a_stack_names_eta(self):
+        # the first row's 0.5/1e-310 leaves the float range; the second's fits
+        batch = DynamicBatch(DynamicConfig(1.0, eta, Grid(8)) for eta in (1e-310, 1.0))
+        u = np.array([np.linspace(-0.5, 0.5, 8), np.full(8, 1e-300)])
+        with pytest.raises(ValueError, match="eta is too small"):
+            weights(batch, u)
+        assert np.isfinite(weights(batch, u * [[1e-20], [1.0]])).all()
 
 
 class TestLimitWeights:
@@ -207,6 +223,14 @@ class TestLimitWeights:
         cfg = DynamicConfig(1.0, LIMIT_NOISE, Grid(3))
         with pytest.raises(DegenerateWeightsError):
             weights(cfg, np.array([-1.0, -0.5, 0.0]))
+
+    def test_overflowing_ln_u_over_kappa_names_eta(self):
+        # ln(u)/kappa leaves the float range at kappa 1e-310 but not at 1e-300
+        u = np.array([-1.0, 0.5, 2.0])
+        with pytest.raises(ValueError, match="eta is too small"):
+            weights(DynamicConfig(1e-310, LIMIT_NOISE, Grid(3)), u)
+        np.testing.assert_array_equal(weights(DynamicConfig(1e-300, LIMIT_NOISE, Grid(3)), u),
+                                      [0.0, 0.0, 1.0])
 
 
 class TestBatch:
@@ -747,11 +771,17 @@ class TestEtaConvergenceTable:
         rows = eta_convergence_table(base, model, uniform(g), [0.05], [0.5])
         assert len(rows) == 1 and rows[0].rate is None
 
-    def test_requires_decreasing_etas(self):
+    def test_etas_in_any_order_without_repeats(self):
         g = Grid(16)
         base = DynamicConfig(1.0, 0.05, g, dt=0.01)
-        with pytest.raises(ValueError):
-            eta_convergence_table(base, constant_model(g), uniform(g), [0.01, 0.1], [0.5])
+        model = CompetitionUtility(g, CompetitionParams())  # steps a stack
+        for etas in ([], [0.1, 0.01, 0.1], [0.01, 0.01]):
+            with pytest.raises(ConfigError, match="etas: one or more distinct numbers required"):
+                eta_convergence_table(base, model, uniform(g), etas, [0.5])
+        decreasing = eta_convergence_table(base, model, uniform(g), [0.1, 0.01, 1e-3], [0.5, 1.0])
+        assert [r.eta for r in decreasing] == [0.1, 0.1, 0.01, 0.01, 1e-3, 1e-3]
+        for etas in ([1e-3, 0.01, 0.1], [0.01, 1e-3, 0.1]):
+            assert eta_convergence_table(base, model, uniform(g), etas, [0.5, 1.0]) == decreasing
 
     @pytest.mark.parametrize("n, dt, times", [(64, 0.01, [0.5, 1.0]),
                                               (STACK_CELLS // 2 - 1, 0.1, [0.0, 0.3, 0.5])])
