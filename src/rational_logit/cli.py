@@ -49,7 +49,7 @@ class _Manifest:
     """Collects run metadata and always lands on disk, error or not."""
 
     def __init__(self, subcommand: str, out_dir: Path):
-        self.doc = {"subcommand": subcommand, "inputs": [], "outputs": [],
+        self.doc = {"subcommand": subcommand, "inputs": [], "options": {}, "outputs": [],
                     "config": None, "status": "running", "error": None,
                     "duration_seconds": None}
         self.out_dir = out_dir
@@ -117,7 +117,8 @@ def _fit(args, run_config, manifest):
     except ValueError as exc:  # a malformed file; an unreadable one stays an OSError
         raise dataio.ConfigError([f"--data: {exc}"]) from None
     result = fit_search(run_config.fit, target, run_config.dynamic, run_config.utility)
-    doc = {"fitted_parameters": result.best,
+    doc = {"fitted_parameters": {name: dataio.LIMIT_SPELLING if value is LIMIT_NOISE else value
+                                 for name, value in result.best.items()},
            "objective": result.objective,
            "model_mean": result.model_moments[0],
            "model_std": result.model_moments[1],
@@ -135,7 +136,8 @@ def _convergence_eta(args, run_config, manifest):
     dataio.collect_problems(problems, "--times: ", record_steps, times, base.dt)
     if len(set(etas)) < len(etas):
         problems.append(f"--etas: distinct numbers required (got {args.etas!r})")
-    for prefix, eta in [("dynamic.", LIMIT_NOISE), *(("--etas: ", eta) for eta in etas)]:
+    for prefix, eta in [("dynamic.", LIMIT_NOISE),  # then each distinct value once
+                        *(("--etas: ", eta) for eta in dict.fromkeys(etas))]:
         dataio.collect_problems(problems, prefix, replace, base, eta=eta)
     if problems:
         raise dataio.ConfigError(problems)
@@ -153,7 +155,7 @@ def _sweep_kappa(args, run_config, manifest):
                         f"(got {args.kappas!r})")
     base = run_config.dynamic
     configs = [dataio.collect_problems(problems, "--kappas: ", replace, base, kappa=kappa)
-               for kappa in kappas]
+               for kappa in dict.fromkeys(kappas)]  # each value once; a repeat is a problem
     if problems:
         raise dataio.ConfigError(problems)
     model = _model(run_config)
@@ -200,6 +202,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     manifest = _Manifest(args.subcommand, Path(args.out))
     manifest.doc["inputs"].append(str(args.config))
+    manifest.doc["options"] = {option: getattr(args, option[2:])
+                               for option in SUBCOMMANDS[args.subcommand][2]}
     try:
         run_config = dataio.load_run_config(args.config)
         manifest.doc["config"] = run_config.resolved

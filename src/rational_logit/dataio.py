@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import FitSpec
-from .dynamics import LIMIT_NOISE, DynamicConfig, record_steps, record_time_problems
+from .dynamics import LIMIT_NOISE, DynamicConfig, record_steps
 from .measures import ConfigError, Grid, is_number, pdf_values
 from .utility import CompetitionParams
 
@@ -34,6 +34,9 @@ __all__ = [
     "write_convergence_csv",
     "write_pdf_table",
 ]
+
+
+LIMIT_SPELLING = "limit"  # JSON's spelling of LIMIT_NOISE, the vanishing-noise limit
 
 
 def _fmt(value: float) -> str:
@@ -89,7 +92,7 @@ class RunConfig:
 
     dynamic: DynamicConfig
     utility: CompetitionParams
-    record_times: tuple
+    record_times: tuple = (1.0, 10.0)
     fit: FitSpec | None = None
     resolved: dict = field(default_factory=dict, repr=False)
 
@@ -135,8 +138,8 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
         raise ConfigError([f"top level: JSON object required (got {doc!r})"])
-    # each section's keys and defaults; Grid has no default size
-    schema = {"grid": {"n": 500}, "dynamic": _keys(DynamicConfig, "grid"),
+    # each section's keys and defaults
+    schema = {"grid": _keys(Grid), "dynamic": _keys(DynamicConfig, "grid"),
               "utility": _keys(CompetitionParams), "fit": _keys(FitSpec)}
     problems = [f"{k}: unknown key" for k in doc if k not in (*schema, "record_times")]
     sections = {name: {**keys, **_object(doc.get(name, {}), name, keys, problems)}
@@ -144,23 +147,23 @@ def load_run_config(path) -> RunConfig:
 
     grid = collect_problems(problems, "grid.", Grid, **sections["grid"])
     eta = sections["dynamic"]["eta"]
-    if eta is None or (isinstance(eta, str) and eta != "limit"):
-        # JSON spells the limit "limit"; 1.0 stands in to check the rest
-        problems.append(f'dynamic.eta: positive number or "limit" required (got {eta!r})')
-        eta = 1.0
-    eta = LIMIT_NOISE if eta == "limit" else eta
-    # a grid that failed is reported under grid.; Grid(2) stands in to check the rest
+    if eta is None or (isinstance(eta, str) and eta != LIMIT_SPELLING):
+        problems.append(f'dynamic.eta: positive number or "{LIMIT_SPELLING}" required '
+                        f'(got {eta!r})')
+        eta = 1.0  # stands in to check the rest
+    eta = LIMIT_NOISE if eta == LIMIT_SPELLING else eta
+    # a grid that failed is reported under grid.; Grid() stands in to check the rest
     dynamic = collect_problems(problems, "dynamic.", DynamicConfig,
-                               **{**sections["dynamic"], "eta": eta,
-                                  "grid": Grid(2) if grid is None else grid})
+                               **{**sections["dynamic"], "eta": eta, "grid": grid or Grid()})
     params = collect_problems(problems, "utility.", CompetitionParams, **sections["utility"])
-    record_times = doc.get("record_times", [1.0, 10.0])
+    # dt, or None where it breaks its own rule: a stand-in tells where dynamic failed
+    dt = getattr(dynamic or collect_problems([], "", DynamicConfig, 1.0, 1.0, Grid(),
+                                             sections["dynamic"]["dt"]), "dt", None)
+    record_times = doc.get("record_times", list(RunConfig.record_times))
     if not (isinstance(record_times, list) and all(map(is_number, record_times))):
         problems.append(f"record_times: list of numbers required (got {record_times!r})")
-    elif dynamic is not None:
-        collect_problems(problems, "record_times: ", record_steps, record_times, dynamic.dt)
-    else:  # the parts of the rule that need no dt
-        problems += ["record_times: " + p for p in record_time_problems(record_times)]
+    else:
+        collect_problems(problems, "record_times: ", record_steps, record_times, dt)
 
     fit = None
     if "fit" in doc:

@@ -235,29 +235,22 @@ def _euler_iterates(config: DynamicConfig | DynamicBatch, model, mass: np.ndarra
         yield mass
 
 
-def record_time_problems(times) -> list[str]:
-    """The problems of record times that need no dt: a time that is not
-    finite, a negative time, and no time after t = 0."""
-    times = [float(t) for t in times]
-    problems = [f"record time {t} is not a finite number" if not math.isfinite(t)
-                else f"record times must be >= 0 (got {t!r})"
-                for t in times if not 0.0 <= t < math.inf]
-    if not any(t > 0.0 for t in times):
-        problems.append(f"record times need a positive maximum (got {times!r})")
-    return problems
+def record_steps(times, dt: float | None) -> dict[int, float]:
+    """The Euler step k of each record time t = k dt, as {k: t} in step order
+    ({} where dt is None, not known).
 
-
-def record_steps(times, dt: float) -> dict[int, float]:
-    """The Euler step k of each record time t = k dt, as {k: t} in step order.
-
-    One ConfigError lists every problem: those of `record_time_problems`,
-    then a time off the step lattice (by more than 1e-9 max(1, t)), two
-    times on one step, and a positive time on step 0 (that step is the
-    t = 0 initial snapshot).
+    One ConfigError lists every problem: a time that is not finite or is
+    negative, no time after t = 0, and, where dt is known, a time off the
+    step lattice (by more than 1e-9 max(1, t)), two times on one step, and a
+    positive time on step 0 (that step is the t = 0 initial snapshot).
     """
     times = [float(t) for t in times]
-    steps, problems = {}, record_time_problems(times)
-    for t in (t for t in times if 0.0 <= t < math.inf):
+    steps, problems = {}, [f"record time {t} is not a finite number" if not math.isfinite(t)
+                           else f"record times must be >= 0 (got {t!r})"
+                           for t in times if not 0.0 <= t < math.inf]
+    if not any(t > 0.0 for t in times):
+        problems.append(f"record times need a positive maximum (got {times!r})")
+    for t in (t for t in times if dt is not None and 0.0 <= t < math.inf):
         k = round(t / dt)
         if abs(k * dt - t) > 1e-9 * max(1.0, t):
             problems.append(f"record time {t} is not a multiple of dt={dt}")

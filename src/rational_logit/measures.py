@@ -67,7 +67,7 @@ def store_floats(obj, *names) -> None:
 class Grid:
     """Uniform partition of [0, 1] into n cells."""
 
-    n: int
+    n: int = 500
 
     def __post_init__(self):
         check_fields(self, [("n", "integer >= 2 required", lambda v: is_integer(v) and v >= 2)])

@@ -217,7 +217,15 @@ class TestConfigErrors:
                      "--kappas", "2,2"]) == 1
         error = read_manifest(out)["error"]
         assert "--kappas: numbers distinct in 6 significant digits required" in error
-        assert "--kappas: kappa: number in [0, 1] required (got 2.0)" in error
+        assert error.count("--kappas: kappa: number in [0, 1] required (got 2.0)") == 1
+
+    def test_convergence_eta_repeat_and_range_in_one_error(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        assert main(["convergence-eta", "--config", str(config_path), "--out", str(out),
+                     "--etas", "0,0"]) == 1
+        error = read_manifest(out)["error"]
+        assert "--etas: distinct numbers required (got '0,0')" in error
+        assert error.count("--etas: eta: positive number required (got 0.0)") == 1
 
     @pytest.mark.parametrize("value", ["0,2,1", "2", "-0.5"])
     def test_sweep_kappa_out_of_range(self, tmp_path, config_path, value):
@@ -371,6 +379,23 @@ class TestFit:
         out = tmp_path / "out"
         assert main(["fit", "--config", str(config_path), "--out", str(out)]) == 1
 
+    def test_limit_fit_parameters_load_back(self, tmp_path):
+        # fit.json spells the limit as a config does, so its values make a config
+        cfg = write_config(tmp_path, {"dynamic.eta": "limit", "dynamic.kappa": 1.0,
+                                      "fit": {"bounds": {"a": [0.2, 0.35]}, "levels": 0,
+                                              "points_per_dim": 2}})
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        best = json.loads((out / "fit.json").read_text())["fitted_parameters"]
+        assert best["eta"] == "limit"
+        path = tmp_path / "fitted.json"
+        path.write_text(json.dumps({"grid": {"n": 50},
+                                    "dynamic": {"kappa": best["kappa"], "eta": best["eta"]},
+                                    "utility": {"a": best["a"], "b": best["b"]}}))
+        run_config = load_run_config(path)
+        assert run_config.dynamic.eta is None
+        assert (run_config.utility.a, run_config.utility.b) == (best["a"], best["b"])
+
     def test_fit_with_custom_data(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("year,catch\n2000,1\n2000,2\n2000,4\n")
@@ -391,6 +416,21 @@ class TestConvergenceEta:
         assert lines[0] == "eta,time,error,rate"
         assert len(lines) == 5
         assert lines[1].endswith(",")  # largest eta has no rate
+
+    def test_manifest_records_the_options(self, tmp_path, config_path):
+        manifests = []
+        for args in ([], ["--etas", "0.0001,0.001,0.01,0.1"], ["--etas", "0,0.1"]):
+            out = tmp_path / f"out{len(manifests)}"
+            main(["convergence-eta", "--config", str(config_path), "--out", str(out), *args])
+            manifests.append(read_manifest(out))
+        assert manifests[0]["options"] == {"--etas": "0.1,0.01,0.001,0.0001", "--times": "1,10"}
+        assert manifests[1]["options"] == {"--etas": "0.0001,0.001,0.01,0.1", "--times": "1,10"}
+        # a run stopped by a bad list still says which list it got
+        assert manifests[2]["status"] == "config-error"
+        assert manifests[2]["options"]["--etas"] == "0,0.1"
+        out = tmp_path / "stationary"
+        assert main(["stationary", "--config", str(config_path), "--out", str(out)]) == 0
+        assert read_manifest(out)["options"] == {}
 
     def test_rejects_kappa_zero(self, tmp_path):
         # the limit reference needs kappa > 0: an input mistake, not a solver failure

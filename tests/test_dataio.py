@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rational_logit.calibration import FitSpec
-from rational_logit.dataio import (ConfigError, bundled_catches_path, load_catches,
+from rational_logit.dataio import (ConfigError, RunConfig, bundled_catches_path, load_catches,
                                    load_run_config, write_convergence_csv, write_pdf_table,
                                    write_trajectory_csv)
 from rational_logit.dynamics import ConvergenceRow, DynamicConfig, run_until
@@ -185,6 +185,17 @@ class TestRunConfig:
         assert ("dynamic.dt: number in (0, 1] required (got 3.0)" in err.value.problems) == (
             dt == 3.0)
 
+    def test_record_times_checked_against_a_valid_dt_when_dynamic_fails(self, tmp_path):
+        # kappa breaks its rule, but dt = 0.001 is valid, so the lattice rule still applies
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"n": 50}, "dynamic": {"kappa": 2.0, "eta": 0.01},
+                                    "record_times": [0.0005]}))
+        with pytest.raises(ConfigError) as err:
+            load_run_config(path)
+        assert err.value.problems == [
+            "dynamic.kappa: number in [0, 1] required (got 2.0)",
+            "record_times: record time 0.0005 is not a multiple of dt=0.001"]
+
     def test_missing_kappa_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dynamic": {"eta": 0.01}}))
@@ -201,13 +212,16 @@ class TestRunConfig:
         doc = {"dynamic": {"kappa": 1.0, "eta": 0.01}, "fit": {"bounds": {}}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        resolved = load_run_config(path).resolved
-        for section, cls in [("dynamic", DynamicConfig), ("utility", CompetitionParams),
-                             ("fit", FitSpec)]:
+        run_config = load_run_config(path)
+        resolved = run_config.resolved
+        for section, cls in [("grid", Grid), ("dynamic", DynamicConfig),
+                             ("utility", CompetitionParams), ("fit", FitSpec)]:
             defaults = {f.name: f.default for f in fields(cls)
                         if f.default not in (MISSING, None) and f.name not in doc.get(section, {})}
             assert defaults
             assert {key: resolved[section][key] for key in defaults} == defaults
+        default_times = next(f.default for f in fields(RunConfig) if f.name == "record_times")
+        assert run_config.record_times == tuple(resolved["record_times"]) == default_times
 
     def test_fit_section(self, tmp_path):
         path = tmp_path / "cfg.json"
