@@ -23,7 +23,7 @@ import numpy as np
 
 from rational_logit import (LIMIT_NOISE, CompetitionUtility, Grid, bundled_catches_path,
                             empirical_pdf, load_catches, load_run_config, pdf_values,
-                            solve_stationary, variational_distance, write_pdf_table)
+                            solve_stationary, variational_distance, write_table)
 from rational_logit.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +39,7 @@ def coarsen_pdf(mass: np.ndarray, bins: int) -> np.ndarray:
 
 
 def transient_config(eta) -> Path:
-    doc = json.loads(CONFIG.read_text())
+    doc = json.loads(CONFIG.read_text(encoding="utf-8"))
     doc["dynamic"]["eta"] = eta
     doc["record_times"] = [0.5, 1.0, 2.0, 5.0, 10.0]
     path = OUT / f"transient_config_eta_{eta}.json"
@@ -52,13 +52,12 @@ def empirical_vs_model(path: Path) -> None:
     PDF, on a common 20-bin grid."""
     bins = 20
     run_config = load_run_config(CONFIG)
-    grid = run_config.dynamic.grid
-    model = CompetitionUtility(grid, run_config.utility)
+    model = CompetitionUtility(run_config.dynamic.grid, run_config.utility)
     solution = solve_stationary(run_config.dynamic, model)
     centers = (np.arange(bins) + 0.5) / bins
-    write_pdf_table(path, centers, [empirical_pdf(load_catches(bundled_catches_path()), bins),
-                                    coarsen_pdf(solution.final_measure.mass, bins)],
-                    names=["pdf_empirical", "pdf_model"])
+    write_table(path, {"x_mid": centers,
+                       "pdf_empirical": empirical_pdf(load_catches(bundled_catches_path()), bins),
+                       "pdf_model": coarsen_pdf(solution.final_measure.mass, bins)})
 
 
 def limit_gap_refinement(path: Path) -> None:
@@ -66,16 +65,17 @@ def limit_gap_refinement(path: Path) -> None:
     REFINEMENT_N, with the solver iterations of each and their gap in the PDF
     max-norm and the variational norm."""
     run_config = load_run_config(CONFIG)
-    lines = ["n_cells,iterations_eta_0.01,iterations_limit,max_norm_gap,variational_gap"]
+    rows = []
     for n in REFINEMENT_N:
         grid = Grid(n)
         model = CompetitionUtility(grid, run_config.utility)
         small, limit = (solve_stationary(replace(run_config.dynamic, eta=eta, grid=grid), model)
                         for eta in (0.01, LIMIT_NOISE))
         mu, nu = small.final_measure, limit.final_measure
-        gap = float(np.max(np.abs(pdf_values(mu) - pdf_values(nu))))
-        lines.append(f"{n},{small.steps},{limit.steps},{gap!r},{variational_distance(mu, nu)!r}")
-    path.write_text("\n".join(lines) + "\n")
+        gap = np.max(np.abs(pdf_values(mu) - pdf_values(nu)))
+        rows.append((n, small.steps, limit.steps, gap, variational_distance(mu, nu)))
+    write_table(path, dict(zip(("n_cells", "iterations_eta_0.01", "iterations_limit",
+                                "max_norm_gap", "variational_gap"), zip(*rows))))
 
 
 def main() -> int:

@@ -19,9 +19,9 @@ and gives its step count; both solvers return a StationarySolution.
 `trajectory_csv_s` is one `write_trajectory_csv` of a 101-snapshot
 trajectory (a snapshot at every step to t = 0.1, as `simulate` writes it),
 with the file's bytes and the peak bytes Python allocated while writing it
-(tracemalloc, a separate call); `measure_csv_us` is one `write_pdf_table`
-of the final snapshot's mass and PDF columns, as `stationary` writes a
-measure, with its bytes. Run it against two source trees on
+(tracemalloc, a separate call); `measure_csv_us` is one `write_table` of
+the final snapshot's midpoint, mass and PDF columns, as `stationary` writes
+a measure, with its bytes. Run it against two source trees on
 one machine to compare them:
 
     PYTHONPATH=src python scripts/time_layers.py --sizes 500,2000,8000
@@ -42,7 +42,7 @@ import numpy as np
 
 from rational_logit import (LIMIT_NOISE, CompetitionParams, CompetitionUtility, DynamicBatch,
                             DynamicConfig, Grid, euler_step, pdf_values, run_to_stationary,
-                            run_until, solve_stationary, uniform, weights, write_pdf_table,
+                            run_until, solve_stationary, uniform, weights, write_table,
                             write_trajectory_csv)
 
 EULER_MAX_N = 2000  # about 18,000 steps per solve; larger grids take minutes
@@ -92,8 +92,8 @@ def time_writers(config, model) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         traj_path, measure_path = Path(tmp, "trajectory.csv"), Path(tmp, "measure.csv")
         write_traj = lambda: write_trajectory_csv(traj_path, snapshots)
-        write_measure = lambda: write_pdf_table(measure_path, config.grid.midpoints,
-                                                [mu.mass, pdf_values(mu)], ["mass", "pdf"])
+        write_measure = lambda: write_table(measure_path, {"x_mid": config.grid.midpoints,
+                                                           "mass": mu.mass, "pdf": pdf_values(mu)})
         return {"trajectory_csv_s": median_us(write_traj, samples=3) / 1e6,
                 "trajectory_csv_bytes": traj_path.stat().st_size,
                 "trajectory_csv_peak_bytes": traced_peak_bytes(write_traj),

@@ -9,7 +9,6 @@ from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicBatch, Dynami
 from .calibration import (FitResult, FitSpec, empirical_pdf, empirical_stats, fit_objective,
                           fit_search)
 from .dataio import (ConfigError, RunConfig, bundled_catches_path, load_catches,
-                     load_run_config, write_convergence_csv, write_pdf_table,
-                     write_trajectory_csv)
+                     load_run_config, write_table, write_trajectory_csv)
 
 __version__ = "0.1.0"

@@ -95,8 +95,8 @@ def _stationary(args, run_config, manifest):
     solution = solve_stationary(run_config.dynamic, _model(run_config))
     mu = solution.final_measure
     mean, std = mean_and_std(mu)
-    dataio.write_pdf_table(manifest.output("stationary_pdf.csv"), mu.grid.midpoints,
-                           [mu.mass, pdf_values(mu)], ["mass", "pdf"])
+    dataio.write_table(manifest.output("stationary_pdf.csv"),
+                       {"x_mid": mu.grid.midpoints, "mass": mu.mass, "pdf": pdf_values(mu)})
     moments = {"mean": mean, "std": std, "stationary": solution.stationary,
                "solver": solution.solver, "steps": solution.steps}
     manifest.output("moments.json").write_text(json.dumps(moments, indent=2) + "\n")
@@ -142,7 +142,9 @@ def _convergence_eta(args, run_config, manifest):
     if problems:
         raise dataio.ConfigError(problems)
     rows = eta_convergence_table(base, _model(run_config), uniform(base.grid), etas, times)
-    dataio.write_convergence_csv(manifest.output("convergence_eta.csv"), rows)
+    dataio.write_table(manifest.output("convergence_eta.csv"),
+                       {name: [getattr(row, name) for row in rows]
+                        for name in ("eta", "time", "error", "rate")})
 
 
 def _sweep_kappa(args, run_config, manifest):
@@ -159,15 +161,14 @@ def _sweep_kappa(args, run_config, manifest):
     if problems:
         raise dataio.ConfigError(problems)
     model = _model(run_config)
-    columns, solvers = [], {}
+    columns, solvers = {"x_mid": base.grid.midpoints}, {}
     for name, config in zip(names, configs):
         solution = solve_stationary(config, model)
-        columns.append(pdf_values(solution.final_measure))
+        columns[f"pdf_kappa_{name}"] = pdf_values(solution.final_measure)
         solvers[name] = {"solver": solution.solver, "steps": solution.steps,
                          "stationary": solution.stationary, "fallback": solution.fallback}
     manifest.doc["solvers"] = solvers
-    dataio.write_pdf_table(manifest.output("kappa_sweep_pdf.csv"), base.grid.midpoints,
-                           columns, [f"pdf_kappa_{name}" for name in names])
+    dataio.write_table(manifest.output("kappa_sweep_pdf.csv"), columns)
 
 
 # name: (run(args, run_config, manifest), help, {option: (default, help)})

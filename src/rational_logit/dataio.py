@@ -1,8 +1,10 @@
 """Catch-data ingestion, run configuration parsing, and CSV emission.
 
-All numeric CSV output uses the shortest round-trip decimal representation
-with LF line endings, so repeated runs on the same platform are
-bit-identical and parsing the file recovers the exact doubles. A writer
+Every CSV table goes through `write_table`, and the trajectory through
+`write_trajectory_csv`. A field is `repr` of its value as a Python number:
+a float is the shortest decimal that round-trips the exact double, an int
+is written bare, and None (an undefined value) is an empty field. Lines end
+in LF, so repeated runs on the same platform are bit-identical. A writer
 streams its file one block at a time (a trajectory one snapshot at a time),
 formatting each column once, so memory is bounded by one block's text.
 """
@@ -30,18 +32,12 @@ __all__ = [
     "load_catches",
     "collect_problems",
     "load_run_config",
+    "write_table",
     "write_trajectory_csv",
-    "write_convergence_csv",
-    "write_pdf_table",
 ]
 
 
 LIMIT_SPELLING = "limit"  # JSON's spelling of LIMIT_NOISE, the vanishing-noise limit
-
-
-def _fmt(value: float) -> str:
-    # shortest decimal that round-trips the exact double
-    return repr(float(value))
 
 
 def bundled_catches_path() -> Path:
@@ -52,7 +48,7 @@ def bundled_catches_path() -> Path:
 def load_catches(path) -> np.ndarray:
     """Parse a `year,catch` CSV of at least one record and return each catch
     divided by its own year's maximum, in row order."""
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != "year,catch":
         raise ValueError(f"{path}: expected header 'year,catch'")
     rows, maxima = [], {}
@@ -133,7 +129,7 @@ def load_run_config(path) -> RunConfig:
     included, is recorded in `RunConfig.resolved`.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
@@ -189,8 +185,12 @@ def load_run_config(path) -> RunConfig:
 
 
 def _fmt_column(values) -> list[str]:
-    """`_fmt` of every value, through one `tolist` and one `repr` each."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+    """`repr` of every value as a Python number, through one `tolist`; None
+    is an empty field."""
+    column = np.asarray(values)
+    if column.dtype == object:  # None among numbers: each number as its own column
+        return ["" if v is None else _fmt_column([v])[0] for v in column.tolist()]
+    return list(map(repr, column.tolist()))
 
 
 def _write_csv(path, header: str, blocks) -> None:
@@ -208,33 +208,20 @@ def _write_csv(path, header: str, blocks) -> None:
             fh.write("\n".join(lines))
 
 
+def write_table(path, columns) -> None:
+    """Write the CSV table `columns`, which maps each header name to its
+    column: a sequence of values, one per row, as long as every other."""
+    formatted = [_fmt_column(column) for column in columns.values()]
+    if len({len(column) for column in formatted}) != 1:
+        raise ValueError("write_table: one or more columns of one length required "
+                         f"(got lengths {[len(column) for column in formatted]})")
+    _write_csv(path, ",".join(columns), [formatted])
+
+
 def write_trajectory_csv(path, snapshots) -> None:
     """Rows `time,x_mid,pdf` for every (t, measure) snapshot and cell, one
     block per snapshot."""
     x_mid = functools.cache(lambda grid: _fmt_column(grid.midpoints))
-    blocks = ((repeat(_fmt(t)), x_mid(mu.grid), _fmt_column(pdf_values(mu)))
+    blocks = ((repeat(repr(float(t))), x_mid(mu.grid), _fmt_column(pdf_values(mu)))
               for t, mu in snapshots)
     _write_csv(path, "time,x_mid,pdf", blocks)
-
-
-def write_convergence_csv(path, rows) -> None:
-    """Rows `eta,time,error,rate`; the rate field is empty where undefined."""
-    columns = [[_fmt(row.eta) for row in rows], [_fmt(row.time) for row in rows],
-               [_fmt(row.error) for row in rows],
-               ["" if row.rate is None else _fmt(row.rate) for row in rows]]
-    _write_csv(path, "eta,time,error,rate", [columns])
-
-
-def write_pdf_table(path, x_mid, series, names) -> None:
-    """Rows `x_mid,<name1>[,<name2>...]` for one or more named PDF columns
-    of equal length."""
-    series = [np.asarray(s, dtype=float) for s in series]
-    x_mid = np.asarray(x_mid, dtype=float)
-    if not series:
-        raise ValueError("write_pdf_table: at least one series required")
-    if any(len(s) != len(x_mid) for s in series):
-        raise ValueError("write_pdf_table: series length mismatch")
-    if len(names) != len(series):
-        raise ValueError("write_pdf_table: one name per series required")
-    columns = [_fmt_column(x_mid)] + [_fmt_column(s) for s in series]
-    _write_csv(path, "x_mid," + ",".join(names), [columns])

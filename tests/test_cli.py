@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +288,26 @@ class TestConfigErrors:
         assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == 1
         assert read_manifest(out)["status"] == "config-error"
 
+    def test_inputs_read_as_utf8_in_an_ascii_locale(self, tmp_path):
+        # the config (JSON is UTF-8, RFC 8259) and the catch file, whatever the locale
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "LC_ALL": "C",
+               "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "rational_logit.cli", *argv],
+                                  env=env, capture_output=True, timeout=120).returncode
+
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes('{"grid": {"n": 50}, "dynamic": {"kappa": 1.0, "eta": 0.01, "κ": 1}}'
+                        .encode())
+        assert run("stationary", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+        assert read_manifest(tmp_path / "out")["error"].endswith("- dynamic.κ: unknown key")
+        data = tmp_path / "data.csv"
+        data.write_bytes("year,catch\nété 2016,3\nété 2016,4\n".encode())
+        cfg = write_config(tmp_path, {"fit": {"bounds": {}, "levels": 0}})
+        assert run("fit", "--config", str(cfg), "--out", str(tmp_path / "fit"),
+                   "--data", str(data)) == 0
+
     @pytest.mark.parametrize("data_text, code, status", [
         ("yr,catch\n2000,1\n", 1, "config-error"),
         (None, 3, "io-error"),
@@ -562,6 +585,9 @@ def test_refinement_table_reads_solver_results(tmp_path, monkeypatch):
     for _, small_steps, limit_steps, max_gap, variational_gap in rows:
         assert int(small_steps) > 0 and int(limit_steps) > 0
         assert float(max_gap) > 0.0 and 0.0 < float(variational_gap) <= 2.0
+    for row in rows:  # counts written bare, gaps as their shortest round trip
+        assert not any("." in field for field in row[:3])
+        assert all(field == repr(float(field)) for field in row[3:])
 
 
 def test_empirical_vs_model_table(tmp_path):

@@ -8,8 +8,7 @@ import pytest
 
 from rational_logit.calibration import FitSpec
 from rational_logit.dataio import (ConfigError, RunConfig, bundled_catches_path, load_catches,
-                                   load_run_config, write_convergence_csv, write_pdf_table,
-                                   write_trajectory_csv)
+                                   load_run_config, write_table, write_trajectory_csv)
 from rational_logit.dynamics import ConvergenceRow, DynamicConfig, run_until
 from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
@@ -22,7 +21,14 @@ ASSET_YEARS = {"2016": (16, 43), "2017": (13, 42), "2018": (10, 53), "2019": (15
 
 def write_measure_table(path, mu: GridMeasure) -> None:
     """A measure's `x_mid,mass,pdf` table, as the stationary subcommand writes it."""
-    write_pdf_table(path, mu.grid.midpoints, [mu.mass, pdf_values(mu)], ["mass", "pdf"])
+    write_table(path, {"x_mid": mu.grid.midpoints, "mass": mu.mass, "pdf": pdf_values(mu)})
+
+
+def write_convergence_table(path, rows) -> None:
+    """The `eta,time,error,rate` table of ConvergenceRows, as the
+    convergence-eta subcommand writes it."""
+    write_table(path, {name: [getattr(row, name) for row in rows]
+                       for name in ("eta", "time", "error", "rate")})
 
 
 class TestBundledAsset:
@@ -265,7 +271,7 @@ class TestCsvEmission:
 
     def test_pdf_table_single_series(self, tmp_path):
         path = tmp_path / "p.csv"
-        write_pdf_table(path, Grid(4).midpoints, [np.ones(4)], names=["pdf"])
+        write_table(path, {"x_mid": Grid(4).midpoints, "pdf": np.ones(4)})
         lines = path.read_text().splitlines()
         assert lines[0] == "x_mid,pdf"
         assert len(lines) == 5
@@ -273,23 +279,23 @@ class TestCsvEmission:
 
     def test_pdf_table_two_series(self, tmp_path):
         path = tmp_path / "p.csv"
-        write_pdf_table(path, [0.25, 0.75], [[1.0, 2.0], [3.0, 4.0]],
-                        names=["pdf_empirical", "pdf_model"])
+        write_table(path, {"x_mid": [0.25, 0.75], "pdf_empirical": [1.0, 2.0],
+                           "pdf_model": [3.0, 4.0]})
         lines = path.read_text().splitlines()
         assert lines[0] == "x_mid,pdf_empirical,pdf_model"
         assert lines[1] == "0.25,1.0,3.0"
 
     def test_pdf_table_length_mismatch(self, tmp_path):
-        with pytest.raises(ValueError, match="length"):
-            write_pdf_table(tmp_path / "p.csv", [0.5], [[1.0, 2.0]], names=["pdf"])
-
-    def test_pdf_table_one_name_per_series(self, tmp_path):
-        with pytest.raises(ValueError, match="one name per series"):
-            write_pdf_table(tmp_path / "p.csv", [0.5], [[1.0], [2.0]], names=["pdf"])
+        path = tmp_path / "p.csv"
+        with pytest.raises(ValueError, match=r"of one length required \(got lengths \[1, 2\]\)"):
+            write_table(path, {"x_mid": [0.5], "pdf": [1.0, 2.0]})
+        with pytest.raises(ValueError, match=r"\(got lengths \[2, 2, 1\]\)"):
+            write_table(path, {"n_cells": [50, 100], "gap": [0.5, 0.25], "rate": [None]})
+        assert not path.exists()
 
     def test_pdf_table_needs_a_series(self, tmp_path):
-        with pytest.raises(ValueError, match="at least one series"):
-            write_pdf_table(tmp_path / "p.csv", [0.5], [], names=[])
+        with pytest.raises(ValueError, match="one or more columns"):
+            write_table(tmp_path / "p.csv", {})
 
     def test_trajectory_csv(self, tmp_path):
         g = Grid(4)
@@ -306,11 +312,15 @@ class TestCsvEmission:
     def test_convergence_csv_rate_blank_for_largest_eta(self, tmp_path):
         rows = [ConvergenceRow(0.1, 1.0, 0.5, None), ConvergenceRow(0.01, 1.0, 0.05, 1.0)]
         path = tmp_path / "c.csv"
-        write_convergence_csv(path, rows)
+        write_convergence_table(path, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "eta,time,error,rate"
         assert lines[1] == "0.1,1.0,0.5,"
         assert lines[2] == "0.01,1.0,0.05,1.0"
+        # an int column is written bare, a float as its shortest round trip
+        write_table(path, {"n_cells": np.array([250, 4000]), "gap": [np.float64(0.1), 1e-300],
+                           "rate": [None, np.float64(2.0)]})
+        assert path.read_bytes() == b"n_cells,gap,rate\n250,0.1,\n4000,1e-300,2.0\n"
 
     def test_emission_bit_identical(self, tmp_path):
         g = Grid(8)
@@ -398,7 +408,7 @@ class TestWritersMatchReference:
         series = [random_measure(rng, n).mass * n for _ in range(3)]
         series[1] = list(series[1])  # a plain list of numpy floats
         for names in (["pdf", "pdf2", "pdf3"], ["pdf_kappa_0", "pdf_kappa_0.5", "pdf_kappa_1"]):
-            write_pdf_table(tmp_path / "lib.csv", x_mid, series, names)
+            write_table(tmp_path / "lib.csv", {"x_mid": x_mid, **dict(zip(names, series))})
             ref_pdf_table(tmp_path / "ref.csv", x_mid, series, names)
             assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -409,7 +419,7 @@ def test_convergence_csv_matches_reference(tmp_path):
     rows = [ConvergenceRow(eta, t, float(rng.random()) * eta,
                            None if i == 0 else np.float64(rng.random() * 2))
             for t in (1.0, 10.0) for i, eta in enumerate(etas)]
-    write_convergence_csv(tmp_path / "lib.csv", rows)
+    write_convergence_table(tmp_path / "lib.csv", rows)
     ref_convergence_csv(tmp_path / "ref.csv", rows)
     data = (tmp_path / "lib.csv").read_bytes()
     assert data == (tmp_path / "ref.csv").read_bytes()
