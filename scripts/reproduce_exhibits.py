@@ -6,10 +6,10 @@ stationary PDF + moments, eta-convergence table, kappa sweep, transient
 trajectories at several noise levels, the empirical-vs-model PDF
 comparison table, and the criterion-6b grid-refinement table of the
 eta=0.01-to-limit stationary gap. The last two solve configs/fitted.json as
-loaded, the refinement table changing only eta and the grid. Takes about
-4 s on a 2-vCPU Xeon host, nearly all of it in the Euler transients: the
-eta table, whose five runs step as one stack (about 1.6 s), and the four
-trajectories (about 2 s together).
+loaded, the refinement table changing only eta and the grid. Takes 3.1-4.3
+s on a shared 2-vCPU Xeon host (median 4.2 s of six runs), nearly all of it
+in the Euler transients: the eta table, whose five runs step as one stack
+(1.2-1.7 s), and the four trajectories (1.6-2.4 s together).
 """
 
 from __future__ import annotations

@@ -141,10 +141,8 @@ def _convergence_eta(args, run_config, manifest):
         dataio.collect_problems(problems, prefix, replace, base, eta=eta)
     if problems:
         raise dataio.ConfigError(problems)
-    rows = eta_convergence_table(base, _model(run_config), uniform(base.grid), etas, times)
-    dataio.write_table(manifest.output("convergence_eta.csv"),
-                       {name: [getattr(row, name) for row in rows]
-                        for name in ("eta", "time", "error", "rate")})
+    table = eta_convergence_table(base, _model(run_config), uniform(base.grid), etas, times)
+    dataio.write_table(manifest.output("convergence_eta.csv"), table)
 
 
 def _sweep_kappa(args, run_config, manifest):

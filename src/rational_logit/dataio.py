@@ -48,7 +48,7 @@ def bundled_catches_path() -> Path:
 def load_catches(path) -> np.ndarray:
     """Parse a `year,catch` CSV of at least one record and return each catch
     divided by its own year's maximum, in row order."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     if not lines or lines[0].strip() != "year,catch":
         raise ValueError(f"{path}: expected header 'year,catch'")
     rows, maxima = [], {}
@@ -129,7 +129,7 @@ def load_run_config(path) -> RunConfig:
     included, is recorded in `RunConfig.resolved`.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):

@@ -240,9 +240,10 @@ def record_steps(times, dt: float | None) -> dict[int, float]:
     ({} where dt is None, not known).
 
     One ConfigError lists every problem: a time that is not finite or is
-    negative, no time after t = 0, and, where dt is known, a time off the
-    step lattice (by more than 1e-9 max(1, t)), two times on one step, and a
-    positive time on step 0 (that step is the t = 0 initial snapshot).
+    negative, no time after t = 0, and, where dt is known, a time whose step
+    count t / dt overflows, a time off the step lattice (by more than 1e-9
+    max(1, t)), two times on one step, and a positive time on step 0 (that
+    step is the t = 0 initial snapshot).
     """
     times = [float(t) for t in times]
     steps, problems = {}, [f"record time {t} is not a finite number" if not math.isfinite(t)
@@ -251,6 +252,9 @@ def record_steps(times, dt: float | None) -> dict[int, float]:
     if not any(t > 0.0 for t in times):
         problems.append(f"record times need a positive maximum (got {times!r})")
     for t in (t for t in times if dt is not None and 0.0 <= t < math.inf):
+        if math.isinf(t / dt):
+            problems.append(f"record time {t} is more steps of dt={dt} than a float can count")
+            continue
         k = round(t / dt)
         if abs(k * dt - t) > 1e-9 * max(1.0, t):
             problems.append(f"record time {t} is not a multiple of dt={dt}")
@@ -405,23 +409,16 @@ def solve_stationary(config: DynamicConfig, model) -> StationarySolution:
     return replace(run_to_stationary(config, model), fallback="; ".join(whys))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    eta: float
-    time: float
-    error: float
-    rate: float | None = None
-
-
 def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
-                          etas, times) -> list[ConvergenceRow]:
+                          etas, times) -> dict[str, list]:
     """Max-norm PDF error of positive-noise runs against the limit run.
 
     The limit-equation reference and every eta run step together, as the
     rows of one Euler stack (several stacks when the rows hold more than
-    STACK_CELLS cells), and are compared at the requested times. Rows go
-    from the largest eta down; the observed order between consecutive
-    etas, log(err_a/err_b)/log(eta_a/eta_b), is on the row of the smaller.
+    STACK_CELLS cells), and are compared at the requested times. Returns the
+    columns eta, time, error and rate that `write_table` takes: rows from the
+    largest eta down, times ascending; rate, None for the largest eta, is the
+    observed order log(err_a/err_b)/log(eta_a/eta_b) against the next larger.
 
     A ConfigError names `etas` unless they are one or more distinct
     numbers, in any order; `record_steps` states the rule for `times`.
@@ -443,12 +440,13 @@ def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
     errors = {(eta, t): float(np.abs(pdf - ref).max())
               for t, (ref, *runs) in pdfs.items() for eta, pdf in zip(etas, runs)}
 
-    rows = []
+    table = {"eta": [], "time": [], "error": [], "rate": []}
     for prev, eta in zip([None, *etas], etas):  # the largest eta has no previous one
         for t in times:
             err_a, err_b = errors.get((prev, t), 0.0), errors[(eta, t)]
             rate = None
             if err_a > 0.0 and err_b > 0.0:
                 rate = math.log(err_a / err_b) / math.log(prev / eta)
-            rows.append(ConvergenceRow(eta, t, err_b, rate))
-    return rows
+            for column, value in zip(table.values(), (eta, t, err_b, rate)):
+                column.append(value)
+    return table

@@ -72,7 +72,8 @@ class CompetitionUtility:
         n = grid.n
         self._cost = -params.a * grid.midpoints ** 2
         lag = np.arange(n) * grid.cell_width  # |x_i - x_j| at offset |i - j|
-        ramp = np.clip((epsilon - lag) / epsilon, 0.0, 1.0)
+        ramp, below = np.zeros(n), lag < epsilon  # off the ramp, lag / epsilon may overflow
+        ramp[below] = (epsilon - lag[below]) / epsilon
         ramp[0] = 0.0  # lag 0 is in the suffix sum
         self._wide = bool(np.any(ramp > 0.0))
         kernels = []  # (lower, upper): T[i, j] = lower[i - j] if i >= j else upper[j - i]

@@ -106,14 +106,15 @@ def test_criterion_3_noise_convergence_table(eta_table):
         (1e-2, 1.0): 0.95, (1e-3, 1.0): 1.49, (1e-4, 1.0): 1.65,
         (1e-2, 10.0): 1.05, (1e-3, 10.0): 1.86, (1e-4, 10.0): 1.99,
     }
-    rows = {(row.eta, row.time): row for row in eta_table}
+    keys = list(zip(eta_table["eta"], eta_table["time"]))
+    errors, rates = dict(zip(keys, eta_table["error"])), dict(zip(keys, eta_table["rate"]))
     problems = []
     for key, ref in expected_error.items():
-        err = rows[key].error
+        err = errors[key]
         if abs(err - ref) > 0.20 * ref:
             problems.append(f"error{key}={err:.3g} want {ref:.3g}+-20%")
     for key, ref in expected_rate.items():
-        rate = rows[key].rate
+        rate = rates[key]
         if rate is None or abs(rate - ref) > 0.3:
             problems.append(f"rate{key}={rate} want {ref}+-0.3")
     report("3 noise convergence table", not problems, "; ".join(problems))
@@ -278,12 +279,13 @@ def test_finite_difference_convergence_order(eta):
 
 
 def test_vanishing_noise_error_monotone(eta_table):
+    rows = list(zip(eta_table["eta"], eta_table["time"], eta_table["error"], eta_table["rate"]))
     for t in (1.0, 10.0):
-        rows = sorted((r for r in eta_table if r.time == t),
-                      key=lambda r: r.eta, reverse=True)
-        errors = [r.error for r in rows]
+        at_t = sorted(((eta, error, rate) for eta, when, error, rate in rows if when == t),
+                      key=lambda r: r[0], reverse=True)
+        errors = [error for _, error, _ in at_t]
         assert all(a > b for a, b in zip(errors, errors[1:]))
-        assert all(r.rate >= 0.9 for r in rows if r.rate is not None)
+        assert all(rate >= 0.9 for _, _, rate in at_t if rate is not None)
 
 
 def test_parameter_continuity_triangle(fitted_model):

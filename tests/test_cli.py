@@ -146,6 +146,16 @@ class TestConfigErrors:
         assert manifest["status"] == "config-error"
         assert f"{path}: unknown key" in manifest["error"]
 
+    def test_record_time_whose_step_count_overflows(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": {"n": 50}, "dynamic": {"kappa": 1.0, "eta": 0.01},
+                                   "record_times": [1e308]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error"
+        assert "record_times: record time 1e+308 is more steps" in manifest["error"]
+
     def test_unknown_keys_reported_with_other_problems(self, tmp_path):
         doc = json.loads((CONFIGS / "fitted.json").read_text())
         doc["dynamic"]["detla"] = 1e-3
@@ -185,6 +195,7 @@ class TestConfigErrors:
         ("--times", "1,1"),
         ("--times", "0.5,0.5000000001"),
         ("--times", "1e-12,0.5"),
+        ("--times", "1e308"),  # t / dt overflows the step count
     ])
     def test_convergence_eta_list_rules(self, tmp_path, config_path, option, value):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from rational_logit.calibration import FitSpec
 from rational_logit.dataio import (ConfigError, RunConfig, bundled_catches_path, load_catches,
                                    load_run_config, write_table, write_trajectory_csv)
-from rational_logit.dynamics import ConvergenceRow, DynamicConfig, run_until
+from rational_logit.dynamics import DynamicConfig, run_until
 from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
@@ -22,13 +23,6 @@ ASSET_YEARS = {"2016": (16, 43), "2017": (13, 42), "2018": (10, 53), "2019": (15
 def write_measure_table(path, mu: GridMeasure) -> None:
     """A measure's `x_mid,mass,pdf` table, as the stationary subcommand writes it."""
     write_table(path, {"x_mid": mu.grid.midpoints, "mass": mu.mass, "pdf": pdf_values(mu)})
-
-
-def write_convergence_table(path, rows) -> None:
-    """The `eta,time,error,rate` table of ConvergenceRows, as the
-    convergence-eta subcommand writes it."""
-    write_table(path, {name: [getattr(row, name) for row in rows]
-                       for name in ("eta", "time", "error", "rate")})
 
 
 class TestBundledAsset:
@@ -78,6 +72,11 @@ class TestLoadCatches:
         path = tmp_path / "blank.csv"
         path.write_text("year,catch\n2016,2\n\n   \n2016,4\n")
         np.testing.assert_array_equal(load_catches(path), [0.5, 1.0])
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + bundled_catches_path().read_bytes())
+        np.testing.assert_array_equal(load_catches(path), load_catches(bundled_catches_path()))
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -214,6 +213,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_run_config(path)
 
+    def test_byte_order_mark(self, tmp_path):
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "fit_ab.json"
+        path = tmp_path / "bom.json"
+        path.write_bytes(codecs.BOM_UTF8 + shipped.read_bytes())
+        assert load_run_config(path) == load_run_config(shipped)
+
     def test_defaults_are_the_types_defaults(self, tmp_path):
         doc = {"dynamic": {"kappa": 1.0, "eta": 0.01}, "fit": {"bounds": {}}}
         path = tmp_path / "cfg.json"
@@ -310,9 +315,9 @@ class TestCsvEmission:
         assert {line.split(",")[0] for line in lines[1:]} == {"0.0", "0.5", "1.0"}
 
     def test_convergence_csv_rate_blank_for_largest_eta(self, tmp_path):
-        rows = [ConvergenceRow(0.1, 1.0, 0.5, None), ConvergenceRow(0.01, 1.0, 0.05, 1.0)]
         path = tmp_path / "c.csv"
-        write_convergence_table(path, rows)
+        write_table(path, {"eta": [0.1, 0.01], "time": [1.0, 1.0], "error": [0.5, 0.05],
+                           "rate": [None, 1.0]})
         lines = path.read_text().splitlines()
         assert lines[0] == "eta,time,error,rate"
         assert lines[1] == "0.1,1.0,0.5,"
@@ -358,11 +363,11 @@ def ref_trajectory_csv(path, snapshots):
     _ref_write(path, lines)
 
 
-def ref_convergence_csv(path, rows):
+def ref_convergence_csv(path, table):
     lines = ["eta,time,error,rate"]
-    for row in rows:
-        rate = "" if row.rate is None else _ref_fmt(row.rate)
-        lines.append(f"{_ref_fmt(row.eta)},{_ref_fmt(row.time)},{_ref_fmt(row.error)},{rate}")
+    for eta, t, error, rate in zip(table["eta"], table["time"], table["error"], table["rate"]):
+        rate = "" if rate is None else _ref_fmt(rate)
+        lines.append(f"{_ref_fmt(eta)},{_ref_fmt(t)},{_ref_fmt(error)},{rate}")
     _ref_write(path, lines)
 
 
@@ -415,12 +420,12 @@ class TestWritersMatchReference:
 
 def test_convergence_csv_matches_reference(tmp_path):
     rng = np.random.default_rng(3)
-    etas = [0.1, 0.01, 1e-3, 1e-4]
-    rows = [ConvergenceRow(eta, t, float(rng.random()) * eta,
-                           None if i == 0 else np.float64(rng.random() * 2))
-            for t in (1.0, 10.0) for i, eta in enumerate(etas)]
-    write_convergence_table(tmp_path / "lib.csv", rows)
-    ref_convergence_csv(tmp_path / "ref.csv", rows)
+    etas = [eta for eta in (0.1, 0.01, 1e-3, 1e-4) for _ in range(2)]  # times 1 and 10 each
+    table = {"eta": etas, "time": [1.0, 10.0] * 4,
+             "error": [float(rng.random()) * eta for eta in etas],
+             "rate": [None, None, *(np.float64(rate) for rate in rng.random(6) * 2)]}
+    write_table(tmp_path / "lib.csv", table)
+    ref_convergence_csv(tmp_path / "ref.csv", table)
     data = (tmp_path / "lib.csv").read_bytes()
     assert data == (tmp_path / "ref.csv").read_bytes()
     assert data.splitlines()[1].endswith(b",")

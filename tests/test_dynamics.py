@@ -17,8 +17,8 @@ from rational_logit.dataio import bundled_catches_path, load_catches, load_run_c
 from rational_logit.dynamics import (ANDERSON_BETA, ANDERSON_MAX_ITERATIONS, ANDERSON_SAFE_BETA,
                                      LIMIT_NOISE, STACK_CELLS, DegenerateWeightsError,
                                      DynamicBatch, DynamicConfig, StationarySolution,
-                                     eta_convergence_table, euler_step, run_to_stationary,
-                                     run_until, solve_stationary, weights)
+                                     eta_convergence_table, euler_step, record_steps,
+                                     run_to_stationary, run_until, solve_stationary, weights)
 from rational_logit.measures import (ConfigError, Grid, GridMeasure, pdf_values, uniform,
                                      variational_distance)
 from rational_logit.utility import CompetitionParams, CompetitionUtility
@@ -425,6 +425,15 @@ class TestRunUntil:
         with pytest.raises(ConfigError, match="is not a finite number"):
             run_until(cfg, constant_model(g), uniform(g), times)
 
+    # the config accepts a subnormal dt, on which even t = 1 is inf steps
+    @pytest.mark.parametrize("times, dt", [([1e308], 0.001), ([0.5, 1.0], 1e-320)])
+    def test_rejects_time_whose_step_count_overflows(self, times, dt):
+        cfg = DynamicConfig(1.0, 0.5, Grid(4), dt=dt)
+        with pytest.raises(ConfigError) as err:
+            record_steps(times, cfg.dt)
+        assert err.value.problems == [f"record time {t} is more steps of dt={dt} than a float "
+                                      "can count" for t in times]
+
     def test_degenerate_carries_step_index(self):
         # strictly negative utility everywhere: first step already fails
         g = Grid(8)
@@ -758,18 +767,19 @@ class TestEtaConvergenceTable:
         g = Grid(64)
         base = DynamicConfig(1.0, 0.01, g, dt=0.01)
         model = CompetitionUtility(g, CompetitionParams())
-        rows = eta_convergence_table(base, model, uniform(g), [0.1, 0.01], [0.5, 1.0])
-        assert len(rows) == 4
-        assert all(r.rate is None for r in rows if r.eta == 0.1)
-        assert all(r.rate is not None for r in rows if r.eta == 0.01)
-        assert all(r.error > 0 for r in rows)
+        table = eta_convergence_table(base, model, uniform(g), [0.1, 0.01], [0.5, 1.0])
+        assert list(table) == ["eta", "time", "error", "rate"]
+        assert table["eta"] == [0.1, 0.1, 0.01, 0.01] and table["time"] == [0.5, 1.0, 0.5, 1.0]
+        assert [rate is None for rate in table["rate"]] == [True, True, False, False]
+        assert len(table["error"]) == 4 and all(error > 0 for error in table["error"])
 
     def test_single_eta_has_no_rates(self):
         g = Grid(32)
         base = DynamicConfig(1.0, 0.05, g, dt=0.01)
         model = CompetitionUtility(g, CompetitionParams())
-        rows = eta_convergence_table(base, model, uniform(g), [0.05], [0.5])
-        assert len(rows) == 1 and rows[0].rate is None
+        table = eta_convergence_table(base, model, uniform(g), [0.05], [0.5])
+        assert table["eta"] == [0.05] and table["time"] == [0.5] and table["rate"] == [None]
+        assert len(table["error"]) == 1
 
     def test_etas_in_any_order_without_repeats(self):
         g = Grid(16)
@@ -779,7 +789,7 @@ class TestEtaConvergenceTable:
             with pytest.raises(ConfigError, match="etas: one or more distinct numbers required"):
                 eta_convergence_table(base, model, uniform(g), etas, [0.5])
         decreasing = eta_convergence_table(base, model, uniform(g), [0.1, 0.01, 1e-3], [0.5, 1.0])
-        assert [r.eta for r in decreasing] == [0.1, 0.1, 0.01, 0.01, 1e-3, 1e-3]
+        assert decreasing["eta"] == [0.1, 0.1, 0.01, 0.01, 1e-3, 1e-3]
         for etas in ([1e-3, 0.01, 0.1], [0.01, 1e-3, 0.1]):
             assert eta_convergence_table(base, model, uniform(g), etas, [0.5, 1.0]) == decreasing
 
@@ -792,9 +802,9 @@ class TestEtaConvergenceTable:
         base = DynamicConfig(1.0, 0.01, g, dt=dt)
         model = CompetitionUtility(g, CompetitionParams())
         etas = [0.1, 0.01, 1e-3, 1e-4]
-        rows = eta_convergence_table(base, model, uniform(g), etas, times)
+        table = eta_convergence_table(base, model, uniform(g), etas, times)
         reference = per_eta_reference(base, model, uniform(g), etas, times)
-        assert {(r.eta, r.time): r.error for r in rows} == reference
+        assert dict(zip(zip(table["eta"], table["time"]), table["error"])) == reference
 
     def test_limit_row_degenerating_mid_run_keeps_its_step(self):
         g = Grid(16)
@@ -819,8 +829,7 @@ class TestEtaConvergenceTable:
         g = Grid(64)
         base = DynamicConfig(1.0, 0.01, g, dt=0.01)
         model = CompetitionUtility(g, CompetitionParams())
-        rows = eta_convergence_table(base, model, uniform(g), [0.1, 0.01, 0.001], [1.0])
-        errors = [r.error for r in rows]
+        errors = eta_convergence_table(base, model, uniform(g), [0.1, 0.01, 0.001], [1.0])["error"]
         assert errors[0] > errors[1] > errors[2]
 
 

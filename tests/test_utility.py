@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,16 @@ class TestCompetitionUtility:
         g = Grid(25)
         assert CompetitionParams().resolve_epsilon(g) == pytest.approx(0.04)
         assert CompetitionParams(epsilon=0.01).resolve_epsilon(g) == 0.01
+
+    def test_tiny_epsilon_builds_without_warning(self):
+        # a ramp narrower than one cell is the default's: only lag 0, in the suffix sum
+        g = Grid(50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = CompetitionUtility(g, CompetitionParams(epsilon=1e-320))
+        stack = np.random.default_rng(5).dirichlet(np.ones(50), size=3)
+        np.testing.assert_array_equal(tiny.values(stack),
+                                      CompetitionUtility(g, CompetitionParams()).values(stack))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
