@@ -8,8 +8,9 @@ made reproducible as a deterministic multi-level coordinate grid search.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -83,6 +84,11 @@ class FitSpec:
                                             for p in FREE_PARAM_ORDER if p in self.bounds})
 
 
+def with_point(section, point: dict):
+    """`section` with each entry of the fit point `point` that names one of its fields."""
+    return replace(section, **{f.name: point[f.name] for f in fields(section) if f.name in point})
+
+
 def fit_objective(params: CompetitionParams, config: DynamicConfig, target: tuple[float, float]
                   ) -> tuple[float, tuple[float, float], StationarySolution]:
     """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2, the moments (m, s)
@@ -118,16 +124,30 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
     lexicographic enumeration order guarantees with a strict improvement
     test. An empty box is the base point alone, solved once.
 
-    A point is `params` with its a and b and `base` with its eta and kappa,
-    so every other setting, max_steps included, is the base run's. Each
+    A point sets each free parameter in `params` or `base`, whichever holds
+    it, so every other setting, max_steps included, is the base run's. Each
     level builds all its points before it solves any, so a point that
     CompetitionParams or DynamicConfig rejects (a negative a, kappa = 0
     under the limit equation) raises their ConfigError before any solve. A
     point whose solve is not stationary, or whose limit weight map
-    degenerates, is recorded as (assignment, None, why).
+    degenerates, is recorded as (assignment, None, why). A point equal to
+    one solved earlier in the search, such as a level's centre, is not
+    solved again: its evaluation repeats the earlier outcome.
     """
     bounds = original = spec.bounds  # in FREE_PARAM_ORDER
     free = tuple(bounds)
+
+    @functools.cache  # a point met again, at a later level, is not solved again
+    def outcome(point: CompetitionParams, config: DynamicConfig) -> tuple:
+        """(objective, moments, None) of one point, or (None, None, why)."""
+        try:
+            obj, moments, solution = fit_objective(point, config, target)
+        except DegenerateWeightsError as exc:
+            return None, None, repr(exc)
+        if not solution.stationary:
+            return None, None, (f"no stationary state within {config.max_steps} steps "
+                                f"({solution.fallback})")
+        return obj, moments, None
 
     best_assignment: dict = {}
     best_obj = np.inf
@@ -136,27 +156,14 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
 
     for _level in range(spec.levels + 1 if free else 1):
         axes = [np.linspace(bounds[p][0], bounds[p][1], spec.points_per_dim) for p in free]
-        points = []  # the whole level, built before any point is solved
-        for combo in itertools.product(*axes):
-            assignment = dict(zip(free, map(float, combo)))
-            point = replace(params, **{p: assignment[p] for p in free if p in ("a", "b")})
-            config = replace(base, **{p: assignment[p] for p in free if p in ("eta", "kappa")})
-            points.append((assignment, point, config))
+        # the whole level, built before any point is solved
+        assignments = [dict(zip(free, map(float, combo))) for combo in itertools.product(*axes)]
+        points = [(a, with_point(params, a), with_point(base, a)) for a in assignments]
         for assignment, point, config in points:
-            try:
-                obj, moments, solution = fit_objective(point, config, target)
-            except DegenerateWeightsError as exc:
-                evaluations.append((assignment, None, repr(exc)))
-                continue
-            if not solution.stationary:
-                evaluations.append((assignment, None, f"no stationary state within "
-                                    f"{config.max_steps} steps ({solution.fallback})"))
-                continue
-            evaluations.append((assignment, obj, None))
-            if obj < best_obj:
-                best_obj = obj
-                best_assignment = assignment
-                best_moments = moments
+            obj, moments, why = outcome(point, config)
+            evaluations.append((assignment, obj, why))
+            if obj is not None and obj < best_obj:
+                best_obj, best_assignment, best_moments = obj, assignment, moments
         if not np.isfinite(best_obj):
             raise RuntimeError("fit_search: every evaluation failed")
         # shrink around the current best, staying inside the original box
@@ -169,6 +176,6 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
         bounds = new_bounds
 
     best = dict(best_assignment)  # the free parameters first, then the fixed ones
-    for name, value in zip(FREE_PARAM_ORDER, (params.a, params.b, base.eta, base.kappa)):
-        best.setdefault(name, value)
+    for name in FREE_PARAM_ORDER:
+        best.setdefault(name, getattr(params if hasattr(params, name) else base, name))
     return FitResult(best, float(best_obj), tuple(evaluations), best_moments)

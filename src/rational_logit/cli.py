@@ -27,7 +27,7 @@ from . import dataio
 from .calibration import empirical_stats, fit_search
 from .dynamics import (LIMIT_NOISE, eta_convergence_table, record_steps, run_until,
                        solve_stationary)
-from .measures import mean_and_std, pdf_values, uniform
+from .measures import ConfigError, mean_and_std, pdf_values, uniform
 from .utility import CompetitionUtility
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ EXIT_INTERNAL = 4
 
 # The first matching row wins; ConfigError is a ValueError, so it comes first.
 _FAILURES = (
-    (dataio.ConfigError, "config-error", EXIT_CONFIG),
+    (ConfigError, "config-error", EXIT_CONFIG),
     (OSError, "io-error", EXIT_IO),
     ((RuntimeError, ValueError), "solver-error", EXIT_SOLVER),
     (Exception, "internal-error", EXIT_INTERNAL),
@@ -77,7 +77,7 @@ def _number_list(option: str, text: str) -> list[float]:
             return values
     except ValueError:
         pass
-    raise dataio.ConfigError([f"{option}: comma-separated finite numbers required (got {text!r})"])
+    raise ConfigError([f"{option}: comma-separated finite numbers required (got {text!r})"])
 
 
 def _model(run_config: dataio.RunConfig) -> CompetitionUtility:
@@ -109,13 +109,13 @@ def _stationary(args, run_config, manifest):
 
 def _fit(args, run_config, manifest):
     if run_config.fit is None:
-        raise dataio.ConfigError(["fit: section required for the fit subcommand"])
+        raise ConfigError(["fit: section required for the fit subcommand"])
     data_path = Path(args.data) if args.data else dataio.bundled_catches_path()
     manifest.doc["inputs"].append(str(data_path))
     try:
         target = empirical_stats(dataio.load_catches(data_path))
     except ValueError as exc:  # a malformed file; an unreadable one stays an OSError
-        raise dataio.ConfigError([f"--data: {exc}"]) from None
+        raise ConfigError([f"--data: {exc}"]) from None
     result = fit_search(run_config.fit, target, run_config.dynamic, run_config.utility)
     doc = {"fitted_parameters": {name: dataio.LIMIT_SPELLING if value is LIMIT_NOISE else value
                                  for name, value in result.best.items()},
@@ -140,7 +140,7 @@ def _convergence_eta(args, run_config, manifest):
                         *(("--etas: ", eta) for eta in dict.fromkeys(etas))]:
         dataio.collect_problems(problems, prefix, replace, base, eta=eta)
     if problems:
-        raise dataio.ConfigError(problems)
+        raise ConfigError(problems)
     table = eta_convergence_table(base, _model(run_config), uniform(base.grid), etas, times)
     dataio.write_table(manifest.output("convergence_eta.csv"), table)
 
@@ -157,7 +157,7 @@ def _sweep_kappa(args, run_config, manifest):
     configs = [dataio.collect_problems(problems, "--kappas: ", replace, base, kappa=kappa)
                for kappa in dict.fromkeys(kappas)]  # each value once; a repeat is a problem
     if problems:
-        raise dataio.ConfigError(problems)
+        raise ConfigError(problems)
     model = _model(run_config)
     columns, solvers = {"x_mid": base.grid.midpoints}, {}
     for name, config in zip(names, configs):

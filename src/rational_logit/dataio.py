@@ -13,20 +13,20 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import FitSpec
+from .calibration import FitSpec, with_point
 from .dynamics import LIMIT_NOISE, DynamicConfig, record_steps
 from .measures import ConfigError, Grid, is_number, pdf_values
 from .utility import CompetitionParams
 
 __all__ = [
-    "ConfigError",
+    "LIMIT_SPELLING",
     "RunConfig",
     "bundled_catches_path",
     "load_catches",
@@ -167,10 +167,9 @@ def load_run_config(path) -> RunConfig:
         if fit is not None:  # each type's range rule is an interval: check the box's corners
             for side in (0, 1):  # every free parameter at its lower, then its upper bound
                 corner = {p: pair[side] for p, pair in fit.bounds.items()}
-                for section, names in ((dynamic, ("eta", "kappa")), (params, ("a", "b"))):
+                for section in (dynamic, params):
                     if section is not None:
-                        collect_problems(problems, "fit.bounds.", replace, section,
-                                         **{p: corner[p] for p in names if p in corner})
+                        collect_problems(problems, "fit.bounds.", with_point, section, corner)
     if problems:
         raise ConfigError(problems)
 

@@ -51,6 +51,7 @@ __all__ = [
     "DynamicBatch",
     "weights",
     "euler_step",
+    "record_steps",
     "run_until",
     "run_to_stationary",
     "StationarySolution",
@@ -174,17 +175,12 @@ def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
     except ValueError:  # the bound may be loose: max |u| row by row decides
         _check_range(itertools.cycle(configs),
                      np.maximum(u.max(axis=-1), -u.min(axis=-1)).reshape(-1).tolist())
-    if len(groups) == 1:
-        _, kappa, eta = groups[0]
-        logw = _log_weights(kappa, eta, u)
-    else:
-        logw = np.empty_like(u)
-        for rows, kappa, eta in groups:
-            logw[rows] = _log_weights(kappa, eta, u[rows])
-    stack = u.ndim > 1  # keep a column per row; a vector's scalar is cheaper
-    logw -= logw.max(axis=-1, keepdims=stack)
+    logw = np.empty_like(u)
+    for rows, kappa, eta in groups:
+        logw[rows] = _log_weights(kappa, eta, u[rows])
+    logw -= logw.max(axis=-1, keepdims=True)
     w = np.exp(logw, out=logw)
-    w /= w.sum(axis=-1, keepdims=stack)
+    w /= w.sum(axis=-1, keepdims=True)
     return w
 
 

@@ -19,8 +19,9 @@ def log_e_kappa(kappa: float, z: np.ndarray) -> np.ndarray:
 
     Algebraically identical to (1/kappa)*ln(kappa*z + sqrt(kappa^2 z^2 + 1))
     but immune to overflow and to cancellation for z < 0. kappa lies in
-    (0, 1] (the kappa = 0 map is the identity, which the caller applies) and
-    z is a non-empty float array of at least one dimension with no NaN.
+    (0, 1] (the kappa = 0 map is the identity, which the caller applies),
+    one number or an array of z's shape, one kappa per entry of z, and z is
+    a non-empty float array of at least one dimension with no NaN.
     Where |kappa*z| < 1e-8, asinh(kappa*z)/kappa would lose precision (or
     kappa*z underflowed), so those entries alone take the series
     z*(1 - (kappa z)^2/6).

@@ -16,10 +16,12 @@ import pytest
 from oracles import BilinearUtility, d_e_kappa, e_kappa, refine, scaled_limit_residual
 from rational_logit.calibration import empirical_stats
 from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config
-from rational_logit.dynamics import (LIMIT_NOISE, DynamicConfig, euler_step,
-                                     eta_convergence_table, run_until,
-                                     run_to_stationary, solve_stationary, weights)
-from rational_logit.measures import Grid, mean_and_std, pdf_values, uniform, variational_distance
+from rational_logit.dynamics import (LIMIT_NOISE, DynamicBatch, DynamicConfig,
+                                     StationarySolution, euler_step, eta_convergence_table,
+                                     run_until, run_to_stationary, solve_stationary, weights)
+from rational_logit.kexp import log_e_kappa
+from rational_logit.measures import (Grid, GridMeasure, mean_and_std, pdf_values, uniform,
+                                     variational_distance)
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 N = 500
@@ -52,20 +54,48 @@ def fitted_model():
     return CompetitionUtility(GRID, FITTED)
 
 
+def stack_to_stationary(configs, model) -> list:
+    """`run_to_stationary` of each config, stepped as the rows of one
+    DynamicBatch: each row's solution is its post-step state at its own
+    first step that meets its delta, looked for within its max_steps."""
+    batch = DynamicBatch(configs)
+    deltas = np.array([c.delta for c in configs])
+    mass = np.repeat(uniform(batch.grid).mass[None, :], len(configs), axis=0)
+    solutions = [None] * len(configs)
+    for k in range(max(c.max_steps for c in configs)):
+        nxt = euler_step(batch, model, mass)
+        met = batch.grid.n * np.abs(nxt - mass).max(axis=1) <= deltas
+        for row in np.flatnonzero(met):
+            if solutions[row] is None and k < configs[row].max_steps:
+                solutions[row] = StationarySolution(GridMeasure(batch.grid, nxt[row]), True, k,
+                                                    "euler")
+        if all(solutions):
+            break
+        mass = nxt
+    return solutions
+
+
 @pytest.fixture(scope="module")
 def stationary_runs(fitted_model):
-    """Stationary states keyed by (kappa, eta); eta None is the limit mode."""
-    combos = [(1.0, 0.01), (0.0, 0.01), (0.1, 0.01), (0.5, 0.01),
-              (1.0, None), (1.0, 0.05), (1.0, 0.1)]
-    runs = {}
-    for kappa, eta in combos:
-        config = DynamicConfig(kappa, eta, GRID, DT, DELTA)
-        t0 = time.monotonic()
-        traj = run_to_stationary(config, fitted_model)
-        seconds = time.monotonic() - t0
-        assert traj.stationary
-        runs[(kappa, eta)] = (config, traj, seconds)
-    return runs
+    """Stationary states keyed by (kappa, eta); eta None is the limit mode.
+    The seven Euler references step as one stack; `seconds` is its time."""
+    combos = [(1.0, 0.01), (1.0, 0.05), (1.0, 0.1), (1.0, None),
+              (0.0, 0.01), (0.1, 0.01), (0.5, 0.01)]
+    configs = [DynamicConfig(kappa, eta, GRID, DT, DELTA) for kappa, eta in combos]
+    t0 = time.monotonic()
+    solutions = stack_to_stationary(configs, fitted_model)
+    seconds = time.monotonic() - t0
+    assert all(solutions)
+    return {combo: (config, traj, seconds)
+            for combo, config, traj in zip(combos, configs, solutions)}
+
+
+def test_stationary_stack_matches_single_run(fitted_model, stationary_runs):
+    # a row of the stack stops where run_to_stationary stops alone, bit for bit
+    config, stacked, _ = stationary_runs[(1.0, 0.01)]
+    single = run_to_stationary(config, fitted_model)
+    assert single.stationary and stacked.steps == single.steps == 18_426
+    assert np.array_equal(stacked.final_measure.mass, single.final_measure.mass)
 
 
 @pytest.fixture(scope="module")
@@ -164,11 +194,11 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
     if worst > 1e-12:
         problems.append(f"(b) softmax mismatch {worst:.2e}")
 
-    # (c) reflection identity on 10^5 random (kappa, z)
+    # (c) reflection identity on 10^5 random (kappa, z), one kappa per z
     kappas = rng.uniform(0.0, 1.0, size=100_000)
     zs = rng.uniform(-50.0, 50.0, size=100_000)
-    worst = max(abs(e_kappa(k, z) * e_kappa(k, -z) - 1.0)
-                for k, z in zip(kappas, zs))
+    worst = float(np.abs(np.exp(log_e_kappa(kappas, zs)) * np.exp(log_e_kappa(kappas, -zs))
+                         - 1.0).max())
     if worst > 1e-12:
         problems.append(f"(c) reflection defect {worst:.2e}")
 

@@ -18,6 +18,15 @@ COARSE_GRID = Grid(100)
 COARSE_DT = 0.01
 COARSE_DELTA = 1e-9
 COARSE_BASE = DynamicConfig(1.0, 0.01, COARSE_GRID, COARSE_DT, COARSE_DELTA, max_steps=200_000)
+SHIPPED_FIT = Path(__file__).resolve().parents[1] / "configs" / "fit_ab.json"
+
+
+def count_solves(monkeypatch) -> list:
+    """The configs of every stationary solve the search runs from now on."""
+    solves, solve = [], calibration.solve_stationary
+    monkeypatch.setattr(calibration, "solve_stationary",
+                        lambda config, model: solves.append(config) or solve(config, model))
+    return solves
 
 
 @pytest.fixture(scope="module")
@@ -218,15 +227,28 @@ class TestFitSearch:
         assert result.objective == fit_objective(params, base, target)[0]
         assert result.best == {"a": 0.3, "b": 0.2, "eta": 0.02, "kappa": 0.5}
 
-    def test_shipped_fit(self, table_sample):
-        # the full configs/fit_ab.json fit: three levels of 25 points at N = 500
-        run = load_run_config(Path(__file__).resolve().parents[1] / "configs" / "fit_ab.json")
+    def test_shipped_fit(self, table_sample, monkeypatch):
+        # the full configs/fit_ab.json fit: three levels of 25 points at N = 500,
+        # 11 of them bit-equal to a point of an earlier level and not solved again
+        solves = count_solves(monkeypatch)
+        run = load_run_config(SHIPPED_FIT)
         result = fit_search(run.fit, empirical_stats(table_sample), run.dynamic, run.utility)
         assert (result.best["a"], result.best["b"]) == pytest.approx((0.265625, 0.225),
                                                                      rel=0, abs=1e-15)
-        assert result.evaluation_count == 75
+        assert result.evaluation_count == 75 and len(solves) == 64
         assert all(error is None for _, _, error in result.evaluations)
         assert result.objective <= 1e-5
+        outcomes = {}  # a repeated point repeats its first outcome
+        for point, objective, _ in result.evaluations:
+            assert outcomes.setdefault(tuple(point.items()), objective) == objective
+
+    def test_reduced_fit_solves_each_point_once(self, table_sample, monkeypatch):
+        # the benchmark's reduced fit: one level of 2 x 2 points, all distinct
+        solves = count_solves(monkeypatch)
+        run = load_run_config(SHIPPED_FIT)
+        spec = replace(run.fit, levels=0, points_per_dim=2)
+        result = fit_search(spec, empirical_stats(table_sample), run.dynamic, run.utility)
+        assert result.evaluation_count == 4 and len(solves) == 4
 
     def test_point_degenerate_at_the_start_is_recorded(self):
         # at b = 0 every utility is -a x < 0 under the limit, so the first

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -575,6 +576,31 @@ def load_script(path: Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_cli_reaches_only_public_names():
+    # each module's __all__ is the one list of its public names: every library
+    # name cli.py imports or reaches as module.name is in its module's list,
+    # and no name is listed by two modules
+    package = ROOT / "src" / "rational_logit"
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    reached = {(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+               for alias in node.names}
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+               for alias in node.names}
+    reached |= {(node.value.id, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules}
+    assert {module for module, _ in reached} >= {"dataio", "dynamics", "measures"}
+    missing = [f"{module}.{name}" for module, name in sorted(reached)
+               if name not in importlib.import_module(f"rational_logit.{module}").__all__]
+    assert missing == []
+    listed = [name for path in sorted(package.glob("[!_]*.py"))
+              for name in getattr(importlib.import_module(f"rational_logit.{path.stem}"),
+                                  "__all__", ())]
+    assert sorted(name for name in set(listed) if listed.count(name) > 1) == []
 
 
 def test_scripts_import():

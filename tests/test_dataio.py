@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from rational_logit.calibration import FitSpec
-from rational_logit.dataio import (ConfigError, RunConfig, bundled_catches_path, load_catches,
+from rational_logit.dataio import (RunConfig, bundled_catches_path, load_catches,
                                    load_run_config, write_table, write_trajectory_csv)
 from rational_logit.dynamics import DynamicConfig, run_until
-from rational_logit.measures import Grid, GridMeasure, pdf_values, uniform
+from rational_logit.measures import ConfigError, Grid, GridMeasure, pdf_values, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
 ASSET_SHA256 = "2c6c23642492e5060d55e06dc2a6697a0209d009bf10a5114847bf41d4cd90aa"

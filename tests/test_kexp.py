@@ -44,6 +44,16 @@ class TestLogEKappa:
         out = log_e_kappa(0.5, z)
         assert out.shape == z.shape
 
+    def test_array_kappa_matches_scalar_calls(self):
+        # one kappa per entry of z gives each entry the bits of its own scalar
+        # call, on both sides of the series switch at |kappa z| = 1e-8
+        rng = np.random.default_rng(7)
+        kappas = np.concatenate([rng.uniform(1e-12, 1.0, 2000), [1e-12, 0.5, 1.0, 1e-3]])
+        zs = np.concatenate([rng.uniform(-50.0, 50.0, 2000), [1e-3, 1e-9, -2e-8, 1e-5]])
+        scalar = [log_e_kappa(k, np.array([z]))[0] for k, z in zip(kappas, zs)]
+        assert np.array_equal(log_e_kappa(kappas, zs), scalar)
+        assert np.any(np.abs(kappas * zs) < 1e-8) and np.any(np.abs(kappas * zs) >= 1e-8)
+
     @pytest.mark.parametrize("kappa", [1e-3, 0.5, 1.0])
     def test_series_branch_matches_both_branch_reference(self, kappa):
         # the reference evaluates the series and asinh branches everywhere
