@@ -6,10 +6,9 @@ stationary PDF + moments, eta-convergence table, kappa sweep, transient
 trajectories at several noise levels, the empirical-vs-model PDF
 comparison table, and the criterion-6b grid-refinement table of the
 eta=0.01-to-limit stationary gap. The last two solve configs/fitted.json as
-loaded, the refinement table changing only eta and the grid. Takes 3.1-4.3
-s on a shared 2-vCPU Xeon host (median 4.2 s of six runs), nearly all of it
-in the Euler transients: the eta table, whose five runs step as one stack
-(1.2-1.7 s), and the four trajectories (1.6-2.4 s together).
+loaded, the refinement table changing only eta and the grid. Nearly all of
+the time goes to the Euler transients: the eta table, whose five runs step
+as one stack, and the four trajectories.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ def main() -> int:
     codes = [cli_main(["stationary", "--config", str(CONFIG), "--out", str(OUT / "stationary")]),
              cli_main(["convergence-eta", "--config", str(CONFIG),
                        "--out", str(OUT / "convergence_eta")]),
-             cli_main(["sweep-kappa", "--config", str(CONFIG), "--out", str(OUT / "kappa_sweep"),
-                       "--kappas", "0,0.1,0.5,1"])]
+             cli_main(["sweep-kappa", "--config", str(CONFIG), "--out", str(OUT / "kappa_sweep")])]
     for eta in ["limit", 0.01, 0.05, 0.1]:
         codes.append(cli_main(["simulate", "--config", str(transient_config(eta)),
                                "--out", str(OUT / f"transient_eta_{eta}")]))

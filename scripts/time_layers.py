@@ -87,7 +87,7 @@ def traced_peak_bytes(fn) -> int:
 
 def time_writers(config, model) -> dict:
     """Time the trajectory and measure CSV writers into a temporary directory."""
-    snapshots = run_until(config, model, uniform(config.grid), SNAPSHOT_TIMES)
+    snapshots = run_until(config, model, SNAPSHOT_TIMES)
     mu = snapshots[-1][1]
     with tempfile.TemporaryDirectory() as tmp:
         traj_path, measure_path = Path(tmp, "trajectory.csv"), Path(tmp, "measure.csv")

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 FREE_PARAM_ORDER = ("a", "b", "eta", "kappa")
+FIT_SHRINK = 0.5  # each fit level's box is this share of the last one's width
 
 
 def empirical_stats(values: np.ndarray) -> tuple[float, float]:
@@ -61,7 +62,6 @@ class FitSpec:
     bounds: dict = field(default_factory=dict)
     levels: int = 2
     points_per_dim: int = 5
-    shrink: float = 0.5
 
     def __post_init__(self):
         problems = []
@@ -78,7 +78,6 @@ class FitSpec:
              lambda v: isinstance(v, dict)),
             ("levels", "integer >= 0 required", lambda v: is_integer(v) and v >= 0),
             ("points_per_dim", "integer >= 2 required", lambda v: is_integer(v) and v >= 2),
-            ("shrink", "number in (0, 1) required", lambda v: is_number(v) and 0.0 < v < 1.0),
         ], problems)
         object.__setattr__(self, "bounds", {p: tuple(map(float, self.bounds[p]))
                                             for p in FREE_PARAM_ORDER if p in self.bounds})
@@ -118,8 +117,8 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
     keys of spec.bounds.
 
     Each level evaluates the Cartesian product of points_per_dim values per
-    free parameter, then shrinks the bounds around the best point by the
-    shrink factor (clipped to the original bounds). Ties break toward the
+    free parameter, then shrinks the bounds around the best point by
+    FIT_SHRINK (clipped to the original bounds). Ties break toward the
     smaller parameter vector in the order (a, b, eta, kappa), which the
     lexicographic enumeration order guarantees with a strict improvement
     test. An empty box is the base point alone, solved once.
@@ -170,7 +169,7 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
         new_bounds = {}
         for p in free:
             lo0, hi0 = original[p]
-            half = (bounds[p][1] - bounds[p][0]) * spec.shrink / 2.0
+            half = (bounds[p][1] - bounds[p][0]) * FIT_SHRINK / 2.0
             center = best_assignment[p]
             new_bounds[p] = (max(lo0, center - half), min(hi0, center + half))
         bounds = new_bounds

@@ -8,7 +8,8 @@ Subcommands map one-to-one to the reproducible exhibits:
   convergence-eta  max-norm PDF error table of eta > 0 runs vs the limit run
   sweep-kappa      stationary PDFs side by side for a list of kappa values
 
-Every run writes a manifest.json next to its outputs, even on failure.
+Every run writes a manifest.json next to its outputs, even on failure,
+and first with status "running" once its config loads.
 Exit codes: 0 success, 1 config error, 2 solver error, 3 I/O error,
 4 internal error.
 """
@@ -27,7 +28,7 @@ from . import dataio
 from .calibration import empirical_stats, fit_search
 from .dynamics import (LIMIT_NOISE, eta_convergence_table, record_steps, run_until,
                        solve_stationary)
-from .measures import ConfigError, mean_and_std, pdf_values, uniform
+from .measures import ConfigError, mean_and_std, pdf_values
 from .utility import CompetitionUtility
 
 EXIT_OK = 0
@@ -85,8 +86,7 @@ def _model(run_config: dataio.RunConfig) -> CompetitionUtility:
 
 
 def _simulate(args, run_config, manifest):
-    snapshots = run_until(run_config.dynamic, _model(run_config),
-                          uniform(run_config.dynamic.grid), run_config.record_times)
+    snapshots = run_until(run_config.dynamic, _model(run_config), run_config.record_times)
     dataio.write_trajectory_csv(manifest.output("trajectory.csv"), snapshots)
     manifest.doc["termination"] = "reached_final_time"
 
@@ -133,7 +133,7 @@ def _convergence_eta(args, run_config, manifest):
     etas = _number_list("--etas", args.etas)
     times = _number_list("--times", args.times)
     problems = []
-    dataio.collect_problems(problems, "--times: ", record_steps, times, base.dt)
+    dataio.collect_problems(problems, "--times: ", record_steps, times, base.dt, base.max_steps)
     if len(set(etas)) < len(etas):
         problems.append(f"--etas: distinct numbers required (got {args.etas!r})")
     for prefix, eta in [("dynamic.", LIMIT_NOISE),  # then each distinct value once
@@ -141,7 +141,7 @@ def _convergence_eta(args, run_config, manifest):
         dataio.collect_problems(problems, prefix, replace, base, eta=eta)
     if problems:
         raise ConfigError(problems)
-    table = eta_convergence_table(base, _model(run_config), uniform(base.grid), etas, times)
+    table = eta_convergence_table(base, _model(run_config), etas, times)
     dataio.write_table(manifest.output("convergence_eta.csv"), table)
 
 
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     try:
         run_config = dataio.load_run_config(args.config)
         manifest.doc["config"] = run_config.resolved
-        manifest.out_dir.mkdir(parents=True, exist_ok=True)
+        manifest.write("running")  # what a run stopped from outside leaves
         SUBCOMMANDS[args.subcommand][0](args, run_config, manifest)
         manifest.write("ok")
         return EXIT_OK

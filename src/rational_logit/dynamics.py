@@ -27,9 +27,9 @@ mass, the limit weight map degenerated, or the large weight gave up), and
 the next stage takes over: the small weight unless the budget ran out,
 then the Euler `run_to_stationary`, the reference the tests compare
 against; `fallback` lists why each stage stopped short. `run_until` and
-the eta table keep Euler, and their start, because there the transient
-is the object of study. `run_until` steps one run; the eta table steps
-its limit reference and every eta together, as the rows of one stack.
+the eta table keep Euler from uniform, because there the transient is the
+object of study. `run_until` steps one run; the eta table steps its limit
+reference and every eta together, as the rows of one stack.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class DegenerateWeightsError(RuntimeError):
 class DynamicConfig:
     """Dynamic parameters: shape kappa, noise eta (None = limit equation),
     Euler step dt, stationarity threshold delta, the grid, and max_steps,
-    the iteration budget of every stationary solve."""
+    the step budget of every run: the iterations of a stationary solve and
+    the Euler steps of a transient."""
 
     kappa: float
     eta: float | None
@@ -231,15 +232,16 @@ def _euler_iterates(config: DynamicConfig | DynamicBatch, model, mass: np.ndarra
         yield mass
 
 
-def record_steps(times, dt: float | None) -> dict[int, float]:
+def record_steps(times, dt: float | None, max_steps: int | None = None) -> dict[int, float]:
     """The Euler step k of each record time t = k dt, as {k: t} in step order
     ({} where dt is None, not known).
 
     One ConfigError lists every problem: a time that is not finite or is
     negative, no time after t = 0, and, where dt is known, a time whose step
     count t / dt overflows, a time off the step lattice (by more than 1e-9
-    max(1, t)), two times on one step, and a positive time on step 0 (that
-    step is the t = 0 initial snapshot).
+    max(1, t)), two times on one step, a positive time on step 0 (that
+    step is the t = 0 initial snapshot), and, where max_steps is known, a
+    time past that many steps.
     """
     times = [float(t) for t in times]
     steps, problems = {}, [f"record time {t} is not a finite number" if not math.isfinite(t)
@@ -258,6 +260,9 @@ def record_steps(times, dt: float | None) -> dict[int, float]:
             problems.append(f"record time {t} falls on step 0, the t = 0 initial snapshot")
         elif k in steps:
             problems.append(f"record times {steps[k]} and {t} both fall on step {k}")
+        elif max_steps is not None and k > max_steps:
+            problems.append(f"record time {t} is step {k:.12g} of dt={dt}, past "
+                            f"max_steps={max_steps}")
         else:
             steps[k] = t
     if problems:
@@ -265,22 +270,24 @@ def record_steps(times, dt: float | None) -> dict[int, float]:
     return dict(sorted(steps.items()))
 
 
-def _recorded(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, record_times):
-    """Yield (t, m_k) for each requested time t = k dt > 0, stepping
-    m_0 = mass with Euler up to the last of them; `record_steps` maps the
-    times to steps."""
-    record = record_steps(record_times, config.dt)
+def _recorded(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, record: dict):
+    """Yield (t, m_k) for each time t = k dt > 0 of the step map `record`
+    ({k: t}, from `record_steps`), stepping m_0 = mass with Euler up to the
+    last of them."""
     for k, mass in enumerate(_euler_iterates(config, model, mass, max(record)), start=1):
         if k in record:
             yield record[k], mass
 
 
-def run_until(config: DynamicConfig, model, init: GridMeasure, record_times) -> tuple:
-    """Integrate with fixed-step Euler to the last requested time. Returns
-    the snapshots ((0.0, init), (t, measure), ...): the initial condition,
-    then one per requested time t > 0, labelled with that time."""
+def run_until(config: DynamicConfig, model, record_times) -> tuple:
+    """Integrate with fixed-step Euler from uniform to the last requested
+    time, at most config.max_steps steps. Returns the snapshots ((0.0,
+    uniform), (t, measure), ...): one per requested time t > 0 after the
+    start, each labelled with its time."""
+    record = record_steps(record_times, config.dt, config.max_steps)
+    init = uniform(config.grid)
     return ((0.0, init), *((t, GridMeasure(config.grid, mass))
-                           for t, mass in _recorded(config, model, init.mass, record_times)))
+                           for t, mass in _recorded(config, model, init.mass, record)))
 
 
 @dataclass(frozen=True)
@@ -405,32 +412,33 @@ def solve_stationary(config: DynamicConfig, model) -> StationarySolution:
     return replace(run_to_stationary(config, model), fallback="; ".join(whys))
 
 
-def eta_convergence_table(base: DynamicConfig, model, init: GridMeasure,
-                          etas, times) -> dict[str, list]:
+def eta_convergence_table(base: DynamicConfig, model, etas, times) -> dict[str, list]:
     """Max-norm PDF error of positive-noise runs against the limit run.
 
-    The limit-equation reference and every eta run step together, as the
-    rows of one Euler stack (several stacks when the rows hold more than
-    STACK_CELLS cells), and are compared at the requested times. Returns the
-    columns eta, time, error and rate that `write_table` takes: rows from the
-    largest eta down, times ascending; rate, None for the largest eta, is the
-    observed order log(err_a/err_b)/log(eta_a/eta_b) against the next larger.
+    The limit-equation reference and every eta run step together from
+    uniform, as the rows of one Euler stack (more stacks past STACK_CELLS
+    cells), and are compared at the requested times. Returns the columns eta,
+    time, error and rate that `write_table` takes: rows from the largest eta
+    down, times ascending; rate, None for the largest eta, is the observed
+    order log(err_a/err_b)/log(eta_a/eta_b) against the next larger.
 
     A ConfigError names `etas` unless they are one or more distinct
-    numbers, in any order; `record_steps` states the rule for `times`.
+    numbers, in any order; `record_steps` states the rule for `times`,
+    base.max_steps the most steps they may take.
     """
     etas = [float(e) for e in etas]
     if not etas or len(set(etas)) < len(etas):
         raise ConfigError([f"etas: one or more distinct numbers required (got {etas!r})"])
     etas, times = sorted(etas, reverse=True), sorted(float(t) for t in times)
+    record = record_steps(times, base.dt, base.max_steps)
 
     configs = [replace(base, eta=eta) for eta in (LIMIT_NOISE, *etas)]
     per_stack = max(1, STACK_CELLS // base.grid.n)
     pdfs: dict[float, list] = {t: [] for t in times}  # limit row first, then the etas
     for start in range(0, len(configs), per_stack):
         batch = DynamicBatch(configs[start:start + per_stack])
-        stack = np.repeat(init.mass[None, :], len(batch.configs), axis=0)
-        for t, masses in [(0.0, stack), *_recorded(batch, model, stack, times)]:
+        stack = np.full((len(batch.configs), base.grid.n), 1.0 / base.grid.n)
+        for t, masses in [(0.0, stack), *_recorded(batch, model, stack, record)]:
             if t in pdfs:
                 pdfs[t].extend(pdf_values(GridMeasure(base.grid, mass)) for mass in masses)
     errors = {(eta, t): float(np.abs(pdf - ref).max())

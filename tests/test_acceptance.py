@@ -101,8 +101,7 @@ def test_stationary_stack_matches_single_run(fitted_model, stationary_runs):
 @pytest.fixture(scope="module")
 def eta_table(fitted_model):
     base = DynamicConfig(1.0, 0.01, GRID, DT, DELTA)
-    return eta_convergence_table(base, fitted_model, uniform(GRID),
-                                 [1e-1, 1e-2, 1e-3, 1e-4], [1.0, 10.0])
+    return eta_convergence_table(base, fitted_model, [1e-1, 1e-2, 1e-3, 1e-4], [1.0, 10.0])
 
 
 def test_criterion_1_dataset_statistics():
@@ -218,7 +217,7 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
         g = Grid(n_cells)
         cfg = DynamicConfig(1.0, 0.05, g, DT, DELTA)
         model = BilinearUtility(g, f)
-        return run_until(cfg, model, uniform(g), [1.0])[-1][1]
+        return run_until(cfg, model, [1.0])[-1][1]
     ref = solve(800)
     dists = [variational_distance(refine(solve(n), 800 // n), ref)
              for n in (100, 200, 400)]
@@ -321,7 +320,7 @@ def test_vanishing_noise_error_monotone(eta_table):
 def test_parameter_continuity_triangle(fitted_model):
     def pdf_at_t1(eta):
         cfg = DynamicConfig(1.0, eta, GRID, DT, DELTA)
-        return pdf_values(run_until(cfg, fitted_model, uniform(GRID), [1.0])[-1][1])
+        return pdf_values(run_until(cfg, fitted_model, [1.0])[-1][1])
     p_limit = pdf_at_t1(None)
     p_big, p_small = pdf_at_t1(0.1), pdf_at_t1(0.01)
     gap = np.max(np.abs(p_big - p_small))

@@ -173,8 +173,6 @@ class TestFitSearch:
             FitSpec(bounds={"a": (0.5, 0.5)})
         with pytest.raises(ValueError, match=r"bounds\.zzz: unknown key"):
             FitSpec(bounds={"zzz": (0.0, 1.0)})
-        with pytest.raises(ValueError, match="shrink"):
-            FitSpec(bounds={"a": (0.2, 0.3)}, shrink="x")
 
     def test_rejects_negative_a_b_bounds(self):
         # CompetitionParams states the range; the search meets it before any solve

@@ -95,6 +95,19 @@ class TestSimulate:
         assert manifest["status"] == "internal-error"
         assert "KeyError" in manifest["error"] and "injected" in manifest["error"]
 
+    def test_interrupted_run_leaves_a_running_manifest(self, tmp_path, config_path,
+                                                       monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("rational_logit.cli.run_until", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--config", str(config_path), "--out", str(out)])
+        manifest = read_manifest(out)
+        assert manifest["status"] == "running" and manifest["error"] is None
+        assert manifest["config"] == load_run_config(config_path).resolved
+
 
 FIT = {"bounds": {"a": [0.2, 0.3]}, "levels": 0, "points_per_dim": 2}
 
@@ -137,8 +150,9 @@ class TestConfigErrors:
          "fit.bounds.c"),
         ("stationary", {"init": "uniform"}, "init"),
         ("fit", {"fit": {**FIT, "free": ["a"]}}, "fit.free"),
+        ("fit", {"fit": {**FIT, "shrink": 0.5}}, "fit.shrink"),
     ], ids=["top-level", "grid", "dynamic", "utility", "fit-max-steps", "fit-bounds", "init",
-            "fit-free"])
+            "fit-free", "fit-shrink"])
     def test_unknown_key_named_by_path(self, tmp_path, subcommand, overrides, path):
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"
@@ -156,6 +170,21 @@ class TestConfigErrors:
         manifest = read_manifest(out)
         assert manifest["status"] == "config-error"
         assert "record_times: record time 1e+308 is more steps" in manifest["error"]
+
+    @pytest.mark.parametrize("subcommand, overrides, options, prefix", [
+        ("simulate", {"record_times": [1.0]}, [], ""),
+        ("convergence-eta", {}, ["--times", "1"], "--times: "),
+    ], ids=["simulate", "convergence-eta"])
+    def test_record_time_past_max_steps(self, tmp_path, subcommand, overrides, options, prefix):
+        # t = 1 is 1,000 steps of dt 1e-3, past a budget of 100; no step is taken
+        cfg = write_config(tmp_path, {"dynamic.dt": 1e-3, "dynamic.max_steps": 100, **overrides})
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out), *options]) == 1
+        manifest = read_manifest(out)
+        assert manifest["status"] == "config-error" and manifest["outputs"] == []
+        assert (f"{prefix}record time 1.0 is step 1000 of dt=0.001, past max_steps=100"
+                in manifest["error"])
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
     def test_unknown_keys_reported_with_other_problems(self, tmp_path):
         doc = json.loads((CONFIGS / "fitted.json").read_text())

@@ -306,7 +306,7 @@ class TestCsvEmission:
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.5)
         model = CompetitionUtility(g, CompetitionParams())
-        snapshots = run_until(cfg, model, uniform(g), [0.5, 1.0])
+        snapshots = run_until(cfg, model, [0.5, 1.0])
         path = tmp_path / "t.csv"
         write_trajectory_csv(path, snapshots)
         lines = path.read_text().splitlines()

@@ -31,16 +31,26 @@ def constant_model(grid, value=1.0):
     return BilinearUtility(grid, lambda x, y: np.full_like(x * y, value))
 
 
-class FadingUtility:
-    """U_i = mean(m) - 0.6 in every cell, for an (N,) vector or each row of
-    a stack. From a point mass at the right edge every run relaxes toward
-    uniform, so a limit run degenerates once its mean falls to 0.6."""
+class FixedUtility:
+    """U_i = x_i whatever the mass, so the weights are one fixed measure."""
 
     def __init__(self, grid):
         self.x = grid.midpoints
 
     def values(self, mass):
-        return np.repeat((mass @ self.x - 0.6)[..., None], self.x.size, axis=-1)
+        return self.x
+
+
+class ChasingUtility:
+    """U_i = x_i - mean(m) - 0.05, for an (N,) vector or each row of a
+    stack. From uniform a limit run moves its mass right, and it
+    degenerates once its mean passes the last midpoint less 0.05."""
+
+    def __init__(self, grid):
+        self.x = grid.midpoints
+
+    def values(self, mass):
+        return self.x - (mass @ self.x)[..., None] - 0.05
 
 
 class NaNRowUtility:
@@ -92,12 +102,12 @@ def count_lstsq(monkeypatch) -> list:
     return calls
 
 
-def per_eta_reference(base, model, init, etas, times):
+def per_eta_reference(base, model, etas, times):
     """The eta table's errors from one run_until per eta against one
     run_until of the limit equation: the reference of the batched table."""
     def pdfs(eta):
         cfg = DynamicConfig(base.kappa, eta, base.grid, base.dt, base.delta)
-        snapshots = run_until(cfg, model, init, times)
+        snapshots = run_until(cfg, model, times)
         return {t: pdf_values(m) for t, m in snapshots if t in times}
 
     ref = pdfs(LIMIT_NOISE)
@@ -361,52 +371,53 @@ class TestRunUntil:
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         model = constant_model(g)
         times = [0.25, 0.5, 0.75]
-        snapshots = run_until(cfg, model, uniform(g), times)
+        snapshots = run_until(cfg, model, times)
         assert len(snapshots) == 4
         assert [t for t, _ in snapshots] == [0.0, 0.25, 0.5, 0.75]
 
     def test_constant_utility_stays_uniform(self):
         g = Grid(6)
         cfg = DynamicConfig(0.3, 0.1, g, dt=0.1)
-        snapshots = run_until(cfg, constant_model(g), uniform(g), [0.5, 1.0])
+        snapshots = run_until(cfg, constant_model(g), [0.5, 1.0])
         for _, mu in snapshots:
             np.testing.assert_allclose(mu.mass, 1.0 / 6.0, atol=1e-12)
 
-    def test_geometric_decay_to_uniform(self):
-        # constant utility: mu_{k+1} = (1-dt) mu_k + dt * uniform, closed form
+    def test_geometric_decay_to_fixed_weights(self):
+        # a utility that ignores the mass fixes the weights w:
+        # mu_{k+1} - w = (1-dt) (mu_k - w), closed form
         g = Grid(8)
         dt = 0.001
         cfg = DynamicConfig(1.0, 0.5, g, dt=dt)
-        raw = np.zeros(8)
-        raw[0] = 1.0
-        init = GridMeasure(g, raw)
+        model = FixedUtility(g)
+        w = GridMeasure(g, weights(cfg, model.values(None)))
         times = [0.5, 1.0, 2.0]
-        snapshots = run_until(cfg, constant_model(g), init, times)
-        d0 = variational_distance(init, uniform(g))
+        snapshots = run_until(cfg, model, times)
+        d0 = variational_distance(uniform(g), w)
+        assert d0 > 0.1
         for t, mu in snapshots[1:]:
             expected = d0 * (1.0 - dt) ** round(t / dt)
-            assert variational_distance(mu, uniform(g)) == pytest.approx(expected, rel=1e-9)
+            assert variational_distance(mu, w) == pytest.approx(expected, rel=1e-9)
             assert expected == pytest.approx(d0 * math.exp(-t), rel=1e-2)
 
     def test_rejects_offgrid_record_time(self):
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError):
-            run_until(cfg, constant_model(g), uniform(g), [0.3])
+            run_until(cfg, constant_model(g), [0.3])
 
     @pytest.mark.parametrize("times", [[-0.25, 0.5], [0.5, -0.25]])
     def test_rejects_negative_record_time(self, times):
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError, match="record times must be >= 0"):
-            run_until(cfg, constant_model(g), uniform(g), times)
+            run_until(cfg, constant_model(g), times)
 
     @pytest.mark.parametrize("times", [[], [0.0], [0.0, 0]])
     def test_rejects_times_without_a_positive_one(self, times):
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError, match="positive maximum"):
-            run_until(cfg, constant_model(g), uniform(g), times)
+            run_until(cfg, constant_model(g), times)
 
     # both on step 2; a positive time within the tolerance of step 0
     @pytest.mark.parametrize("times, problem", [([0.5, 0.5], "both fall on step 2"),
@@ -416,14 +427,14 @@ class TestRunUntil:
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError, match=problem):
-            run_until(cfg, constant_model(g), uniform(g), times)
+            run_until(cfg, constant_model(g), times)
 
     @pytest.mark.parametrize("times", [[math.nan, 1.0], [math.inf], [-math.inf, 0.5]])
     def test_rejects_non_finite_record_time(self, times):
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ConfigError, match="is not a finite number"):
-            run_until(cfg, constant_model(g), uniform(g), times)
+            run_until(cfg, constant_model(g), times)
 
     # the config accepts a subnormal dt, on which even t = 1 is inf steps
     @pytest.mark.parametrize("times, dt", [([1e308], 0.001), ([0.5, 1.0], 1e-320)])
@@ -434,13 +445,26 @@ class TestRunUntil:
         assert err.value.problems == [f"record time {t} is more steps of dt={dt} than a float "
                                       "can count" for t in times]
 
+    def test_rejects_time_past_max_steps_before_a_step(self):
+        g = Grid(4)
+        cfg = DynamicConfig(1.0, 0.5, g, dt=0.25, max_steps=2)
+        assert record_steps([0.5], cfg.dt, cfg.max_steps) == {2: 0.5}  # the budget itself
+        model = CountingModel(constant_model(g))
+        problem = "record time 0.75 is step 3 of dt=0.25, past max_steps=2"
+        with pytest.raises(ConfigError) as single:
+            run_until(cfg, model, [0.5, 0.75])
+        with pytest.raises(ConfigError) as table:
+            eta_convergence_table(cfg, model, [0.5], [0.5, 0.75])
+        assert single.value.problems == table.value.problems == [problem]
+        assert model.calls == 0
+
     def test_degenerate_carries_step_index(self):
         # strictly negative utility everywhere: first step already fails
         g = Grid(8)
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g)
         model = BilinearUtility(g, lambda x, y: -1.0 - x * y)
         with pytest.raises(DegenerateWeightsError) as err:
-            run_until(cfg, model, uniform(g), [1.0])
+            run_until(cfg, model, [1.0])
         assert err.value.step == 0
 
 
@@ -491,7 +515,7 @@ class TestRunToStationary:
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25, max_steps=10)
         with pytest.raises(ValueError, match="utility vector must be finite"):
-            run_until(cfg, NaNUtility(), uniform(g), [1.0])
+            run_until(cfg, NaNUtility(), [1.0])
         with pytest.raises(ValueError, match="utility vector must be finite"):
             run_to_stationary(cfg, NaNUtility())
 
@@ -767,7 +791,7 @@ class TestEtaConvergenceTable:
         g = Grid(64)
         base = DynamicConfig(1.0, 0.01, g, dt=0.01)
         model = CompetitionUtility(g, CompetitionParams())
-        table = eta_convergence_table(base, model, uniform(g), [0.1, 0.01], [0.5, 1.0])
+        table = eta_convergence_table(base, model, [0.1, 0.01], [0.5, 1.0])
         assert list(table) == ["eta", "time", "error", "rate"]
         assert table["eta"] == [0.1, 0.1, 0.01, 0.01] and table["time"] == [0.5, 1.0, 0.5, 1.0]
         assert [rate is None for rate in table["rate"]] == [True, True, False, False]
@@ -777,7 +801,7 @@ class TestEtaConvergenceTable:
         g = Grid(32)
         base = DynamicConfig(1.0, 0.05, g, dt=0.01)
         model = CompetitionUtility(g, CompetitionParams())
-        table = eta_convergence_table(base, model, uniform(g), [0.05], [0.5])
+        table = eta_convergence_table(base, model, [0.05], [0.5])
         assert table["eta"] == [0.05] and table["time"] == [0.5] and table["rate"] == [None]
         assert len(table["error"]) == 1
 
@@ -787,11 +811,11 @@ class TestEtaConvergenceTable:
         model = CompetitionUtility(g, CompetitionParams())  # steps a stack
         for etas in ([], [0.1, 0.01, 0.1], [0.01, 0.01]):
             with pytest.raises(ConfigError, match="etas: one or more distinct numbers required"):
-                eta_convergence_table(base, model, uniform(g), etas, [0.5])
-        decreasing = eta_convergence_table(base, model, uniform(g), [0.1, 0.01, 1e-3], [0.5, 1.0])
+                eta_convergence_table(base, model, etas, [0.5])
+        decreasing = eta_convergence_table(base, model, [0.1, 0.01, 1e-3], [0.5, 1.0])
         assert decreasing["eta"] == [0.1, 0.1, 0.01, 0.01, 1e-3, 1e-3]
         for etas in ([1e-3, 0.01, 0.1], [0.01, 1e-3, 0.1]):
-            assert eta_convergence_table(base, model, uniform(g), etas, [0.5, 1.0]) == decreasing
+            assert eta_convergence_table(base, model, etas, [0.5, 1.0]) == decreasing
 
     @pytest.mark.parametrize("n, dt, times", [(64, 0.01, [0.5, 1.0]),
                                               (STACK_CELLS // 2 - 1, 0.1, [0.0, 0.3, 0.5])])
@@ -802,34 +826,30 @@ class TestEtaConvergenceTable:
         base = DynamicConfig(1.0, 0.01, g, dt=dt)
         model = CompetitionUtility(g, CompetitionParams())
         etas = [0.1, 0.01, 1e-3, 1e-4]
-        table = eta_convergence_table(base, model, uniform(g), etas, times)
-        reference = per_eta_reference(base, model, uniform(g), etas, times)
+        table = eta_convergence_table(base, model, etas, times)
+        reference = per_eta_reference(base, model, etas, times)
         assert dict(zip(zip(table["eta"], table["time"]), table["error"])) == reference
 
     def test_limit_row_degenerating_mid_run_keeps_its_step(self):
         g = Grid(16)
         base = DynamicConfig(1.0, 0.1, g, dt=0.1)
-        raw = np.zeros(16)
-        raw[-1] = 1.0
-        init = GridMeasure(g, raw)
         with pytest.raises(DegenerateWeightsError) as single:
-            run_until(DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.1), FadingUtility(g), init, [2.0])
+            run_until(DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.1), ChasingUtility(g), [4.0])
         with pytest.raises(DegenerateWeightsError) as batched:
-            eta_convergence_table(base, FadingUtility(g), init, [0.1, 0.01], [2.0])
-        assert single.value.step == batched.value.step == 15
+            eta_convergence_table(base, ChasingUtility(g), [0.1, 0.01], [4.0])
+        assert single.value.step == batched.value.step == 25
 
     def test_nan_in_one_row_stops_the_table(self):
         g = Grid(16)
         base = DynamicConfig(1.0, 0.05, g, dt=0.1)
         with pytest.raises(ValueError, match="utility vector must be finite"):
-            eta_convergence_table(base, NaNRowUtility(g, row=2), uniform(g), [0.1, 0.01, 1e-3],
-                                  [1.0])
+            eta_convergence_table(base, NaNRowUtility(g, row=2), [0.1, 0.01, 1e-3], [1.0])
 
     def test_error_shrinks_with_eta(self):
         g = Grid(64)
         base = DynamicConfig(1.0, 0.01, g, dt=0.01)
         model = CompetitionUtility(g, CompetitionParams())
-        errors = eta_convergence_table(base, model, uniform(g), [0.1, 0.01, 0.001], [1.0])["error"]
+        errors = eta_convergence_table(base, model, [0.1, 0.01, 0.001], [1.0])["error"]
         assert errors[0] > errors[1] > errors[2]
 
 
