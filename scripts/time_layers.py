@@ -14,6 +14,11 @@ the DynamicConfig default budget max_steps = 10^6), as one JSON document.
 limit (eta = LIMIT_NOISE) on the same utility, which has positive cells.
 `batched_step_us` is one Euler step of the eta table's (5, N) stack: the
 limit row and etas 0.1, 0.01, 1e-3, 1e-4 under one DynamicBatch.
+`fit_level_s` is one fit level: the 25 points of the first
+configs/fit_ab.json level (its a x b grid, its dynamic settings on the
+grid of N cells) solved by `solve_stationary` as one batch on one model
+with a and b per row (median seconds of ANDERSON_RUNS solves), and
+`fit_level_iterations` the iterations of its rows, summed.
 For N <= EULER_MAX_N it also times the Euler `run_to_stationary` reference
 and gives its step count; both solvers return a StationarySolution.
 `trajectory_csv_s` is one `write_trajectory_csv` of a 101-snapshot
@@ -41,14 +46,15 @@ from pathlib import Path
 import numpy as np
 
 from rational_logit import (LIMIT_NOISE, CompetitionParams, CompetitionUtility, DynamicBatch,
-                            DynamicConfig, Grid, euler_step, pdf_values, run_to_stationary,
-                            run_until, solve_stationary, uniform, weights, write_table,
-                            write_trajectory_csv)
+                            DynamicConfig, Grid, euler_step, load_run_config, pdf_values,
+                            run_to_stationary, run_until, solve_stationary, uniform, weights,
+                            write_table, write_trajectory_csv)
 
 EULER_MAX_N = 2000  # about 18,000 steps per solve; larger grids take minutes
 ANDERSON_RUNS = 5  # one solve at N=500 takes about 3 ms and varies by half from run to run
 BATCH_ETAS = (LIMIT_NOISE, 0.1, 0.01, 1e-3, 1e-4)  # the eta table's rows
 SNAPSHOT_TIMES = [k / 1000 for k in range(1, 101)]  # every step of dt = 1e-3 to t = 0.1
+FIT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fit_ab.json"
 
 
 def median_us(fn, samples: int = 7, sample_seconds: float = 0.1) -> float:
@@ -101,6 +107,15 @@ def time_writers(config, model) -> dict:
                 "measure_csv_bytes": measure_path.stat().st_size}
 
 
+def fit_level(grid: Grid):
+    """The batch and the model of the first configs/fit_ab.json level on `grid`."""
+    run = load_run_config(FIT_CONFIG)
+    axes = [np.linspace(*run.fit.bounds[p], run.fit.points_per_dim) for p in ("a", "b")]
+    params = [replace(run.utility, a=float(a), b=float(b)) for a in axes[0] for b in axes[1]]
+    config = replace(run.dynamic, grid=grid)
+    return DynamicBatch([config] * len(params)), CompetitionUtility(grid, params)
+
+
 def time_size(n: int) -> dict:
     grid = Grid(n)
     tracemalloc.start()
@@ -126,6 +141,8 @@ def time_size(n: int) -> dict:
                stationary_solver=result.solver,
                anderson_iteration_us=(seconds / result.steps * 1e6
                                       if result.solver == "anderson" else None))
+    seconds, results = timed_solve(solve_stationary, *fit_level(grid), runs=ANDERSON_RUNS)
+    row.update(fit_level_s=seconds, fit_level_iterations=sum(r.steps for r in results))
     if n <= EULER_MAX_N:
         seconds, result = timed_solve(run_to_stationary, config, model)
         row.update(euler_stationary_s=seconds, euler_steps=result.steps)

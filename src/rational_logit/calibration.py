@@ -8,13 +8,14 @@ made reproducible as a deterministic multi-level coordinate grid search.
 
 from __future__ import annotations
 
-import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dynamics import DegenerateWeightsError, DynamicConfig, StationarySolution, solve_stationary
+from .dynamics import (DegenerateWeightsError, DynamicBatch, DynamicConfig, StationarySolution,
+                       solve_stationary)
 from .measures import check_fields, is_integer, is_number, mean_and_std
 from .utility import CompetitionParams, CompetitionUtility
 
@@ -94,17 +95,31 @@ def fit_objective(params: CompetitionParams, config: DynamicConfig, target: tupl
     and the solve they come from, for one parameter point. A solve that
     missed delta is returned as it is (`stationary` false)."""
     solution = solve_stationary(config, CompetitionUtility(config.grid, params))
+    return (*_objective(solution, target), solution)
+
+
+def _objective(solution: StationarySolution, target: tuple[float, float]
+               ) -> tuple[float, tuple[float, float]]:
+    """The objective and the moments of a solve's state."""
     mean, std = mean_and_std(solution.final_measure)
     m_hat, s_hat = target
-    return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std), solution
+    return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std)
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """The best point, its objective and moments, every evaluation as
+    (assignment, objective or None, why or None), and how the distinct
+    points converged: `solvers` counts them by the solver that produced
+    their state (a point whose Euler fallback degenerated has none), and
+    `fallback` counts those whose first mixing weight stopped short."""
+
     best: dict
     objective: float
     evaluations: tuple
     model_moments: tuple[float, float]
+    solvers: dict
+    fallback: int
 
     @property
     def evaluation_count(self) -> int:
@@ -131,22 +146,14 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
     point whose solve is not stationary, or whose limit weight map
     degenerates, is recorded as (assignment, None, why). A point equal to
     one solved earlier in the search, such as a level's centre, is not
-    solved again: its evaluation repeats the earlier outcome.
+    solved again: its evaluation repeats the earlier outcome. A level's
+    other distinct points are solved together, as the rows of one
+    `solve_stationary` batch on one model whose a and b are per row; each
+    gets the outcome it would get on its own.
     """
     bounds = original = spec.bounds  # in FREE_PARAM_ORDER
     free = tuple(bounds)
-
-    @functools.cache  # a point met again, at a later level, is not solved again
-    def outcome(point: CompetitionParams, config: DynamicConfig) -> tuple:
-        """(objective, moments, None) of one point, or (None, None, why)."""
-        try:
-            obj, moments, solution = fit_objective(point, config, target)
-        except DegenerateWeightsError as exc:
-            return None, None, repr(exc)
-        if not solution.stationary:
-            return None, None, (f"no stationary state within {config.max_steps} steps "
-                                f"({solution.fallback})")
-        return obj, moments, None
+    solved = {}  # (params, config) of each point solved: its solve's outcome
 
     best_assignment: dict = {}
     best_obj = np.inf
@@ -157,9 +164,14 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
         axes = [np.linspace(bounds[p][0], bounds[p][1], spec.points_per_dim) for p in free]
         # the whole level, built before any point is solved
         assignments = [dict(zip(free, map(float, combo))) for combo in itertools.product(*axes)]
-        points = [(a, with_point(params, a), with_point(base, a)) for a in assignments]
-        for assignment, point, config in points:
-            obj, moments, why = outcome(point, config)
+        points = [(a, (with_point(params, a), with_point(base, a))) for a in assignments]
+        # a point met again, in this level or an earlier one, is not solved again
+        new = [key for key in dict.fromkeys(key for _, key in points) if key not in solved]
+        if new:
+            model = CompetitionUtility(base.grid, [point for point, _ in new])
+            solved.update(zip(new, solve_stationary(DynamicBatch(c for _, c in new), model)))
+        for assignment, (point, config) in points:
+            obj, moments, why = _outcome(solved[point, config], config, target)
             evaluations.append((assignment, obj, why))
             if obj is not None and obj < best_obj:
                 best_obj, best_assignment, best_moments = obj, assignment, moments
@@ -177,4 +189,18 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
     best = dict(best_assignment)  # the free parameters first, then the fixed ones
     for name in FREE_PARAM_ORDER:
         best.setdefault(name, getattr(params if hasattr(params, name) else base, name))
-    return FitResult(best, float(best_obj), tuple(evaluations), best_moments)
+    solutions = [s for s in solved.values() if isinstance(s, StationarySolution)]
+    return FitResult(best, float(best_obj), tuple(evaluations), best_moments,
+                     dict(Counter(s.solver for s in solutions)),
+                     len(solved) - sum(s.fallback is None for s in solutions))
+
+
+def _outcome(solution, config: DynamicConfig, target: tuple[float, float]) -> tuple:
+    """(objective, moments, None) of one point's solve, or (None, None, why)
+    where it missed delta or its limit weight map degenerated."""
+    if isinstance(solution, DegenerateWeightsError):
+        return None, None, repr(solution)
+    if not solution.stationary:
+        return None, None, (f"no stationary state within {config.max_steps} steps "
+                            f"({solution.fallback})")
+    return (*_objective(solution, target), None)

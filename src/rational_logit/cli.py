@@ -26,8 +26,8 @@ from pathlib import Path
 
 from . import dataio
 from .calibration import empirical_stats, fit_search
-from .dynamics import (LIMIT_NOISE, eta_convergence_table, record_steps, run_until,
-                       solve_stationary)
+from .dynamics import (LIMIT_NOISE, DegenerateWeightsError, DynamicBatch, eta_convergence_table,
+                       record_steps, run_until, solve_stationary)
 from .measures import ConfigError, mean_and_std, pdf_values
 from .utility import CompetitionUtility
 
@@ -86,7 +86,12 @@ def _model(run_config: dataio.RunConfig) -> CompetitionUtility:
 
 
 def _simulate(args, run_config, manifest):
-    snapshots = run_until(run_config.dynamic, _model(run_config), run_config.record_times)
+    dynamic, problems = run_config.dynamic, []
+    dataio.collect_problems(problems, "record_times: ", record_steps, run_config.record_times,
+                            dynamic.dt, dynamic.max_steps)
+    if problems:
+        raise ConfigError(problems)
+    snapshots = run_until(dynamic, _model(run_config), run_config.record_times)
     dataio.write_trajectory_csv(manifest.output("trajectory.csv"), snapshots)
     manifest.doc["termination"] = "reached_final_time"
 
@@ -126,6 +131,8 @@ def _fit(args, run_config, manifest):
            "target_std": target[1],
            "evaluation_count": result.evaluation_count}
     manifest.output("fit.json").write_text(json.dumps(doc, indent=2) + "\n")
+    manifest.doc["solvers"] = result.solvers
+    manifest.doc["fallback"] = result.fallback
 
 
 def _convergence_eta(args, run_config, manifest):
@@ -158,10 +165,10 @@ def _sweep_kappa(args, run_config, manifest):
                for kappa in dict.fromkeys(kappas)]  # each value once; a repeat is a problem
     if problems:
         raise ConfigError(problems)
-    model = _model(run_config)
     columns, solvers = {"x_mid": base.grid.midpoints}, {}
-    for name, config in zip(names, configs):
-        solution = solve_stationary(config, model)
+    for name, solution in zip(names, solve_stationary(DynamicBatch(configs), _model(run_config))):
+        if isinstance(solution, DegenerateWeightsError):
+            raise solution
         columns[f"pdf_kappa_{name}"] = pdf_values(solution.final_measure)
         solvers[name] = {"solver": solution.solver, "steps": solution.steps,
                          "stationary": solution.stationary, "fallback": solution.fallback}

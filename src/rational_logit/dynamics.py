@@ -26,8 +26,12 @@ short returns why (the budget ran out, an update left no positive finite
 mass, the limit weight map degenerated, or the large weight gave up), and
 the next stage takes over: the small weight unless the budget ran out,
 then the Euler `run_to_stationary`, the reference the tests compare
-against; `fallback` lists why each stage stopped short. `run_until` and
-the eta table keep Euler from uniform, because there the transient is the
+against; `fallback` lists why each stage stopped short. Anderson mixing
+steps an (N,) vector or a (B, N) stack, as the Euler loop does: the large
+weight solves the rows of a batch (a fit level, the kappas of a sweep)
+together, sharing every model evaluation and Gram solve, and a row leaves
+the stack when it stops, to finish its chain alone. `run_until` and the
+eta table keep Euler from uniform, because there the transient is the
 object of study. `run_until` steps one run; the eta table steps its limit
 reference and every eta together, as the rows of one stack.
 """
@@ -171,8 +175,10 @@ def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
         groups, configs = config.groups, config.configs
     else:
         groups, configs = [(..., config.kappa, config.eta)], (config,)
-    try:  # sqrt(u.u) bounds every |u|; vdot, unlike matmul, overflows without a numpy warning
-        _check_range(configs, itertools.repeat(math.sqrt(np.vdot(u, u))))
+    # max |u| over the whole stack bounds each row's (no BLAS call: OpenBLAS runs a dot
+    # product of more than 10,000 entries on every thread, which costs milliseconds)
+    try:
+        _check_range(configs, itertools.repeat(float(np.abs(u).max())))
     except ValueError:  # the bound may be loose: max |u| row by row decides
         _check_range(itertools.cycle(configs),
                      np.maximum(u.max(axis=-1), -u.min(axis=-1)).reshape(-1).tolist())
@@ -319,74 +325,194 @@ def run_to_stationary(config: DynamicConfig, model) -> StationarySolution:
     return StationarySolution(GridMeasure(config.grid, mass), False, config.max_steps, "euler")
 
 
-def _anderson(config: DynamicConfig, model, mass: np.ndarray, beta: float, budget: int,
-              give_up: bool = False) -> tuple[np.ndarray | None, int, str | None]:
+def _anderson(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, beta: float,
+              budget, give_up: bool = False):
     """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m,
     with mixing weight beta, for at most `budget` iterations.
 
-    Returns (mass, iterations, None) at the first iterate with N max|f| <=
-    delta. The last ANDERSON_DEPTH differences of f and of g = m + beta f
-    are the rows of two (depth, N) ring buffers, each new row written in
-    place over the oldest. The mixing coefficients solve the normal
-    equations of min |f - gamma @ dF|: the depth x depth Gram matrix
-    dF dF^T gains one row and column per iteration, so no iteration
-    forms or factors an N x depth matrix. The normal equations square the
-    condition number, so a singular Gram matrix falls back to lstsq on
-    dF^T. Every update is clipped to >= 0 and renormalized, so each
-    iterate stays on the simplex.
+    `config`, `mass` and `budget` are a DynamicConfig, an (N,) vector and an
+    int, and one (mass, iterations, why) is returned; or a DynamicBatch, a
+    (B, N) stack and B ints, and a list of B of them, one per row. The rows
+    of a stack share every model evaluation, weight map and Gram solve, but
+    each has its own delta, budget and give-up state, and gets the bits it
+    would get on its own: every sum runs along a row, and each row's Gram
+    system is solved on its own. A row that stops leaves the stack, which is
+    cut to the rows still running.
 
-    A run that stops short returns (None, iterations so far, why): when
-    the budget runs out, an update leaves no positive finite mass, or the
-    limit weight map degenerates at an iterate; with give_up, also when
-    max|f| grows past ANDERSON_GROWTH times its best, or that best has not
-    halved within ANDERSON_PATIENCE iterations.
+    A row returns (mass, iterations, None) at its first iterate with N
+    max|f| <= delta. The last ANDERSON_DEPTH differences of f and of g = m +
+    beta f are the rows of two (B, depth, N) ring buffers, each new row
+    written in place over the oldest. The mixing coefficients solve the
+    normal equations of min |f - gamma @ dF|: the depth x depth Gram matrix
+    dF dF^T gains one row and column per iteration, so no iteration forms or
+    factors an N x depth matrix. The normal equations square the condition
+    number, so a singular Gram matrix falls back to lstsq on dF^T. Every
+    update is clipped to >= 0 and renormalized, so each iterate stays on the
+    simplex.
+
+    A row that stops short returns (None, iterations so far, why): when its
+    budget runs out, its update leaves no positive finite mass, or its limit
+    weight map degenerates at an iterate; with give_up, also when its max|f|
+    grows past ANDERSON_GROWTH times its best, or that best has not halved
+    within ANDERSON_PATIENCE iterations.
     """
-    n = config.grid.n
-    df, dg = np.empty((ANDERSON_DEPTH, n)), np.empty((ANDERSON_DEPTH, n))
-    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
-    prev = None  # f and g of the previous iterate
-    best = mark = math.inf  # the smallest max|f| so far, and its value when it last halved
-    halved = 0  # the iteration at which it last halved
-    for k in range(budget + 1):
+    single = isinstance(config, DynamicConfig)
+    configs, budgets = ((config,), [budget]) if single else (config.configs, budget)
+    rows = [_AndersonRow(i, c, b) for i, (c, b) in enumerate(zip(configs, budgets))]
+    n, results = config.grid.n, [None] * len(rows)
+    df, dg = (np.empty((*mass.shape[:-1], ANDERSON_DEPTH, n)) for _ in range(2))
+    gram = np.empty((*mass.shape[:-1], ANDERSON_DEPTH, ANDERSON_DEPTH))
+    prev = ()  # f and g of the previous iterate
+    for k in itertools.count():
+        u = model.values(mass)
         try:
-            f = weights(config, model.values(mass)) - mass
-        except DegenerateWeightsError as exc:
-            return None, k, f"{exc} at Anderson iterate {k}"
-        residual = float(np.abs(f).max())
-        if n * residual <= config.delta:
-            return mass, k, None
-        if k == budget:
-            return None, k, f"Anderson mixing missed delta within {budget} iterations"
-        if give_up:
-            best = min(best, residual)
-            if best <= 0.5 * mark:
-                mark, halved = best, k
-            if residual > ANDERSON_GROWTH * best:
-                return None, k, f"Anderson residual grew past {ANDERSON_GROWTH:g} times its best"
-            if k - halved >= ANDERSON_PATIENCE:
-                return None, k, f"Anderson residual stalled for {ANDERSON_PATIENCE} iterations"
-        g = mass + beta * f
+            f, done = weights(config, u), {}
+            f -= mass
+        except DegenerateWeightsError as exc:  # the degenerate limit rows stop here
+            why, u = f"{exc} at Anderson iterate {k}", np.reshape(u, (-1, n))
+            done = {i: (None, k, why) for i, row in enumerate(rows)
+                    if row.config.eta is None and not (u[i] > 0.0).any()}
+            live = [i for i in range(len(rows)) if i not in done]  # none for a single run
+            f = np.zeros_like(mass)
+            if live:
+                live_batch = DynamicBatch(rows[i].config for i in live)
+                f[live] = weights(live_batch, u[live]) - mass[live]
+        residuals = np.abs(f).max(axis=-1).tolist()  # a float for a single run
+        residuals = [residuals] if single else residuals
+        for i, (row, residual) in enumerate(zip(rows, residuals)):
+            if i in done:
+                continue
+            if n * residual <= row.config.delta:
+                done[i] = (np.reshape(mass, (-1, n))[i], k, None)
+            elif k == row.budget:
+                done[i] = (None, k, f"Anderson mixing missed delta within {row.budget} iterations")
+            elif give_up:
+                row.best = min(row.best, residual)
+                if row.best <= 0.5 * row.mark:
+                    row.mark, row.halved = row.best, k
+                if residual > ANDERSON_GROWTH * row.best:
+                    done[i] = (None, k, f"Anderson residual grew past {ANDERSON_GROWTH:g} times "
+                                        "its best")
+                elif k - row.halved >= ANDERSON_PATIENCE:
+                    done[i] = (None, k, f"Anderson residual stalled for {ANDERSON_PATIENCE} "
+                                        "iterations")
+        if done:
+            if len(done) == len(rows):
+                return _finished(results, rows, done, single)
+            rows, config, model, (mass, f, df, dg, gram, *prev) = _cut(
+                results, rows, done, model, (mass, f, df, dg, gram, *prev))
+        g = beta * f
+        g += mass  # m + beta f
         nxt = g
-        if prev is not None:
-            row = (k - 1) % ANDERSON_DEPTH  # the oldest row once the buffers are full
-            np.subtract(f, prev[0], out=df[row])
-            np.subtract(g, prev[1], out=dg[row])
-            m = min(k, ANDERSON_DEPTH)  # rows in use
-            gram[row, :m] = gram[:m, row] = df[:m] @ df[row]
+        if prev:
+            slot = (k - 1) % ANDERSON_DEPTH  # the oldest slot once the buffers are full
+            m = min(k, ANDERSON_DEPTH)  # slots in use
+            new, used = df[..., slot, :], df[..., :m, :]
+            np.subtract(f, prev[0], out=new)
+            np.subtract(g, prev[1], out=dg[..., slot, :])
+            gram[..., slot, :m] = gram[..., :m, slot] = (used @ new[..., None])[..., 0]
+            rhs = used @ f[..., None]
             try:
-                gamma = np.linalg.solve(gram[:m, :m], df[:m] @ f)
-            except np.linalg.LinAlgError:
-                gamma = np.linalg.lstsq(df[:m].T, f, rcond=None)[0]
-            nxt = g - gamma @ dg[:m]
+                gamma = np.linalg.solve(gram[..., :m, :m], rhs)
+            except np.linalg.LinAlgError:  # some row's Gram matrix is singular: row by row
+                systems = zip(np.reshape(gram[..., :m, :m], (-1, m, m)),
+                              np.reshape(rhs, (-1, m, 1)), np.reshape(used, (-1, m, n)),
+                              np.reshape(f, (-1, n)))
+                gamma = np.reshape([_mixing(*system) for system in systems], rhs.shape)
+            nxt = (gamma.swapaxes(-1, -2) @ dg[..., :m, :])[..., 0, :]
+            np.subtract(g, nxt, out=nxt)
         prev = f, g
         nxt = np.maximum(nxt, 0.0)
-        total = float(nxt.sum())
-        if not (math.isfinite(total) and total > 0.0):
-            return None, k + 1, f"Anderson update {k + 1} left no positive finite mass"
-        mass = nxt / total
+        totals = nxt.sum(axis=-1, keepdims=True)
+        sums = totals.ravel().tolist()
+        done = {} if 0.0 < min(sums) and sum(sums) < math.inf else {  # a NaN sums to NaN
+            i: (None, k + 1, f"Anderson update {k + 1} left no positive finite mass")
+            for i, total in enumerate(sums) if not 0.0 < total < math.inf}
+        if done:
+            if len(done) == len(rows):
+                return _finished(results, rows, done, single)
+            rows, config, model, (nxt, totals, df, dg, gram, *prev) = _cut(
+                results, rows, done, model, (nxt, totals, df, dg, gram, *prev))
+        nxt /= totals
+        mass = nxt
 
 
-def solve_stationary(config: DynamicConfig, model) -> StationarySolution:
+@dataclass(slots=True)
+class _AndersonRow:
+    """One row of an Anderson stack: its row in the batch, its config and
+    budget, and its give-up state: the smallest max|f| so far, that value
+    when it last halved, and the iteration at which it did."""
+
+    index: int
+    config: DynamicConfig
+    budget: int
+    best: float = math.inf
+    mark: float = math.inf
+    halved: int = 0
+
+
+def _mixing(gram: np.ndarray, rhs: np.ndarray, df: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """One row's mixing coefficients, an (m, 1) column: the Gram solve, or
+    lstsq on dF^T where the Gram matrix is singular."""
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(df.T, f, rcond=None)[0][:, None]
+
+
+def _finished(results: list, rows: list, done: dict, single: bool = False):
+    """`results` with the result of each stack row in `done` ({row: result})
+    in its batch row; of a single run, its one result."""
+    for i, result in done.items():
+        results[rows[i].index] = result
+    return results[0] if single else results
+
+
+def _cut(results: list, rows: list, done: dict, model, stacks):
+    """Record the stack rows in `done` as `_finished` does and cut the rest of
+    the stack to the rows still running: returns their rows, batch, model and
+    each (B, ...) array of `stacks`."""
+    _finished(results, rows, done)
+    keep = [i for i in range(len(rows)) if i not in done]
+    index = np.array(keep)
+    rows = [rows[i] for i in keep]
+    return (rows, DynamicBatch(row.config for row in rows), model.rows(index),
+            [stack[index] for stack in stacks])
+
+
+def _uniform_stack(config: DynamicConfig | DynamicBatch) -> np.ndarray:
+    """The uniform masses of a run, or of each row of a batch: uniform()'s
+    bits, without building a GridMeasure."""
+    n = config.grid.n
+    return np.full((n,) if isinstance(config, DynamicConfig) else (len(config.configs), n),
+                   1.0 / n)
+
+
+def _stationary_row(config: DynamicConfig, model, mass, spent: int, why) -> StationarySolution:
+    """One run's solve, given what the large mixing weight returned for it:
+    its state if that met delta; else the small weight from uniform on what
+    is left of the budget, then the Euler fallback where that stops short
+    too. `fallback` lists why each stage stopped short, the whole budget
+    where it ran out."""
+    budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
+    whys = []
+    if mass is None:
+        whys.append(why if spent < budget else
+                    f"Anderson mixing missed delta within {budget} iterations")
+        if spent < budget:
+            mass, iterations, why = _anderson(config, model, _uniform_stack(config),
+                                              ANDERSON_SAFE_BETA, budget - spent)
+            spent += iterations
+            if mass is None:
+                whys.append(why if spent < budget else
+                            f"Anderson mixing missed delta within {budget} iterations")
+    if mass is None:
+        return replace(run_to_stationary(config, model), fallback="; ".join(whys))
+    return StationarySolution(GridMeasure(config.grid, mass), True, spent, "anderson",
+                              "; ".join(whys) or None)
+
+
+def solve_stationary(config: DynamicConfig | DynamicBatch, model):
     """The stationary state mass = weights(U(mass)), from the uniform start.
 
     Anderson mixing runs at ANDERSON_BETA under the give-up rule, then,
@@ -396,20 +522,32 @@ def solve_stationary(config: DynamicConfig, model) -> StationarySolution:
     per-step Euler test of `run_to_stationary`, which runs with the full
     max_steps where no stage meets it. `fallback` lists why each stage that
     ran stopped short, the whole budget where it ran out.
+
+    `config` is a DynamicConfig, and a StationarySolution is returned; or a
+    DynamicBatch, whose rows the large weight solves as one Anderson stack,
+    with a list of one outcome per row returned. The model maps (B, N)
+    stacks row by row, and `model.rows(index)` is its model of some rows,
+    or of one row's (N,) vector for an int (a CompetitionUtility's a and b
+    may differ by row). A row that stops short runs the rest of its chain
+    alone, on `model.rows(row)`. Each row gets the outcome it would get on
+    its own, bit for bit, and a row whose Euler fallback degenerates holds
+    that DegenerateWeightsError, which a single run raises.
     """
-    budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
-    start, spent, whys = uniform(config.grid).mass, 0, []
-    for beta, give_up in ((ANDERSON_BETA, True), (ANDERSON_SAFE_BETA, False)):
-        mass, iterations, why = _anderson(config, model, start, beta, budget - spent, give_up)
-        spent += iterations
-        if mass is not None:
-            return StationarySolution(GridMeasure(config.grid, mass), True, spent, "anderson",
-                                      "; ".join(whys) or None)
-        if spent == budget:
-            whys.append(f"Anderson mixing missed delta within {budget} iterations")
-            break
-        whys.append(why)
-    return replace(run_to_stationary(config, model), fallback="; ".join(whys))
+    if isinstance(config, DynamicConfig):
+        budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
+        first = _anderson(config, model, _uniform_stack(config), ANDERSON_BETA, budget,
+                          give_up=True)
+        return _stationary_row(config, model, *first)
+    budgets = [min(c.max_steps, ANDERSON_MAX_ITERATIONS) for c in config.configs]
+    firsts = _anderson(config, model, _uniform_stack(config), ANDERSON_BETA, budgets,
+                       give_up=True)
+    outcomes = []
+    for i, (c, first) in enumerate(zip(config.configs, firsts)):
+        try:
+            outcomes.append(_stationary_row(c, model.rows(i), *first))
+        except DegenerateWeightsError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def eta_convergence_table(base: DynamicConfig, model, etas, times) -> dict[str, list]:
@@ -437,7 +575,7 @@ def eta_convergence_table(base: DynamicConfig, model, etas, times) -> dict[str, 
     pdfs: dict[float, list] = {t: [] for t in times}  # limit row first, then the etas
     for start in range(0, len(configs), per_stack):
         batch = DynamicBatch(configs[start:start + per_stack])
-        stack = np.full((len(batch.configs), base.grid.n), 1.0 / base.grid.n)
+        stack = _uniform_stack(batch)
         for t, masses in [(0.0, stack), *_recorded(batch, model, stack, record)]:
             if t in pdfs:
                 pdfs[t].extend(pdf_values(GridMeasure(base.grid, mass)) for mass in masses)

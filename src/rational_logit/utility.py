@@ -7,11 +7,14 @@ an award for the upper-alpha tail, the tail mass regularized by a ramp of
 width epsilon. It holds no matrix: both sums depend only on the cell
 offset, so `values` costs O(N) by cumulative sums (c in {0, 1},
 epsilon <= 1/N) or O(N log N) by one FFT Toeplitz product, in O(N) memory.
+A model may take the weights a and b per row of the stacks it maps, the
+only utility parameters a fit varies, so one model serves a fit level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,46 +66,80 @@ class CompetitionUtility:
     Any other c, and the lower ramp lags, take one zero-padded FFT Toeplitz
     product against kernel spectra computed here. So `values` costs O(N)
     for c in {0, 1} with epsilon <= 1/N, and O(N log N) otherwise.
+
+    `params` is one CompetitionParams, shared by every row, or a sequence of
+    them, one per row of the (B, N) stacks `values` maps, that differ at
+    most in a and b. Each row then gets the bits of the model of its own
+    params (it has its own cost vector and, for c not in {0, 1}, its own
+    reward spectrum), and `rows` cuts the model to some of its rows.
     """
 
-    def __init__(self, grid: Grid, params: CompetitionParams):
+    def __init__(self, grid: Grid, params):
         self.grid = grid
+        if isinstance(params, CompetitionParams):
+            first, a, b = params, params.a, params.b
+        else:  # a and b as (B, 1) columns
+            params = tuple(params)
+            first = params[0]
+            if any(replace(p, a=first.a, b=first.b) != first for p in params):
+                raise ValueError("the rows of a utility must differ at most in a and b")
+            a, b = np.array([[p.a] for p in params]), np.array([[p.b] for p in params])
         self.params = params
-        epsilon = params.resolve_epsilon(grid)
+        self._shared, self._b = first, b  # the parameters every row shares, and b
+        epsilon = first.resolve_epsilon(grid)
         n = grid.n
-        self._cost = -params.a * grid.midpoints ** 2
+        self._cost = -a * grid.midpoints ** 2
         lag = np.arange(n) * grid.cell_width  # |x_i - x_j| at offset |i - j|
         ramp, below = np.zeros(n), lag < epsilon  # off the ramp, lag / epsilon may overflow
         ramp[below] = (epsilon - lag[below]) / epsilon
         ramp[0] = 0.0  # lag 0 is in the suffix sum
         self._wide = bool(np.any(ramp > 0.0))
         kernels = []  # (lower, upper): T[i, j] = lower[i - j] if i >= j else upper[j - i]
-        if params.c not in (0.0, 1.0):
-            reward = params.b * lag ** params.c
+        if first.c not in (0.0, 1.0):
+            reward = b * lag ** first.c  # a (B, N) stack of kernels for a column b
             kernels.append((reward, reward))
         if self._wide:
             kernels.append((ramp, np.zeros(n)))
         self._fft_size = 1 << (2 * n - 2).bit_length()  # smallest power of 2 >= 2n - 1
-        self._spectra = (np.stack([_circulant_spectrum(lower, upper, self._fft_size)
-                                   for lower, upper in kernels]) if kernels else None)
+        spectra = [_circulant_spectrum(lower, upper, self._fft_size) for lower, upper in kernels]
+        # (kernels, F), or (B, kernels, F) where the reward kernel is per row
+        self._spectra = np.stack(np.broadcast_arrays(*spectra), axis=-2) if spectra else None
+
+    def rows(self, index) -> CompetitionUtility:
+        """The model of the rows `index` of this one: of one row's (N,)
+        vectors for an int index, of a stack for an index array. A model
+        shared by every row is its own model of any rows."""
+        if isinstance(self.params, CompetitionParams):
+            return self
+        part = copy.copy(self)
+        if np.ndim(index) == 0:
+            part.params = self.params[index]
+            part._b = float(self._b[index, 0])
+        else:
+            part.params = tuple(self.params[i] for i in index)
+            part._b = self._b[index]
+        part._cost = self._cost[index]
+        if self._spectra is not None and self._spectra.ndim == 3:
+            part._spectra = self._spectra[index]
+        return part
 
     def values(self, mass: np.ndarray) -> np.ndarray:
         """U of an (N,) mass vector, or of each row of a (B, N) stack. The
         sums run along the last axis, so a row of a stack gets the same
         bits as the same row on its own."""
-        p, n = self.params, self.grid.n
+        p, n = self._shared, self.grid.n
         upper = mass[..., ::-1].cumsum(-1)[..., ::-1]  # sum_{j >= i} m_j
         total = upper[..., :1]
         if self._spectra is not None:
             spectrum = self._spectra * np.fft.rfft(mass, self._fft_size)[..., None, :]
             lagged = np.fft.irfft(spectrum, self._fft_size)[..., :n]
         if p.c == 0.0:
-            reward = p.b * total  # |0|^0 taken as 1, so c = 0 is a constant reward
+            reward = self._b * total  # |0|^0 taken as 1, so c = 0 is a constant reward
         elif p.c == 1.0:
             dist = np.zeros(mass.shape)  # sum_j |i - j| m_j
             dist[..., 1:] = mass[..., :-1].cumsum(-1).cumsum(-1)
             dist[..., :-1] += upper[..., :0:-1].cumsum(-1)[..., ::-1]
-            reward = (p.b * self.grid.cell_width) * dist
+            reward = (self._b * self.grid.cell_width) * dist
         else:
             reward = lagged[..., 0, :]
         tail = upper + lagged[..., -1, :] if self._wide else upper
@@ -111,10 +148,11 @@ class CompetitionUtility:
 
 def _circulant_spectrum(lower: np.ndarray, upper: np.ndarray, size: int) -> np.ndarray:
     """rfft of the first column of the size x size circulant that embeds the
-    n x n Toeplitz matrix T[i, j] = lower[i - j] (i >= j), upper[j - i] (j > i)."""
-    n = lower.size
-    column = np.zeros(size)
-    column[:n] = lower
-    column[size - n + 1:] = upper[:0:-1]
+    n x n Toeplitz matrix T[i, j] = lower[i - j] (i >= j), upper[j - i] (j > i),
+    for each row of a stack of (lower, upper) kernels along the last axis."""
+    n = lower.shape[-1]
+    column = np.zeros((*lower.shape[:-1], size))
+    column[..., :n] = lower
+    column[..., size - n + 1:] = upper[..., :0:-1]
     return np.fft.rfft(column)
 

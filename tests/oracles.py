@@ -3,17 +3,23 @@
 The CLI and the scripts run none of it: the kappa-exponential e_kappa and
 its relatives (written on the library's `log_e_kappa`), two ways to build a
 GridMeasure, the dense bilinear utility with its sampled Lipschitz ratio,
-the dense competition utility, and the lstsq form of Anderson mixing.
+the dense competition utility, the lstsq form of Anderson mixing, and the
+one-row Anderson mixing and stationary solve that each row of the
+library's stacks must reproduce bit for bit.
 """
 
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
-from rational_logit.dynamics import ANDERSON_DEPTH, weights
+from rational_logit.dynamics import (ANDERSON_BETA, ANDERSON_DEPTH, ANDERSON_GROWTH,
+                                     ANDERSON_MAX_ITERATIONS, ANDERSON_PATIENCE,
+                                     ANDERSON_SAFE_BETA, DegenerateWeightsError,
+                                     StationarySolution, run_to_stationary, weights)
 from rational_logit.kexp import log_e_kappa
-from rational_logit.measures import Grid, GridMeasure, variational_distance
+from rational_logit.measures import Grid, GridMeasure, uniform, variational_distance
 
 
 def log_e(kappa: float, z):
@@ -190,3 +196,101 @@ def anderson_lstsq(config, model, mass: np.ndarray, beta: float,
         if not (math.isfinite(total) and total > 0.0):
             return None, k + 1, f"Anderson update {k + 1} left no positive finite mass"
         mass = nxt / total
+
+
+def anderson_single(config, model, mass: np.ndarray, beta: float, budget: int,
+                    give_up: bool = False) -> tuple[np.ndarray | None, int, str | None]:
+    """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m of
+    one (N,) vector, with mixing weight beta, for at most `budget`
+    iterations: the reference of each row of the library's stacked
+    `dynamics._anderson`, which must give its bits, iterations and reasons.
+
+    Returns (mass, iterations, None) at the first iterate with N max|f| <=
+    delta. The last ANDERSON_DEPTH differences of f and of g = m + beta f
+    are the rows of two (depth, N) ring buffers, each new row written in
+    place over the oldest. The mixing coefficients solve the normal
+    equations of min |f - gamma @ dF|: the depth x depth Gram matrix
+    dF dF^T gains one row and column per iteration, so no iteration
+    forms or factors an N x depth matrix. The normal equations square the
+    condition number, so a singular Gram matrix falls back to lstsq on
+    dF^T. Every update is clipped to >= 0 and renormalized, so each
+    iterate stays on the simplex.
+
+    A run that stops short returns (None, iterations so far, why): when
+    the budget runs out, an update leaves no positive finite mass, or the
+    limit weight map degenerates at an iterate; with give_up, also when
+    max|f| grows past ANDERSON_GROWTH times its best, or that best has not
+    halved within ANDERSON_PATIENCE iterations.
+    """
+    n = config.grid.n
+    df, dg = np.empty((ANDERSON_DEPTH, n)), np.empty((ANDERSON_DEPTH, n))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    prev = None  # f and g of the previous iterate
+    best = mark = math.inf  # the smallest max|f| so far, and its value when it last halved
+    halved = 0  # the iteration at which it last halved
+    for k in range(budget + 1):
+        try:
+            f = weights(config, model.values(mass)) - mass
+        except DegenerateWeightsError as exc:
+            return None, k, f"{exc} at Anderson iterate {k}"
+        residual = float(np.abs(f).max())
+        if n * residual <= config.delta:
+            return mass, k, None
+        if k == budget:
+            return None, k, f"Anderson mixing missed delta within {budget} iterations"
+        if give_up:
+            best = min(best, residual)
+            if best <= 0.5 * mark:
+                mark, halved = best, k
+            if residual > ANDERSON_GROWTH * best:
+                return None, k, f"Anderson residual grew past {ANDERSON_GROWTH:g} times its best"
+            if k - halved >= ANDERSON_PATIENCE:
+                return None, k, f"Anderson residual stalled for {ANDERSON_PATIENCE} iterations"
+        g = mass + beta * f
+        nxt = g
+        if prev is not None:
+            row = (k - 1) % ANDERSON_DEPTH  # the oldest row once the buffers are full
+            np.subtract(f, prev[0], out=df[row])
+            np.subtract(g, prev[1], out=dg[row])
+            m = min(k, ANDERSON_DEPTH)  # rows in use
+            gram[row, :m] = gram[:m, row] = df[:m] @ df[row]
+            try:
+                gamma = np.linalg.solve(gram[:m, :m], df[:m] @ f)
+            except np.linalg.LinAlgError:
+                gamma = np.linalg.lstsq(df[:m].T, f, rcond=None)[0]
+            nxt = g - gamma @ dg[:m]
+        prev = f, g
+        nxt = np.maximum(nxt, 0.0)
+        total = float(nxt.sum())
+        if not (math.isfinite(total) and total > 0.0):
+            return None, k + 1, f"Anderson update {k + 1} left no positive finite mass"
+        mass = nxt / total
+
+
+def solve_stationary_single(config, model) -> StationarySolution:
+    """The stationary state mass = weights(U(mass)) of one run, from the
+    uniform start, stage by stage on `anderson_single`: the reference of
+    each row of the library's batch `solve_stationary`.
+
+    Anderson mixing runs at ANDERSON_BETA under the give-up rule, then,
+    where that stops short, from the start again at ANDERSON_SAFE_BETA. The
+    stages share min(config.max_steps, ANDERSON_MAX_ITERATIONS) iterations
+    and stop at N max|w(U(m)) - m| <= delta, a test 1/dt stricter than the
+    per-step Euler test of `run_to_stationary`, which runs with the full
+    max_steps where no stage meets it. `fallback` lists why each stage that
+    ran stopped short, the whole budget where it ran out.
+    """
+    budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
+    start, spent, whys = uniform(config.grid).mass, 0, []
+    for beta, give_up in ((ANDERSON_BETA, True), (ANDERSON_SAFE_BETA, False)):
+        mass, iterations, why = anderson_single(config, model, start, beta, budget - spent,
+                                                give_up)
+        spent += iterations
+        if mass is not None:
+            return StationarySolution(GridMeasure(config.grid, mass), True, spent, "anderson",
+                                      "; ".join(whys) or None)
+        if spent == budget:
+            whys.append(f"Anderson mixing missed delta within {budget} iterations")
+            break
+        whys.append(why)
+    return replace(run_to_stationary(config, model), fallback="; ".join(whys))

@@ -22,10 +22,15 @@ SHIPPED_FIT = Path(__file__).resolve().parents[1] / "configs" / "fit_ab.json"
 
 
 def count_solves(monkeypatch) -> list:
-    """The configs of every stationary solve the search runs from now on."""
+    """The configs of every stationary solve the search runs from now on,
+    one per row of each batch it solves."""
     solves, solve = [], calibration.solve_stationary
-    monkeypatch.setattr(calibration, "solve_stationary",
-                        lambda config, model: solves.append(config) or solve(config, model))
+
+    def counted(batch, model):
+        solves.extend(batch.configs)
+        return solve(batch, model)
+
+    monkeypatch.setattr(calibration, "solve_stationary", counted)
     return solves
 
 
@@ -191,11 +196,12 @@ class TestFitSearch:
         # and a level builds all its points before it solves any
         evaluated = []
 
-        def record(params, config, target):
-            evaluated.append(config.kappa)
-            return 0.0, target, StationarySolution(uniform(config.grid), True, 0, "anderson")
+        def record(batch, model):
+            evaluated.extend(config.kappa for config in batch.configs)
+            return [StationarySolution(uniform(batch.grid), True, 0, "anderson")
+                    for _ in batch.configs]
 
-        monkeypatch.setattr(calibration, "fit_objective", record)
+        monkeypatch.setattr(calibration, "solve_stationary", record)
         limit = DynamicConfig(1.0, LIMIT_NOISE, COARSE_GRID, COARSE_DT, COARSE_DELTA)
         for free, kappas in [(("kappa",), [0.1, 1.0]), (("a", "kappa"), [0.1, 1.0, 0.1, 1.0])]:
             bounds = {p: {"a": (0.2, 0.3), "kappa": (0.0, 1.0)}[p] for p in free}
@@ -260,6 +266,14 @@ class TestFitSearch:
         [(point, objective, error)] = result.evaluations[1:]
         assert point == {"b": 0.1} and error is None and np.isfinite(objective)
         assert result.best["b"] == 0.1 and result.objective == objective
+
+    def test_result_counts_points_by_solver(self):
+        # the degenerate point has no solver and stopped short at the large
+        # weight; the other is Anderson's at the large weight
+        spec = FitSpec(bounds={"b": [0.0, 0.1]}, levels=0, points_per_dim=2)
+        base = DynamicConfig(1.0, LIMIT_NOISE, Grid(50))
+        result = fit_search(spec, (0.3, 0.3), base, CompetitionParams(a=1.0, b=0.0, d=0.0))
+        assert (result.solvers, result.fallback) == ({"anderson": 1}, 1)
 
     def test_all_failures_reported(self):
         spec = FitSpec(bounds={"a": (0.1, 0.5)}, levels=0, points_per_dim=2)

@@ -172,7 +172,7 @@ class TestConfigErrors:
         assert "record_times: record time 1e+308 is more steps" in manifest["error"]
 
     @pytest.mark.parametrize("subcommand, overrides, options, prefix", [
-        ("simulate", {"record_times": [1.0]}, [], ""),
+        ("simulate", {"record_times": [1.0]}, [], "record_times: "),
         ("convergence-eta", {}, ["--times", "1"], "--times: "),
     ], ids=["simulate", "convergence-eta"])
     def test_record_time_past_max_steps(self, tmp_path, subcommand, overrides, options, prefix):
@@ -460,6 +460,19 @@ class TestFit:
         assert run_config.dynamic.eta is None
         assert (run_config.utility.a, run_config.utility.b) == (best["a"], best["b"])
 
+    def test_reduced_fit_manifest_counts_solvers(self, tmp_path):
+        # the benchmark's reduced configs/fit_ab.json fit: 4 distinct points,
+        # each solved by Anderson mixing at the large weight
+        doc = json.loads((CONFIGS / "fit_ab.json").read_text())
+        doc["fit"].update(levels=0, points_per_dim=2)
+        cfg = tmp_path / "reduced.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        assert manifest["solvers"] == {"anderson": 4} and manifest["fallback"] == 0
+        assert json.loads((out / "fit.json").read_text())["evaluation_count"] == 4
+
     def test_fit_with_custom_data(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("year,catch\n2000,1\n2000,2\n2000,4\n")
@@ -554,6 +567,19 @@ class TestSweepKappa:
                      "--kappas=-0,1"]) == 0
         lines = (out / "kappa_sweep_pdf.csv").read_text().splitlines()
         assert lines[0] == "x_mid,pdf_kappa_0,pdf_kappa_1"
+
+    def test_degenerate_kappa_exits_2(self, tmp_path):
+        # the pure cost utility degenerates every limit row; the stack's first
+        # row raises what a stationary run raises, and no table is written
+        bad = write_config(tmp_path, {"dynamic.eta": "limit", "utility.b": 0.0,
+                                      "utility.d": 0.0, "utility.a": 1.0})
+        out = tmp_path / "out"
+        assert main(["sweep-kappa", "--config", str(bad), "--out", str(out),
+                     "--kappas", "0.5,1"]) == 2
+        manifest = read_manifest(out)
+        assert manifest["status"] == "solver-error" and manifest["outputs"] == []
+        assert manifest["error"] == ("all utilities nonpositive under the vanishing-noise "
+                                     "limit at step 0")
 
     def test_limit_mode_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"dynamic.eta": "limit"})
@@ -693,7 +719,8 @@ def test_exhibits_return_the_first_failure(tmp_path, monkeypatch, codes, expecte
 
 def test_layer_timing_per_size(monkeypatch):
     # the timing script's own use of both stationary solvers, DynamicBatch,
-    # weights and euler_step, each timed by a single call
+    # weights and euler_step, each timed by a single call, and of one fit
+    # level solved as one batch
     module = load_script(ROOT / "scripts" / "time_layers.py")
 
     def one_call(fn, samples=7, sample_seconds=0.1):
@@ -705,6 +732,7 @@ def test_layer_timing_per_size(monkeypatch):
     assert row["stationary_solver"] == "anderson" and row["stationary_iterations"] > 0
     assert row["anderson_iteration_us"] > 0.0
     assert row["euler_steps"] > row["stationary_iterations"]
+    assert row["fit_level_s"] > 0.0 and row["fit_level_iterations"] >= 25
     assert all(row[key] == 1.0 for key in ("values_us", "weights_us", "limit_weights_us",
                                            "euler_step_us", "batched_step_us", "measure_csv_us"))
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import BilinearUtility, DenseCompetition, anderson_lstsq, from_masses
+from oracles import (BilinearUtility, DenseCompetition, anderson_lstsq, from_masses,
+                     solve_stationary_single)
 from rational_logit import dynamics
 from rational_logit.calibration import empirical_stats, fit_search
 from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config
@@ -784,6 +785,154 @@ class TestSolveStationary:
         g = Grid(8)
         with pytest.raises(ValueError, match="max_steps"):
             DynamicConfig(1.0, 0.5, g, max_steps=0)
+
+
+def assert_rows_match_single_runs(configs, params, grid=None):
+    """solve_stationary on the batch of `configs`, on one model with a row
+    of `params` per config (one shared CompetitionParams for all), against
+    solve_stationary_single of each row on its own model: the same bits,
+    steps, solver, fallback and stationarity. Returns the outcomes."""
+    grid = grid or configs[0].grid
+    rows = params if isinstance(params, list) else [params] * len(configs)
+    outcomes = solve_stationary(DynamicBatch(configs), CompetitionUtility(grid, params))
+    assert len(outcomes) == len(configs)
+    for i, (config, point, outcome) in enumerate(zip(configs, rows, outcomes)):
+        single = solve_stationary_single(config, CompetitionUtility(grid, point))
+        assert (outcome.steps, outcome.solver, outcome.fallback, outcome.stationary) == (
+            single.steps, single.solver, single.fallback, single.stationary), i
+        assert np.array_equal(outcome.final_measure.mass, single.final_measure.mass), i
+    return outcomes
+
+
+class TestAndersonStack:
+    def test_first_fit_level_rows_match_single_runs(self):
+        # the 25 points of the first configs/fit_ab.json level, as the fit
+        # solves them: one stack on one model whose a and b are per row
+        run = load_run_config(FIT_AB)
+        axes = [np.linspace(*run.fit.bounds[p], run.fit.points_per_dim) for p in ("a", "b")]
+        params = [replace(run.utility, a=float(a), b=float(b))
+                  for a, b in itertools.product(*axes)]
+        outcomes = assert_rows_match_single_runs([run.dynamic] * len(params), params)
+        assert {o.solver for o in outcomes} == {"anderson"}
+        assert all(o.fallback is None for o in outcomes)
+        assert 26 <= min(o.steps for o in outcomes) < max(o.steps for o in outcomes) <= 60
+
+    def test_sweep_kappas_match_single_runs(self):
+        # sweep-kappa's default kappas on configs/fitted.json, on one shared model
+        run = load_run_config(FITTED)
+        configs = [replace(run.dynamic, kappa=kappa) for kappa in (0.0, 0.1, 0.5, 1.0)]
+        outcomes = assert_rows_match_single_runs(configs, run.utility)
+        assert [o.steps for o in outcomes] == [60, 60, 46, 48]
+
+    def test_rows_that_give_up_leave_the_converging_rows(self):
+        # kappa 0 at eta 1e-3 and kappa 0.1 in the limit give up at the
+        # large weight and finish alone at the small one (627 and 244
+        # iterations in all), while the other rows converge in the stack
+        run = load_run_config(FITTED)
+        points = [(1.0, 0.01), (0.0, 1e-3), (0.5, 0.01), (0.1, LIMIT_NOISE), (1.0, LIMIT_NOISE)]
+        configs = [replace(run.dynamic, kappa=kappa, eta=eta) for kappa, eta in points]
+        outcomes = assert_rows_match_single_runs(configs, run.utility)
+        assert [o.steps for o in outcomes] == [48, 627, 46, 244, 60]
+        gave_up = "Anderson residual grew past 10 times its best"
+        assert [o.fallback for o in outcomes] == [None, gave_up, None, gave_up, None]
+
+    def test_row_degenerate_at_the_start_leaves_healthy_rows(self):
+        # at b = 0 every limit utility is -a x^2 < 0, so that row degenerates
+        # at iterate 0 of both weights and its Euler fallback raises at step
+        # 0; the batch holds that error, which a single run raises, and the
+        # other rows, a limit row among them, solve as if alone
+        grid = Grid(50)
+        limit = DynamicConfig(1.0, LIMIT_NOISE, grid)
+        configs = [limit, limit, replace(limit, eta=0.01)]
+        params = [CompetitionParams(a=1.0, b=b, d=0.0) for b in (0.1, 0.0, 0.1)]
+        outcomes = solve_stationary(DynamicBatch(configs), CompetitionUtility(grid, params))
+        with pytest.raises(DegenerateWeightsError) as single:
+            solve_stationary_single(limit, CompetitionUtility(grid, params[1]))
+        assert isinstance(outcomes[1], DegenerateWeightsError)
+        assert repr(outcomes[1]) == repr(single.value) == (
+            "DegenerateWeightsError('all utilities nonpositive under the vanishing-noise "
+            "limit at step 0')")
+        for i in (0, 2):
+            [alone] = assert_rows_match_single_runs([configs[i]], [params[i]])
+            assert (outcomes[i].steps, outcomes[i].fallback) == (alone.steps, alone.fallback)
+            assert np.array_equal(outcomes[i].final_measure.mass, alone.final_measure.mass)
+
+    def test_row_that_misses_its_budget(self):
+        # each row has its own budget and delta: the first runs out of its
+        # 5 iterations and falls back to Euler; the third stalls against
+        # delta 1e-300 at iteration 78, leaves the stack, and misses its
+        # budget of 100 at the small weight
+        grid = Grid(16)
+        base = DynamicConfig(1.0, 0.05, grid, dt=0.01, delta=1e-9, max_steps=100_000)
+        configs = [replace(base, max_steps=5), base, replace(base, delta=1e-300, max_steps=100),
+                   replace(base, kappa=0.5)]
+        outcomes = assert_rows_match_single_runs(configs, CompetitionParams())
+        assert [o.solver for o in outcomes] == ["euler", "anderson", "euler", "anderson"]
+        assert outcomes[0].fallback == "Anderson mixing missed delta within 5 iterations"
+        assert outcomes[2].fallback == ("Anderson residual stalled for 50 iterations; "
+                                        "Anderson mixing missed delta within 100 iterations")
+
+    def test_per_row_fft_spectra(self):
+        # c = 1.5 with a wide ramp: each row has its own reward spectrum,
+        # cut with the stack as rows leave
+        grid = Grid(64)
+        config = DynamicConfig(0.5, 0.02, grid, dt=0.01, delta=1e-10)
+        params = [CompetitionParams(a=a, b=b, c=1.5, epsilon=0.05)
+                  for a, b in ((0.2, 0.15), (0.35, 0.3), (0.27, 0.23), (0.3, 0.1))]
+        outcomes = assert_rows_match_single_runs([config] * 4, params)
+        assert len({o.steps for o in outcomes}) > 1
+
+    def test_singular_stack_solves_row_by_row(self, monkeypatch):
+        # a stacked Gram solve that fails is redone row by row, with the
+        # same bits as the stacked solve
+        solve = np.linalg.solve
+
+        def no_stacks(a, b):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(dynamics.np.linalg, "solve", no_stacks)
+        run = load_run_config(FITTED)
+        configs = [replace(run.dynamic, kappa=kappa) for kappa in (0.5, 1.0)]
+        assert_rows_match_single_runs(configs, run.utility)
+
+    def test_row_without_finite_mass_leaves_the_stack(self, monkeypatch):
+        # the stacked Gram solve of the second update is NaN in row 0 alone:
+        # that row leaves the stack and finishes at the small weight, and
+        # row 1 goes on as if alone
+        solve, calls = np.linalg.solve, []
+
+        def nan_row_0(a, b):
+            out = solve(a, b)
+            if a.ndim == 3:
+                calls.append(len(a))
+                if len(calls) == 1:
+                    out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(dynamics.np.linalg, "solve", nan_row_0)
+        run = load_run_config(FITTED)
+        configs = [replace(run.dynamic, kappa=kappa) for kappa in (0.5, 1.0)]
+        first, second = solve_stationary(DynamicBatch(configs),
+                                         CompetitionUtility(run.dynamic.grid, run.utility))
+        monkeypatch.setattr(dynamics.np.linalg, "solve", solve)
+        model = CompetitionUtility(run.dynamic.grid, run.utility)
+        alone = solve_stationary_single(configs[1], model)
+        assert calls[:2] == [2, 1]
+        assert first.fallback == "Anderson update 2 left no positive finite mass"
+        assert first.solver == "anderson" and first.stationary
+        assert (second.steps, second.fallback) == (alone.steps, alone.fallback)
+        assert np.array_equal(second.final_measure.mass, alone.final_measure.mass)
+
+    def test_single_run_is_its_one_row_case(self):
+        # a DynamicConfig's (N,) vector gives the bits of a one-row batch
+        run = load_run_config(FITTED)
+        model = CompetitionUtility(run.dynamic.grid, run.utility)
+        single = solve_stationary(run.dynamic, model)
+        [row] = solve_stationary(DynamicBatch([run.dynamic]), model)
+        assert (single.steps, single.fallback) == (row.steps, row.fallback) == (48, None)
+        assert np.array_equal(single.final_measure.mass, row.final_measure.mass)
 
 
 class TestEtaConvergenceTable:

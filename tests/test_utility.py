@@ -257,6 +257,35 @@ class TestCompetitionUtility:
         np.testing.assert_array_equal(model.values(mu.mass), model.values(mu.mass))
 
 
+class TestPerRowWeights:
+    @pytest.mark.parametrize("c", [0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("eps_name", ["1/N", "3/N"])
+    def test_each_row_gets_its_own_models_bits(self, c, eps_name):
+        # a and b per row: each row of a stack, and each cut of the model,
+        # gets the bits of the model of that row's parameters alone
+        n = 64
+        rng = np.random.default_rng(7)
+        params = [CompetitionParams(a=a, b=b, c=c, epsilon=EPSILONS[eps_name](n))
+                  for a, b in rng.uniform(0.1, 0.4, (4, 2))]
+        model = CompetitionUtility(Grid(n), params)
+        stack = rng.dirichlet(np.ones(n), size=4)
+        u = model.values(stack)
+        for i, point in enumerate(params):
+            alone = CompetitionUtility(Grid(n), point).values(stack[i])
+            assert np.array_equal(u[i], alone)
+            assert np.array_equal(model.rows(i).values(stack[i]), alone)
+        index = np.array([0, 2, 3])
+        assert np.array_equal(model.rows(index).values(stack[index]), u[index])
+
+    def test_shared_model_is_every_rows_model(self):
+        model = CompetitionUtility(Grid(16), CompetitionParams())
+        assert model.rows(3) is model and model.rows(np.array([0, 1])) is model
+
+    def test_rows_differ_only_in_a_and_b(self):
+        with pytest.raises(ValueError, match="differ at most in a and b"):
+            CompetitionUtility(Grid(16), [CompetitionParams(), CompetitionParams(c=1.5)])
+
+
 class TestLipschitzRatio:
     def test_constant_kernel_gives_zero(self):
         g = Grid(10)
