@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rational_logit import (LIMIT_NOISE, CompetitionUtility, Grid, bundled_catches_path,
-                            empirical_pdf, load_catches, load_run_config, pdf_values,
-                            solve_stationary, variational_distance, write_table)
+from rational_logit import (LIMIT_NOISE, CompetitionUtility, DynamicBatch, Grid,
+                            bundled_catches_path, empirical_pdf, load_catches, load_run_config,
+                            pdf_values, solve_stationary, variational_distance, write_table)
 from rational_logit.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +52,7 @@ def empirical_vs_model(path: Path) -> None:
     bins = 20
     run_config = load_run_config(CONFIG)
     model = CompetitionUtility(run_config.dynamic.grid, run_config.utility)
-    solution = solve_stationary(run_config.dynamic, model)
+    [solution] = solve_stationary(DynamicBatch([run_config.dynamic]), model)
     centers = (np.arange(bins) + 0.5) / bins
     write_table(path, {"x_mid": centers,
                        "pdf_empirical": empirical_pdf(load_catches(bundled_catches_path()), bins),
@@ -61,15 +61,16 @@ def empirical_vs_model(path: Path) -> None:
 
 def limit_gap_refinement(path: Path) -> None:
     """Stationary eta=0.01 and limit states of the fitted config at each
-    REFINEMENT_N, with the solver iterations of each and their gap in the PDF
-    max-norm and the variational norm."""
+    REFINEMENT_N, solved together as one batch, with the solver iterations
+    of each and their gap in the PDF max-norm and the variational norm."""
     run_config = load_run_config(CONFIG)
     rows = []
     for n in REFINEMENT_N:
         grid = Grid(n)
         model = CompetitionUtility(grid, run_config.utility)
-        small, limit = (solve_stationary(replace(run_config.dynamic, eta=eta, grid=grid), model)
-                        for eta in (0.01, LIMIT_NOISE))
+        pair = DynamicBatch(replace(run_config.dynamic, eta=eta, grid=grid)
+                            for eta in (0.01, LIMIT_NOISE))
+        small, limit = solve_stationary(pair, model)
         mu, nu = small.final_measure, limit.final_measure
         gap = np.max(np.abs(pdf_values(mu) - pdf_values(nu)))
         rows.append((n, small.steps, limit.steps, gap, variational_distance(mu, nu)))

@@ -5,11 +5,12 @@ stationary solve and the CSV writers across grid sizes.
 For each N, prints the CompetitionUtility build time, the bytes the built
 model holds (tracemalloc), the median microseconds of one `values(mass)`
 call, one `weights` call and one `euler_step`, and the seconds, iterations
-and solver of `solve_stationary` from the uniform start (median seconds
-of ANDERSON_RUNS solves), with `anderson_iteration_us`, its microseconds
-per Anderson iteration (null if it fell back to Euler), all at the
-fitted parameters (kappa = 1, eta = 0.01, dt = 1e-3, delta = 1e-11, and
-the DynamicConfig default budget max_steps = 10^6), as one JSON document.
+and solver of `solve_stationary` on a batch of one from the uniform start
+(median seconds of ANDERSON_RUNS solves), with `anderson_iteration_us`,
+its microseconds per Anderson iteration (null if it fell back to Euler),
+all at the fitted parameters (kappa = 1, eta = 0.01, dt = 1e-3, delta =
+1e-11, and the DynamicConfig default budget max_steps = 10^6), as one JSON
+document.
 `limit_weights_us` is the same `weights` call under the vanishing-noise
 limit (eta = LIMIT_NOISE) on the same utility, which has positive cells.
 `batched_step_us` is one Euler step of the eta table's (5, N) stack: the
@@ -136,7 +137,8 @@ def time_size(n: int) -> dict:
            "limit_weights_us": median_us(lambda: weights(limit, u)),
            "euler_step_us": median_us(lambda: euler_step(config, model, mass)),
            "batched_step_us": median_us(lambda: euler_step(batch, model, stack))}
-    seconds, result = timed_solve(solve_stationary, config, model, runs=ANDERSON_RUNS)
+    seconds, [result] = timed_solve(solve_stationary, DynamicBatch([config]), model,
+                                    runs=ANDERSON_RUNS)
     row.update(stationary_s=seconds, stationary_iterations=result.steps,
                stationary_solver=result.solver,
                anderson_iteration_us=(seconds / result.steps * 1e6

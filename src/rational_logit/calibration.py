@@ -24,7 +24,6 @@ __all__ = [
     "FitResult",
     "empirical_stats",
     "empirical_pdf",
-    "fit_objective",
     "fit_search",
 ]
 
@@ -87,23 +86,6 @@ class FitSpec:
 def with_point(section, point: dict):
     """`section` with each entry of the fit point `point` that names one of its fields."""
     return replace(section, **{f.name: point[f.name] for f in fields(section) if f.name in point})
-
-
-def fit_objective(params: CompetitionParams, config: DynamicConfig, target: tuple[float, float]
-                  ) -> tuple[float, tuple[float, float], StationarySolution]:
-    """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2, the moments (m, s)
-    and the solve they come from, for one parameter point. A solve that
-    missed delta is returned as it is (`stationary` false)."""
-    solution = solve_stationary(config, CompetitionUtility(config.grid, params))
-    return (*_objective(solution, target), solution)
-
-
-def _objective(solution: StationarySolution, target: tuple[float, float]
-               ) -> tuple[float, tuple[float, float]]:
-    """The objective and the moments of a solve's state."""
-    mean, std = mean_and_std(solution.final_measure)
-    m_hat, s_hat = target
-    return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std)
 
 
 @dataclass(frozen=True)
@@ -197,10 +179,13 @@ def fit_search(spec: FitSpec, target: tuple[float, float], base: DynamicConfig,
 
 def _outcome(solution, config: DynamicConfig, target: tuple[float, float]) -> tuple:
     """(objective, moments, None) of one point's solve, or (None, None, why)
-    where it missed delta or its limit weight map degenerated."""
+    where it missed delta or its limit weight map degenerated. The objective
+    is ((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2 of the moments (m, s)."""
     if isinstance(solution, DegenerateWeightsError):
         return None, None, repr(solution)
     if not solution.stationary:
         return None, None, (f"no stationary state within {config.max_steps} steps "
                             f"({solution.fallback})")
-    return (*_objective(solution, target), None)
+    mean, std = mean_and_std(solution.final_measure)
+    m_hat, s_hat = target
+    return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std), None

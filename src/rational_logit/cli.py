@@ -97,7 +97,9 @@ def _simulate(args, run_config, manifest):
 
 
 def _stationary(args, run_config, manifest):
-    solution = solve_stationary(run_config.dynamic, _model(run_config))
+    [solution] = solve_stationary(DynamicBatch([run_config.dynamic]), _model(run_config))
+    if isinstance(solution, DegenerateWeightsError):
+        raise solution
     mu = solution.final_measure
     mean, std = mean_and_std(mu)
     dataio.write_table(manifest.output("stationary_pdf.csv"),

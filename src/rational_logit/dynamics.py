@@ -19,20 +19,19 @@ wrapped (and validated) as GridMeasures.
 
 A stationary state is the fixed point mass = weights(U(mass)), the same
 from any start, so both solvers start from uniform. `solve_stationary`
-runs the whole chain. Anderson mixing, clipping each iterate to the
-simplex, runs first with a large mixing weight that gives up where it
-stalls, then from the start again with a small one. A stage that stops
-short returns why (the budget ran out, an update left no positive finite
-mass, the limit weight map degenerated, or the large weight gave up), and
-the next stage takes over: the small weight unless the budget ran out,
-then the Euler `run_to_stationary`, the reference the tests compare
-against; `fallback` lists why each stage stopped short. Anderson mixing
-steps an (N,) vector or a (B, N) stack, as the Euler loop does: the large
-weight solves the rows of a batch (a fit level, the kappas of a sweep)
-together, sharing every model evaluation and Gram solve, and a row leaves
-the stack when it stops, to finish its chain alone. `run_until` and the
-eta table keep Euler from uniform, because there the transient is the
-object of study. `run_until` steps one run; the eta table steps its limit
+takes a DynamicBatch, of one row for a single run, and runs the whole
+chain. Anderson mixing, clipping each iterate to the simplex, runs first
+with a large mixing weight that gives up where it stalls, then from the
+start again with a small one. Each stage steps the rows still unsolved as
+one (B, N) stack, sharing every model evaluation and Gram solve, and a row
+leaves the stack when it stops. A stage that stops short for a row says
+why (the budget ran out, an update left no positive finite mass, the limit
+weight map degenerated, or the large weight gave up), and the next stage
+takes over: the small weight unless the budget ran out, then, row by row,
+the Euler `run_to_stationary`, the reference the tests compare against;
+`fallback` lists why each stage stopped short. `run_until` and the eta
+table keep Euler from uniform, because there the transient is the object
+of study. `run_until` steps one run; the eta table steps its limit
 reference and every eta together, as the rows of one stack.
 """
 
@@ -315,29 +314,29 @@ def run_to_stationary(config: DynamicConfig, model) -> StationarySolution:
     """Step from uniform until the per-step PDF change max_i N |mass'_i -
     mass_i| falls to the threshold delta; returns the post-step measure at
     the smallest such step k as the stationary solution of solver "euler",
-    or the measure after config.max_steps steps as a nonstationary one."""
-    n = config.grid.n
-    mass = uniform(config.grid).mass
-    for k, nxt in enumerate(_euler_iterates(config, model, mass, config.max_steps)):
-        if n * float(np.abs(nxt - mass).max()) <= config.delta:
-            return StationarySolution(GridMeasure(config.grid, nxt), True, k, "euler")
+    or the measure after config.max_steps steps as a nonstationary one.
+    The run steps as a one-row stack, so `model` maps (1, N) stacks."""
+    batch = DynamicBatch([config])
+    mass = _uniform_stack(batch)
+    for k, nxt in enumerate(_euler_iterates(batch, model, mass, config.max_steps)):
+        if config.grid.n * float(np.abs(nxt - mass).max()) <= config.delta:
+            return StationarySolution(GridMeasure(config.grid, nxt[0]), True, k, "euler")
         mass = nxt
-    return StationarySolution(GridMeasure(config.grid, mass), False, config.max_steps, "euler")
+    return StationarySolution(GridMeasure(config.grid, mass[0]), False, config.max_steps, "euler")
 
 
-def _anderson(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, beta: float,
-              budget, give_up: bool = False):
+def _anderson(batch: DynamicBatch, model, mass: np.ndarray, beta: float, budgets,
+              give_up: bool = False) -> list:
     """Anderson mixing (Walker & Ni 2011, type II) on f(m) = w(U(m)) - m,
-    with mixing weight beta, for at most `budget` iterations.
+    with mixing weight beta, from each row of the (B, N) stack `mass` under
+    `batch`, for at most its one of the B ints `budgets` iterations.
 
-    `config`, `mass` and `budget` are a DynamicConfig, an (N,) vector and an
-    int, and one (mass, iterations, why) is returned; or a DynamicBatch, a
-    (B, N) stack and B ints, and a list of B of them, one per row. The rows
-    of a stack share every model evaluation, weight map and Gram solve, but
-    each has its own delta, budget and give-up state, and gets the bits it
-    would get on its own: every sum runs along a row, and each row's Gram
-    system is solved on its own. A row that stops leaves the stack, which is
-    cut to the rows still running.
+    Returns one (mass, iterations, why) per row. The rows share every model
+    evaluation, weight map and Gram solve, but each has its own delta,
+    budget and give-up state, and gets the bits it would get on its own:
+    every sum runs along a row, and each row's Gram system is solved on its
+    own. A row that stops leaves the stack, which is cut to the rows still
+    running.
 
     A row returns (mass, iterations, None) at its first iterate with N
     max|f| <= delta. The last ANDERSON_DEPTH differences of f and of g = m +
@@ -351,39 +350,31 @@ def _anderson(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, bet
     simplex.
 
     A row that stops short returns (None, iterations so far, why): when its
-    budget runs out, its update leaves no positive finite mass, or its limit
-    weight map degenerates at an iterate; with give_up, also when its max|f|
-    grows past ANDERSON_GROWTH times its best, or that best has not halved
-    within ANDERSON_PATIENCE iterations.
+    budget runs out, its update leaves no positive finite mass, or it is a
+    limit row and no utility of an iterate is positive (its weight map
+    degenerates); with give_up, also when its max|f| grows past
+    ANDERSON_GROWTH times its best, or that best has not halved within
+    ANDERSON_PATIENCE iterations.
     """
-    single = isinstance(config, DynamicConfig)
-    configs, budgets = ((config,), [budget]) if single else (config.configs, budget)
-    rows = [_AndersonRow(i, c, b) for i, (c, b) in enumerate(zip(configs, budgets))]
-    n, results = config.grid.n, [None] * len(rows)
-    df, dg = (np.empty((*mass.shape[:-1], ANDERSON_DEPTH, n)) for _ in range(2))
-    gram = np.empty((*mass.shape[:-1], ANDERSON_DEPTH, ANDERSON_DEPTH))
+    rows = [_AndersonRow(i, c, b) for i, (c, b) in enumerate(zip(batch.configs, budgets))]
+    n, results = batch.grid.n, [None] * len(rows)
+    df, dg = (np.empty((len(rows), ANDERSON_DEPTH, n)) for _ in range(2))
+    gram = np.empty((len(rows), ANDERSON_DEPTH, ANDERSON_DEPTH))
     prev = ()  # f and g of the previous iterate
     for k in itertools.count():
         u = model.values(mass)
-        try:
-            f, done = weights(config, u), {}
-            f -= mass
-        except DegenerateWeightsError as exc:  # the degenerate limit rows stop here
-            why, u = f"{exc} at Anderson iterate {k}", np.reshape(u, (-1, n))
-            done = {i: (None, k, why) for i, row in enumerate(rows)
-                    if row.config.eta is None and not (u[i] > 0.0).any()}
-            live = [i for i in range(len(rows)) if i not in done]  # none for a single run
-            f = np.zeros_like(mass)
-            if live:
-                live_batch = DynamicBatch(rows[i].config for i in live)
-                f[live] = weights(live_batch, u[live]) - mass[live]
-        residuals = np.abs(f).max(axis=-1).tolist()  # a float for a single run
-        residuals = [residuals] if single else residuals
-        for i, (row, residual) in enumerate(zip(rows, residuals)):
+        done = {i: (None, k, f"{DegenerateWeightsError()} at Anderson iterate {k}")
+                for i, row in enumerate(rows) if row.config.eta is None and (u[i] <= 0.0).all()}
+        if done:  # the degenerate limit rows stop here, on a stand-in u the weight map takes
+            u = u.copy()
+            u[list(done)] = 1.0
+        f = weights(batch, u)
+        f -= mass
+        for i, (row, residual) in enumerate(zip(rows, np.abs(f).max(axis=-1).tolist())):
             if i in done:
                 continue
             if n * residual <= row.config.delta:
-                done[i] = (np.reshape(mass, (-1, n))[i], k, None)
+                done[i] = (mass[i], k, None)
             elif k == row.budget:
                 done[i] = (None, k, f"Anderson mixing missed delta within {row.budget} iterations")
             elif give_up:
@@ -398,8 +389,8 @@ def _anderson(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, bet
                                         "iterations")
         if done:
             if len(done) == len(rows):
-                return _finished(results, rows, done, single)
-            rows, config, model, (mass, f, df, dg, gram, *prev) = _cut(
+                return _finished(results, rows, done)
+            rows, batch, model, (mass, f, df, dg, gram, *prev) = _cut(
                 results, rows, done, model, (mass, f, df, dg, gram, *prev))
         g = beta * f
         g += mass  # m + beta f
@@ -407,19 +398,17 @@ def _anderson(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, bet
         if prev:
             slot = (k - 1) % ANDERSON_DEPTH  # the oldest slot once the buffers are full
             m = min(k, ANDERSON_DEPTH)  # slots in use
-            new, used = df[..., slot, :], df[..., :m, :]
+            new, used = df[:, slot], df[:, :m]
             np.subtract(f, prev[0], out=new)
-            np.subtract(g, prev[1], out=dg[..., slot, :])
-            gram[..., slot, :m] = gram[..., :m, slot] = (used @ new[..., None])[..., 0]
+            np.subtract(g, prev[1], out=dg[:, slot])
+            gram[:, slot, :m] = gram[:, :m, slot] = (used @ new[..., None])[..., 0]
             rhs = used @ f[..., None]
             try:
-                gamma = np.linalg.solve(gram[..., :m, :m], rhs)
+                gamma = np.linalg.solve(gram[:, :m, :m], rhs)
             except np.linalg.LinAlgError:  # some row's Gram matrix is singular: row by row
-                systems = zip(np.reshape(gram[..., :m, :m], (-1, m, m)),
-                              np.reshape(rhs, (-1, m, 1)), np.reshape(used, (-1, m, n)),
-                              np.reshape(f, (-1, n)))
-                gamma = np.reshape([_mixing(*system) for system in systems], rhs.shape)
-            nxt = (gamma.swapaxes(-1, -2) @ dg[..., :m, :])[..., 0, :]
+                systems = zip(gram[:, :m, :m], rhs, used, f)
+                gamma = np.array([_mixing(*system) for system in systems])
+            nxt = (gamma.swapaxes(-1, -2) @ dg[:, :m])[:, 0]
             np.subtract(g, nxt, out=nxt)
         prev = f, g
         nxt = np.maximum(nxt, 0.0)
@@ -430,8 +419,8 @@ def _anderson(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, bet
             for i, total in enumerate(sums) if not 0.0 < total < math.inf}
         if done:
             if len(done) == len(rows):
-                return _finished(results, rows, done, single)
-            rows, config, model, (nxt, totals, df, dg, gram, *prev) = _cut(
+                return _finished(results, rows, done)
+            rows, batch, model, (nxt, totals, df, dg, gram, *prev) = _cut(
                 results, rows, done, model, (nxt, totals, df, dg, gram, *prev))
         nxt /= totals
         mass = nxt
@@ -460,12 +449,12 @@ def _mixing(gram: np.ndarray, rhs: np.ndarray, df: np.ndarray, f: np.ndarray) ->
         return np.linalg.lstsq(df.T, f, rcond=None)[0][:, None]
 
 
-def _finished(results: list, rows: list, done: dict, single: bool = False):
+def _finished(results: list, rows: list, done: dict) -> list:
     """`results` with the result of each stack row in `done` ({row: result})
-    in its batch row; of a single run, its one result."""
+    in its batch row."""
     for i, result in done.items():
         results[rows[i].index] = result
-    return results[0] if single else results
+    return results
 
 
 def _cut(results: list, rows: list, done: dict, model, stacks):
@@ -480,71 +469,58 @@ def _cut(results: list, rows: list, done: dict, model, stacks):
             [stack[index] for stack in stacks])
 
 
-def _uniform_stack(config: DynamicConfig | DynamicBatch) -> np.ndarray:
-    """The uniform masses of a run, or of each row of a batch: uniform()'s
-    bits, without building a GridMeasure."""
-    n = config.grid.n
-    return np.full((n,) if isinstance(config, DynamicConfig) else (len(config.configs), n),
-                   1.0 / n)
+def _uniform_stack(batch: DynamicBatch) -> np.ndarray:
+    """The uniform mass of each row of a batch: uniform()'s bits, without
+    building a GridMeasure."""
+    return np.full((len(batch.configs), batch.grid.n), 1.0 / batch.grid.n)
 
 
-def _stationary_row(config: DynamicConfig, model, mass, spent: int, why) -> StationarySolution:
-    """One run's solve, given what the large mixing weight returned for it:
-    its state if that met delta; else the small weight from uniform on what
-    is left of the budget, then the Euler fallback where that stops short
-    too. `fallback` lists why each stage stopped short, the whole budget
-    where it ran out."""
-    budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
-    whys = []
-    if mass is None:
-        whys.append(why if spent < budget else
-                    f"Anderson mixing missed delta within {budget} iterations")
-        if spent < budget:
-            mass, iterations, why = _anderson(config, model, _uniform_stack(config),
-                                              ANDERSON_SAFE_BETA, budget - spent)
-            spent += iterations
-            if mass is None:
-                whys.append(why if spent < budget else
-                            f"Anderson mixing missed delta within {budget} iterations")
-    if mass is None:
-        return replace(run_to_stationary(config, model), fallback="; ".join(whys))
-    return StationarySolution(GridMeasure(config.grid, mass), True, spent, "anderson",
-                              "; ".join(whys) or None)
-
-
-def solve_stationary(config: DynamicConfig | DynamicBatch, model):
-    """The stationary state mass = weights(U(mass)), from the uniform start.
+def solve_stationary(batch: DynamicBatch, model) -> list:
+    """The stationary state mass = weights(U(mass)) of each row of `batch`,
+    from the uniform start: one outcome per row.
 
     Anderson mixing runs at ANDERSON_BETA under the give-up rule, then,
-    where that stops short, from the start again at ANDERSON_SAFE_BETA. The
-    stages share min(config.max_steps, ANDERSON_MAX_ITERATIONS) iterations
+    where that stops short, from the start again at ANDERSON_SAFE_BETA. A
+    row's stages share min(max_steps, ANDERSON_MAX_ITERATIONS) iterations
     and stop at N max|w(U(m)) - m| <= delta, a test 1/dt stricter than the
     per-step Euler test of `run_to_stationary`, which runs with the full
     max_steps where no stage meets it. `fallback` lists why each stage that
     ran stopped short, the whole budget where it ran out.
 
-    `config` is a DynamicConfig, and a StationarySolution is returned; or a
-    DynamicBatch, whose rows the large weight solves as one Anderson stack,
-    with a list of one outcome per row returned. The model maps (B, N)
-    stacks row by row, and `model.rows(index)` is its model of some rows,
-    or of one row's (N,) vector for an int (a CompetitionUtility's a and b
-    may differ by row). A row that stops short runs the rest of its chain
-    alone, on `model.rows(row)`. Each row gets the outcome it would get on
-    its own, bit for bit, and a row whose Euler fallback degenerates holds
-    that DegenerateWeightsError, which a single run raises.
+    Each stage runs as one Anderson stack of the rows still unsolved that
+    have budget left, and the Euler fallback runs row by row. The model
+    maps (B, N) stacks row by row, and `model.rows(index)` is its model of
+    the rows of an index array (a CompetitionUtility's a and b may differ
+    by row). Each row gets the outcome it would get on its own, bit for
+    bit, and a row whose Euler fallback degenerates holds that
+    DegenerateWeightsError.
     """
-    if isinstance(config, DynamicConfig):
-        budget = min(config.max_steps, ANDERSON_MAX_ITERATIONS)
-        first = _anderson(config, model, _uniform_stack(config), ANDERSON_BETA, budget,
-                          give_up=True)
-        return _stationary_row(config, model, *first)
-    budgets = [min(c.max_steps, ANDERSON_MAX_ITERATIONS) for c in config.configs]
-    firsts = _anderson(config, model, _uniform_stack(config), ANDERSON_BETA, budgets,
-                       give_up=True)
+    configs = batch.configs
+    budgets = [min(c.max_steps, ANDERSON_MAX_ITERATIONS) for c in configs]
+    spent, states, whys = [0] * len(configs), [None] * len(configs), [[] for _ in configs]
+    for beta, give_up in ((ANDERSON_BETA, True), (ANDERSON_SAFE_BETA, False)):
+        todo = [i for i, state in enumerate(states) if state is None and spent[i] < budgets[i]]
+        if not todo:
+            break
+        stage = DynamicBatch(configs[i] for i in todo)
+        results = _anderson(stage, model.rows(np.array(todo)), _uniform_stack(stage), beta,
+                            [budgets[i] - spent[i] for i in todo], give_up)
+        for i, (mass, iterations, why) in zip(todo, results):
+            spent[i] += iterations
+            states[i] = mass
+            if mass is None:
+                whys[i].append(why if spent[i] < budgets[i] else
+                               f"Anderson mixing missed delta within {budgets[i]} iterations")
     outcomes = []
-    for i, (c, first) in enumerate(zip(config.configs, firsts)):
+    for i, (config, mass) in enumerate(zip(configs, states)):
+        fallback = "; ".join(whys[i]) or None
+        if mass is not None:
+            outcomes.append(StationarySolution(GridMeasure(config.grid, mass), True, spent[i],
+                                               "anderson", fallback))
+            continue
         try:
-            outcomes.append(_stationary_row(c, model.rows(i), *first))
+            euler = run_to_stationary(config, model.rows(np.array([i])))
+            outcomes.append(replace(euler, fallback=fallback))
         except DegenerateWeightsError as exc:
             outcomes.append(exc)
     return outcomes

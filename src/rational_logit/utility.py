@@ -106,19 +106,13 @@ class CompetitionUtility:
         self._spectra = np.stack(np.broadcast_arrays(*spectra), axis=-2) if spectra else None
 
     def rows(self, index) -> CompetitionUtility:
-        """The model of the rows `index` of this one: of one row's (N,)
-        vectors for an int index, of a stack for an index array. A model
-        shared by every row is its own model of any rows."""
+        """The model of the rows `index`, an index array, of this one's
+        stacks. A model shared by every row is its own model of any rows."""
         if isinstance(self.params, CompetitionParams):
             return self
         part = copy.copy(self)
-        if np.ndim(index) == 0:
-            part.params = self.params[index]
-            part._b = float(self._b[index, 0])
-        else:
-            part.params = tuple(self.params[i] for i in index)
-            part._b = self._b[index]
-        part._cost = self._cost[index]
+        part.params = tuple(self.params[i] for i in index)
+        part._b, part._cost = self._b[index], self._cost[index]
         if self._spectra is not None and self._spectra.ndim == 3:
             part._spectra = self._spectra[index]
         return part

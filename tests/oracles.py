@@ -3,9 +3,10 @@
 The CLI and the scripts run none of it: the kappa-exponential e_kappa and
 its relatives (written on the library's `log_e_kappa`), two ways to build a
 GridMeasure, the dense bilinear utility with its sampled Lipschitz ratio,
-the dense competition utility, the lstsq form of Anderson mixing, and the
+the dense competition utility, the lstsq form of Anderson mixing, the
 one-row Anderson mixing and stationary solve that each row of the
-library's stacks must reproduce bit for bit.
+library's stacks must reproduce bit for bit, and the fit objective of one
+point solved on its own.
 """
 
 import math
@@ -19,7 +20,8 @@ from rational_logit.dynamics import (ANDERSON_BETA, ANDERSON_DEPTH, ANDERSON_GRO
                                      ANDERSON_SAFE_BETA, DegenerateWeightsError,
                                      StationarySolution, run_to_stationary, weights)
 from rational_logit.kexp import log_e_kappa
-from rational_logit.measures import Grid, GridMeasure, uniform, variational_distance
+from rational_logit.measures import Grid, GridMeasure, mean_and_std, uniform, variational_distance
+from rational_logit.utility import CompetitionUtility
 
 
 def log_e(kappa: float, z):
@@ -95,7 +97,9 @@ class BilinearUtility:
     """U_j = sum_k f(x_j, x_k) * mass_k on the midpoint lattice (cell width
     absorbed in the masses), with f tabulated once into a kernel matrix:
     U(x; mu) = integral of f(x, y) mu(dy) by the midpoint rule, the dense
-    reference the fast utility models are compared against."""
+    reference the fast utility models are compared against. It maps an
+    (N,) mass vector, or each row of a (B, N) stack, and every row shares
+    the kernel, so it is its own model of any rows."""
 
     def __init__(self, grid: Grid, f):
         x = grid.midpoints
@@ -110,9 +114,12 @@ class BilinearUtility:
         self._kernel = kernel
 
     def values(self, mass: np.ndarray) -> np.ndarray:
-        if np.shape(mass) != (self.grid.n,):
+        if np.shape(mass)[-1:] != (self.grid.n,) or np.ndim(mass) > 2:
             raise ValueError(f"BilinearUtility: grid mismatch, mass has shape {np.shape(mass)}")
-        return self._kernel @ mass
+        return (self._kernel @ np.transpose(mass)).T
+
+    def rows(self, index):
+        return self
 
 
 def lipschitz_ratio_sample(model, mu: GridMeasure, nu: GridMeasure) -> float:
@@ -294,3 +301,16 @@ def solve_stationary_single(config, model) -> StationarySolution:
             break
         whys.append(why)
     return replace(run_to_stationary(config, model), fallback="; ".join(whys))
+
+
+def fit_objective(params, config, target: tuple[float, float]
+                  ) -> tuple[float, tuple[float, float], StationarySolution]:
+    """((m - m_hat)/m_hat)^2 + ((s - s_hat)/s_hat)^2, the moments (m, s)
+    and the solve they come from, for one parameter point solved on its own
+    by `solve_stationary_single`: the reference of each point of the
+    library's `fit_search`. A solve that missed delta is returned as it is
+    (`stationary` false)."""
+    solution = solve_stationary_single(config, CompetitionUtility(config.grid, params))
+    mean, std = mean_and_std(solution.final_measure)
+    m_hat, s_hat = target
+    return ((mean - m_hat) / m_hat) ** 2 + ((std - s_hat) / s_hat) ** 2, (mean, std), solution

@@ -291,7 +291,8 @@ def test_finite_difference_convergence_order(eta):
 
     def solve(n_cells):
         config = replace(run.dynamic, eta=eta, grid=Grid(n_cells))
-        solution = solve_stationary(config, CompetitionUtility(config.grid, run.utility))
+        [solution] = solve_stationary(DynamicBatch([config]),
+                                      CompetitionUtility(config.grid, run.utility))
         assert solution.stationary
         return solution.final_measure.mass
 
@@ -332,7 +333,7 @@ def assert_matches_euler(config, model, euler_measure):
     """solve_stationary against an Euler stationary state of the same config:
     moments within 1e-9, PDF max-norm within 1e-7, and the per-step Euler
     residual of criterion 5(g) within delta at the returned point."""
-    solution = solve_stationary(config, model)
+    [solution] = solve_stationary(DynamicBatch([config]), model)
     assert solution.solver == "anderson" and solution.fallback is None
     assert solution.stationary
     mu = solution.final_measure
@@ -380,6 +381,6 @@ def test_stationary_step_counts(fitted_model, kappa, eta, solver, steps, fallbac
     configs/fitted.json, pinned as part of its results: a change that moves
     one of them changes the work the solve does."""
     config = replace(load_run_config(FITTED_CONFIG).dynamic, kappa=kappa, eta=eta)
-    solution = solve_stationary(config, fitted_model)
+    [solution] = solve_stationary(DynamicBatch([config]), fitted_model)
     assert solution.stationary
     assert (solution.solver, solution.steps, solution.fallback) == (solver, steps, fallback)

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import fit_objective
 from rational_logit import calibration
-from rational_logit.calibration import (FitSpec, empirical_pdf, empirical_stats,
-                                        fit_objective, fit_search)
+from rational_logit.calibration import FitSpec, empirical_pdf, empirical_stats, fit_search
 from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config
 from rational_logit.dynamics import (LIMIT_NOISE, DynamicConfig, StationarySolution,
                                      run_to_stationary)

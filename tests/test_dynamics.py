@@ -82,6 +82,9 @@ class FlickeringUtility:
         u = self.inner.values(mass)
         return -np.abs(u) - 1.0 if self.calls in self.bad else u
 
+    def rows(self, index):
+        return self
+
 
 class CountingModel:
     """A model that counts its evaluations."""
@@ -546,7 +549,7 @@ class TestSolveStationary:
     def test_immediate_stationarity(self):
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g, max_steps=100)
-        solution = solve_stationary(cfg, constant_model(g))
+        [solution] = solve_stationary(DynamicBatch([cfg]), constant_model(g))
         assert solution.solver == "anderson" and solution.fallback is None
         assert (solution.stationary, solution.steps) == (True, 0)
 
@@ -554,7 +557,7 @@ class TestSolveStationary:
         g = Grid(64)
         cfg = DynamicConfig(0.5, 0.02, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        solution = solve_stationary(cfg, model)
+        [solution] = solve_stationary(DynamicBatch([cfg]), model)
         assert solution.solver == "anderson"
         mass = solution.final_measure.mass
         residual = weights(cfg, model.values(mass)) - mass
@@ -565,7 +568,7 @@ class TestSolveStationary:
         g = Grid(64)
         cfg = DynamicConfig(1.0, 0.01, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        first, second = (solve_stationary(cfg, model) for _ in range(2))
+        [first], [second] = (solve_stationary(DynamicBatch([cfg]), model) for _ in range(2))
         assert (first.stationary, first.steps) == (second.stationary, second.steps)
         assert np.array_equal(first.final_measure.mass, second.final_measure.mass)
 
@@ -574,7 +577,7 @@ class TestSolveStationary:
         g = Grid(16)
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-300, max_steps=max_steps)
         model = CompetitionUtility(g, CompetitionParams())
-        solution = solve_stationary(cfg, model)
+        [solution] = solve_stationary(DynamicBatch([cfg]), model)
         reference = run_to_stationary(cfg, model)
         assert solution.solver == "euler"
         budget = min(max_steps, ANDERSON_MAX_ITERATIONS)
@@ -602,13 +605,13 @@ class TestSolveStationary:
             model = CompetitionUtility(g, CompetitionParams())
         anderson, evaluations = dynamics._anderson, []
 
-        def counted(config, model, *args, **kwargs):
+        def counted(batch, model, *args, **kwargs):
             counter = CountingModel(model)
             evaluations.append(counter)
-            return anderson(config, counter, *args, **kwargs)
+            return anderson(batch, counter, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_anderson", counted)
-        solution = solve_stationary(cfg, model)
+        [solution] = solve_stationary(DynamicBatch([cfg]), model)
         budget = min(max_steps, ANDERSON_MAX_ITERATIONS)
         assert solution.solver == "euler"
         assert f"missed delta within {budget} iterations" in solution.fallback
@@ -643,8 +646,9 @@ class TestSolveStationary:
         elif case == "degenerate":
             cfg, model = replace(cfg, eta=LIMIT_NOISE), FlickeringUtility(g, bad={4})
         start = uniform(cfg.grid).mass
-        mass, k, reason = dynamics._anderson(cfg, model, start, ANDERSON_BETA, budget,
-                                             give_up=case in ("growth", "patience"))
+        [(mass, k, reason)] = dynamics._anderson(DynamicBatch([cfg]), model, start[None],
+                                                 ANDERSON_BETA, [budget],
+                                                 give_up=case in ("growth", "patience"))
         assert (mass is None, k, reason) == (why is not None, iterations, why)
         if mass is not None:
             assert cfg.grid.n * np.abs(weights(cfg, model.values(mass)) - mass).max() <= cfg.delta
@@ -657,12 +661,12 @@ class TestSolveStationary:
         run = load_run_config(FITTED)
         cfg = replace(run.dynamic, kappa=0.1, eta=LIMIT_NOISE)
         model = CompetitionUtility(cfg.grid, run.utility)
-        start = uniform(cfg.grid).mass
-        gave_up, large, why = dynamics._anderson(cfg, model, start, ANDERSON_BETA,
-                                                 ANDERSON_MAX_ITERATIONS, give_up=True)
-        mass, small, _ = dynamics._anderson(cfg, model, start, ANDERSON_SAFE_BETA,
-                                            ANDERSON_MAX_ITERATIONS)
-        solution = solve_stationary(cfg, model)
+        batch, start = DynamicBatch([cfg]), uniform(cfg.grid).mass[None]
+        [(gave_up, large, why)] = dynamics._anderson(batch, model, start, ANDERSON_BETA,
+                                                     [ANDERSON_MAX_ITERATIONS], give_up=True)
+        [(mass, small, _)] = dynamics._anderson(batch, model, start, ANDERSON_SAFE_BETA,
+                                                [ANDERSON_MAX_ITERATIONS])
+        [solution] = solve_stationary(batch, model)
         assert gave_up is None and large > 0
         assert solution.solver == "anderson"
         assert solution.fallback == why == "Anderson residual grew past 10 times its best"
@@ -674,7 +678,7 @@ class TestSolveStationary:
         cfg = DynamicConfig(1.0, 0.05, g, dt=0.01, delta=1e-9, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
         monkeypatch.setattr(dynamics.np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
-        solution = solve_stationary(cfg, model)
+        [solution] = solve_stationary(DynamicBatch([cfg]), model)
         assert solution.solver == "euler"
         # the second update of each weight is NaN, and each stage says so
         why = "Anderson update 2 left no positive finite mass"
@@ -687,7 +691,7 @@ class TestSolveStationary:
         cfg = replace(run.dynamic, grid=Grid(n))
         for a, b in itertools.product(run.fit.bounds["a"], run.fit.bounds["b"]):
             model = CompetitionUtility(cfg.grid, replace(run.utility, a=a, b=b))
-            solution = solve_stationary(cfg, model)
+            [solution] = solve_stationary(DynamicBatch([cfg]), model)
             mass, iterations, _ = anderson_lstsq(cfg, model, uniform(cfg.grid).mass,
                                                  ANDERSON_BETA, ANDERSON_MAX_ITERATIONS)
             assert solution.solver == "anderson"
@@ -704,7 +708,7 @@ class TestSolveStationary:
         g = Grid(64)
         cfg = DynamicConfig(1.0, 0.01, g, dt=0.01, delta=1e-10, max_steps=100_000)
         model = CompetitionUtility(g, CompetitionParams())
-        solution = solve_stationary(cfg, model)
+        [solution] = solve_stationary(DynamicBatch([cfg]), model)
         assert solution.solver == "anderson" and solution.fallback is None
         assert len(calls) == solution.steps - 1  # every update but the first
         mass = solution.final_measure.mass
@@ -724,9 +728,11 @@ class TestSolveStationary:
         # the small weight then runs from uniform as if alone
         g = Grid(32)
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.01, delta=1e-9, max_steps=100_000)
-        solution = solve_stationary(cfg, FlickeringUtility(g, bad={4}))
-        mass, small, why = dynamics._anderson(cfg, FlickeringUtility(g, bad=()), uniform(g).mass,
-                                              ANDERSON_SAFE_BETA, ANDERSON_MAX_ITERATIONS)
+        batch = DynamicBatch([cfg])
+        [solution] = solve_stationary(batch, FlickeringUtility(g, bad={4}))
+        [(mass, small, why)] = dynamics._anderson(batch, FlickeringUtility(g, bad=()),
+                                                  uniform(g).mass[None], ANDERSON_SAFE_BETA,
+                                                  [ANDERSON_MAX_ITERATIONS])
         assert why is None
         assert solution.solver == "anderson"
         assert solution.fallback == ("all utilities nonpositive under the vanishing-noise limit "
@@ -739,28 +745,31 @@ class TestSolveStationary:
         # Euler runs, from the ninth evaluation on
         g = Grid(32)
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.01, delta=1e-9, max_steps=100_000)
-        solution = solve_stationary(cfg, FlickeringUtility(g, bad={4, 8}))
+        [solution] = solve_stationary(DynamicBatch([cfg]), FlickeringUtility(g, bad={4, 8}))
         assert solution.solver == "euler"
         assert "nonpositive" in solution.fallback and "Anderson iterate 3" in solution.fallback
         assert solution.stationary
 
     def test_degenerate_start_raises_from_euler(self):
+        # the batch holds the error its row's Euler fallback raised
         g = Grid(8)
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g, max_steps=10)
         model = BilinearUtility(g, lambda x, y: -1.0 - x * y)
-        with pytest.raises(DegenerateWeightsError) as info:
-            solve_stationary(cfg, model)
-        assert info.value.step == 0
+        [outcome] = solve_stationary(DynamicBatch([cfg]), model)
+        assert isinstance(outcome, DegenerateWeightsError) and outcome.step == 0
 
     def test_nonfinite_utility_rejected(self):
         class NaNUtility:
             def values(self, mass):
                 return np.full_like(mass, np.nan)
 
+            def rows(self, index):
+                return self
+
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25, max_steps=10)
         with pytest.raises(ValueError, match="utility vector must be finite"):
-            solve_stationary(cfg, NaNUtility())
+            solve_stationary(DynamicBatch([cfg]), NaNUtility())
 
     @pytest.mark.parametrize("eta", [0.01, LIMIT_NOISE], ids=["eta-0.01", "limit"])
     def test_state_does_not_depend_on_the_start(self, eta):
@@ -769,17 +778,18 @@ class TestSolveStationary:
         run = load_run_config(FITTED)
         cfg = replace(run.dynamic, kappa=1.0, eta=eta)
         model = CompetitionUtility(cfg.grid, run.utility)
-        reference = solve_stationary(cfg, model).final_measure.mass
+        batch = DynamicBatch([cfg])
+        [reference] = solve_stationary(batch, model)
         rng = np.random.default_rng(20261019)
         for k in range(10):
             start = rng.dirichlet(np.full(cfg.grid.n, 0.05))
             if k % 2:
                 start = np.maximum(start, 1e-3)
                 start /= start.sum()
-            mass, _, why = dynamics._anderson(cfg, model, start, ANDERSON_BETA,
-                                              ANDERSON_MAX_ITERATIONS, give_up=True)
+            [(mass, _, why)] = dynamics._anderson(batch, model, start[None], ANDERSON_BETA,
+                                                  [ANDERSON_MAX_ITERATIONS], give_up=True)
             assert why is None, k
-            assert np.abs(mass - reference).sum() <= 1e-10, k
+            assert np.abs(mass - reference.final_measure.mass).sum() <= 1e-10, k
 
     def test_rejects_empty_budget(self):
         g = Grid(8)
@@ -824,14 +834,23 @@ class TestAndersonStack:
         outcomes = assert_rows_match_single_runs(configs, run.utility)
         assert [o.steps for o in outcomes] == [60, 60, 46, 48]
 
-    def test_rows_that_give_up_leave_the_converging_rows(self):
+    def test_rows_that_give_up_leave_the_converging_rows(self, monkeypatch):
         # kappa 0 at eta 1e-3 and kappa 0.1 in the limit give up at the
-        # large weight and finish alone at the small one (627 and 244
-        # iterations in all), while the other rows converge in the stack
+        # large weight and finish at the small one as one stack of two (627
+        # and 244 iterations in all), while the other rows converge in the
+        # first stack
+        anderson, stacks = dynamics._anderson, []
+
+        def counted(batch, *args, **kwargs):
+            stacks.append(len(batch.configs))
+            return anderson(batch, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_anderson", counted)
         run = load_run_config(FITTED)
         points = [(1.0, 0.01), (0.0, 1e-3), (0.5, 0.01), (0.1, LIMIT_NOISE), (1.0, LIMIT_NOISE)]
         configs = [replace(run.dynamic, kappa=kappa, eta=eta) for kappa, eta in points]
         outcomes = assert_rows_match_single_runs(configs, run.utility)
+        assert stacks == [5, 2]
         assert [o.steps for o in outcomes] == [48, 627, 46, 244, 60]
         gave_up = "Anderson residual grew past 10 times its best"
         assert [o.fallback for o in outcomes] == [None, gave_up, None, gave_up, None]
@@ -924,15 +943,6 @@ class TestAndersonStack:
         assert first.solver == "anderson" and first.stationary
         assert (second.steps, second.fallback) == (alone.steps, alone.fallback)
         assert np.array_equal(second.final_measure.mass, alone.final_measure.mass)
-
-    def test_single_run_is_its_one_row_case(self):
-        # a DynamicConfig's (N,) vector gives the bits of a one-row batch
-        run = load_run_config(FITTED)
-        model = CompetitionUtility(run.dynamic.grid, run.utility)
-        single = solve_stationary(run.dynamic, model)
-        [row] = solve_stationary(DynamicBatch([run.dynamic]), model)
-        assert (single.steps, single.fallback) == (row.steps, row.fallback) == (48, None)
-        assert np.array_equal(single.final_measure.mass, row.final_measure.mass)
 
 
 class TestEtaConvergenceTable:

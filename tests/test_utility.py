@@ -273,13 +273,13 @@ class TestPerRowWeights:
         for i, point in enumerate(params):
             alone = CompetitionUtility(Grid(n), point).values(stack[i])
             assert np.array_equal(u[i], alone)
-            assert np.array_equal(model.rows(i).values(stack[i]), alone)
+            assert np.array_equal(model.rows(np.array([i])).values(stack[i:i + 1])[0], alone)
         index = np.array([0, 2, 3])
         assert np.array_equal(model.rows(index).values(stack[index]), u[index])
 
     def test_shared_model_is_every_rows_model(self):
         model = CompetitionUtility(Grid(16), CompetitionParams())
-        assert model.rows(3) is model and model.rows(np.array([0, 1])) is model
+        assert model.rows(np.array([3])) is model and model.rows(np.array([0, 1])) is model
 
     def test_rows_differ_only_in_a_and_b(self):
         with pytest.raises(ValueError, match="differ at most in a and b"):
