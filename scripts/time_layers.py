@@ -4,7 +4,8 @@ stationary solve and the CSV writers across grid sizes.
 
 For each N, prints the CompetitionUtility build time, the bytes the built
 model holds (tracemalloc), the median microseconds of one `values(mass)`
-call, one `weights` call and one `euler_step`, and the seconds, iterations
+call, one `weights` call and one `euler_step`, each on a batch of one row
+(a (1, N) stack), and the seconds, iterations
 and solver of `solve_stationary` on a batch of one from the uniform start
 (median seconds of ANDERSON_RUNS solves), with `anderson_iteration_us`,
 its microseconds per Anderson iteration (null if it fell back to Euler),
@@ -23,7 +24,8 @@ with a and b per row (median seconds of ANDERSON_RUNS solves), and
 For N <= EULER_MAX_N it also times the Euler `run_to_stationary` reference
 and gives its step count; both solvers return a StationarySolution.
 `trajectory_csv_s` is one `write_trajectory_csv` of a 101-snapshot
-trajectory (a snapshot at every step to t = 0.1, as `simulate` writes it),
+trajectory (a batch-of-one `run_until` with a snapshot at every step to
+t = 0.1, as `simulate` writes it),
 with the file's bytes and the peak bytes Python allocated while writing it
 (tracemalloc, a separate call); `measure_csv_us` is one `write_table` of
 the final snapshot's midpoint, mass and PDF columns, as `stationary` writes
@@ -94,7 +96,7 @@ def traced_peak_bytes(fn) -> int:
 
 def time_writers(config, model) -> dict:
     """Time the trajectory and measure CSV writers into a temporary directory."""
-    snapshots = run_until(config, model, SNAPSHOT_TIMES)
+    [snapshots] = run_until(DynamicBatch([config]), model, SNAPSHOT_TIMES)
     mu = snapshots[-1][1]
     with tempfile.TemporaryDirectory() as tmp:
         traj_path, measure_path = Path(tmp, "trajectory.csv"), Path(tmp, "measure.csv")
@@ -126,19 +128,18 @@ def time_size(n: int) -> dict:
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     config = DynamicConfig(1.0, 0.01, grid)
-    mass = uniform(grid).mass
+    one, limit = DynamicBatch([config]), DynamicBatch([replace(config, eta=LIMIT_NOISE)])
+    mass = uniform(grid).mass[None, :]
     u = model.values(mass)
-    limit = replace(config, eta=LIMIT_NOISE)
     batch = DynamicBatch(replace(config, eta=eta) for eta in BATCH_ETAS)
-    stack = np.repeat(mass[None, :], len(BATCH_ETAS), axis=0)
+    stack = np.repeat(mass, len(BATCH_ETAS), axis=0)
     row = {"build_s": build_s, "build_peak_bytes": peak, "held_bytes": held,
            "values_us": median_us(lambda: model.values(mass)),
-           "weights_us": median_us(lambda: weights(config, u)),
+           "weights_us": median_us(lambda: weights(one, u)),
            "limit_weights_us": median_us(lambda: weights(limit, u)),
-           "euler_step_us": median_us(lambda: euler_step(config, model, mass)),
+           "euler_step_us": median_us(lambda: euler_step(one, model, mass)),
            "batched_step_us": median_us(lambda: euler_step(batch, model, stack))}
-    seconds, [result] = timed_solve(solve_stationary, DynamicBatch([config]), model,
-                                    runs=ANDERSON_RUNS)
+    seconds, [result] = timed_solve(solve_stationary, one, model, runs=ANDERSON_RUNS)
     row.update(stationary_s=seconds, stationary_iterations=result.steps,
                stationary_solver=result.solver,
                anderson_iteration_us=(seconds / result.steps * 1e6

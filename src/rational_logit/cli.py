@@ -91,7 +91,7 @@ def _simulate(args, run_config, manifest):
                             dynamic.dt, dynamic.max_steps)
     if problems:
         raise ConfigError(problems)
-    snapshots = run_until(dynamic, _model(run_config), run_config.record_times)
+    [snapshots] = run_until(DynamicBatch([dynamic]), _model(run_config), run_config.record_times)
     dataio.write_trajectory_csv(manifest.output("trajectory.csv"), snapshots)
     manifest.doc["termination"] = "reached_final_time"
 

@@ -6,16 +6,15 @@ kappa-exponential for positive noise eta, or the normalized positive-part
 power max{U, 0}^(1/kappa) in the vanishing-noise limit. All weight
 computations run in log space, so no finite u/eta can overflow them.
 
-One Euler loop steps raw mass arrays: an (N,) vector under one
-DynamicConfig, or a (B, N) stack of independent runs under a DynamicBatch,
-whose rows share the grid and dt but each have their own kappa and eta (a
-row may be a limit row). At N in the hundreds a step is bound by per-call
-numpy overhead, so a stack of five runs steps in the time of two or three
-single runs, and each row gets the same bits it would get on its own:
-every sum runs along the last axis, in the same order. Each Euler step is
-a convex combination of two simplex points, so the iterates stay on the
-simplex by construction. Only recorded snapshots and final states are
-wrapped (and validated) as GridMeasures.
+Every solver steps raw (B, N) mass stacks under a DynamicBatch, whose
+rows share the grid and dt but each have their own kappa and eta (a row may
+be a limit row); a single run is a batch of one row. At N in the hundreds a
+step is bound by per-call numpy overhead, so a stack of five runs steps in
+the time of two or three single runs, and each row gets the same bits it
+would get on its own: every sum runs along a row, in the same order. Each
+Euler step is a convex combination of two simplex points, so the iterates
+stay on the simplex by construction. Only recorded snapshots and final
+states are wrapped (and validated) as GridMeasures.
 
 A stationary state is the fixed point mass = weights(U(mass)), the same
 from any start, so both solvers start from uniform. `solve_stationary`
@@ -29,10 +28,10 @@ why (the budget ran out, an update left no positive finite mass, the limit
 weight map degenerated, or the large weight gave up), and the next stage
 takes over: the small weight unless the budget ran out, then, row by row,
 the Euler `run_to_stationary`, the reference the tests compare against;
-`fallback` lists why each stage stopped short. `run_until` and the eta
-table keep Euler from uniform, because there the transient is the object
-of study. `run_until` steps one run; the eta table steps its limit
-reference and every eta together, as the rows of one stack.
+`fallback` lists why each stage stopped short. The transients keep Euler
+from uniform, because there the transient is the object of study:
+`run_until` is the one stepping loop, and the eta table is `run_until` on
+its limit reference and every eta, as the rows of one batch.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ ANDERSON_GROWTH = 10.0
 ANDERSON_PATIENCE = 50
 ANDERSON_MAX_ITERATIONS = 2000
 
-# rows x cells of one Euler stack in the eta table. Past about 64 KiB per
+# rows x cells of one Euler stack in `run_until`. Past about 64 KiB per
 # float64 array, the allocator hands the step's freed temporaries back to
 # the operating system, and the page faults of the next step cost more than
 # batching saves (glibc malloc; measured at N = 2000 to 8000)
@@ -154,35 +153,29 @@ class DynamicBatch:
             start += len(rows)
 
 
-def weights(config: DynamicConfig | DynamicBatch, u) -> np.ndarray:
-    """The weight map U -> w(U), row by row along the last axis.
+def weights(batch: DynamicBatch, u) -> np.ndarray:
+    """The weight map U -> w(U) of each row of a (B, N) utility stack, under
+    the kappa and eta of its row of `batch`.
 
-    `config` is a DynamicConfig for an (N,) utility vector, or a
-    DynamicBatch whose rows of a (B, N) stack each take their own kappa
-    and eta. Positive noise: e_kappa(U_i/eta) / sum_j e_kappa(U_j/eta),
-    the classical softmax at kappa = 0. Vanishing-noise limit:
+    Positive noise: e_kappa(U_i/eta) / sum_j e_kappa(U_j/eta), the
+    classical softmax at kappa = 0. Vanishing-noise limit:
     max{U_i, 0}^(1/kappa), normalized; a limit row with no positive
     utility raises DegenerateWeightsError. Computed in log space (shift
     each row by its max); a u that is not finite, or a u/eta (ln(u)/kappa
     in the limit) that would not be, raises ValueError before it divides.
     """
     u = np.asarray(u, dtype=float)
-    if isinstance(config, DynamicBatch):
-        if u.shape != (len(config.configs), config.grid.n):
-            raise ValueError(f"utility stack has shape {u.shape}, the batch has "
-                             f"{len(config.configs)} rows of {config.grid.n} cells")
-        groups, configs = config.groups, config.configs
-    else:
-        groups, configs = [(..., config.kappa, config.eta)], (config,)
+    if u.shape != (len(batch.configs), batch.grid.n):
+        raise ValueError(f"utility stack has shape {u.shape}, the batch has "
+                         f"{len(batch.configs)} rows of {batch.grid.n} cells")
     # max |u| over the whole stack bounds each row's (no BLAS call: OpenBLAS runs a dot
     # product of more than 10,000 entries on every thread, which costs milliseconds)
     try:
-        _check_range(configs, itertools.repeat(float(np.abs(u).max())))
+        _check_range(batch.configs, itertools.repeat(float(np.abs(u).max())))
     except ValueError:  # the bound may be loose: max |u| row by row decides
-        _check_range(itertools.cycle(configs),
-                     np.maximum(u.max(axis=-1), -u.min(axis=-1)).reshape(-1).tolist())
+        _check_range(batch.configs, np.maximum(u.max(axis=1), -u.min(axis=1)).tolist())
     logw = np.empty_like(u)
-    for rows, kappa, eta in groups:
+    for rows, kappa, eta in batch.groups:
         logw[rows] = _log_weights(kappa, eta, u[rows])
     logw -= logw.max(axis=-1, keepdims=True)
     w = np.exp(logw, out=logw)
@@ -204,7 +197,7 @@ def _check_range(configs, sizes):
 
 def _log_weights(kappa: float, eta, u: np.ndarray) -> np.ndarray:
     """Unshifted log weights of utility rows sharing kappa: the limit map
-    when eta is None, else ln e_kappa(u/eta) for a scalar or column eta."""
+    when eta is None, else ln e_kappa(u/eta) for a column eta."""
     if eta is None:
         positive = u > 0.0
         if not positive.any(axis=-1).all():
@@ -217,21 +210,20 @@ def _log_weights(kappa: float, eta, u: np.ndarray) -> np.ndarray:
     return z if kappa == 0.0 else log_e_kappa(kappa, z)
 
 
-def euler_step(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray) -> np.ndarray:
-    """m' = (1 - dt) m + dt * weights(U(m)): an exact convex combination,
-    so the simplex is preserved whenever dt <= 1. `config` and `mass` are a
-    DynamicConfig and an (N,) vector, or a DynamicBatch and a (B, N) stack."""
-    return (1.0 - config.dt) * mass + config.dt * weights(config, model.values(mass))
+def euler_step(batch: DynamicBatch, model, mass: np.ndarray) -> np.ndarray:
+    """m' = (1 - dt) m + dt * weights(U(m)) of each row of the (B, N) stack
+    `mass`: an exact convex combination, so the simplex is preserved
+    whenever dt <= 1."""
+    return (1.0 - batch.dt) * mass + batch.dt * weights(batch, model.values(mass))
 
 
-def _euler_iterates(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray,
-                    n_steps: int):
-    """Yield the Euler iterates m_1, ..., m_n_steps of m_0 = mass, an (N,)
-    vector or a (B, N) stack. A degenerate weight map is re-raised with the
-    0-based index of the failing step."""
+def _euler_iterates(batch: DynamicBatch, model, mass: np.ndarray, n_steps: int):
+    """Yield the Euler iterates m_1, ..., m_n_steps of the (B, N) stack
+    m_0 = mass. A degenerate weight map is re-raised with the 0-based index
+    of the failing step."""
     for k in range(n_steps):
         try:
-            mass = euler_step(config, model, mass)
+            mass = euler_step(batch, model, mass)
         except DegenerateWeightsError:
             raise DegenerateWeightsError(step=k) from None
         yield mass
@@ -275,24 +267,31 @@ def record_steps(times, dt: float | None, max_steps: int | None = None) -> dict[
     return dict(sorted(steps.items()))
 
 
-def _recorded(config: DynamicConfig | DynamicBatch, model, mass: np.ndarray, record: dict):
-    """Yield (t, m_k) for each time t = k dt > 0 of the step map `record`
-    ({k: t}, from `record_steps`), stepping m_0 = mass with Euler up to the
-    last of them."""
-    for k, mass in enumerate(_euler_iterates(config, model, mass, max(record)), start=1):
-        if k in record:
-            yield record[k], mass
+def run_until(batch: DynamicBatch, model, record_times) -> list:
+    """Integrate each row of `batch` with fixed-step Euler from uniform to
+    the last requested time. Returns one snapshot list per row, [(0.0,
+    uniform), (t, measure), ...]: one per requested time t > 0 after the
+    start, each labelled with its time.
 
-
-def run_until(config: DynamicConfig, model, record_times) -> tuple:
-    """Integrate with fixed-step Euler from uniform to the last requested
-    time, at most config.max_steps steps. Returns the snapshots ((0.0,
-    uniform), (t, measure), ...): one per requested time t > 0 after the
-    start, each labelled with its time."""
-    record = record_steps(record_times, config.dt, config.max_steps)
-    init = uniform(config.grid)
-    return ((0.0, init), *((t, GridMeasure(config.grid, mass))
-                           for t, mass in _recorded(config, model, init.mass, record)))
+    `record_steps` checks the times against dt and the smallest max_steps
+    before the first step. The rows, which share `model`, step as stacks of
+    at most STACK_CELLS cells (one row at least), and each row gets the
+    bits it would get on its own.
+    """
+    grid, configs = batch.grid, batch.configs
+    record = record_steps(record_times, batch.dt, min(c.max_steps for c in configs))
+    init, runs = uniform(grid), []
+    per_stack = max(1, STACK_CELLS // grid.n)
+    for start in range(0, len(configs), per_stack):
+        stack = DynamicBatch(configs[start:start + per_stack])
+        snapshots = [[(0.0, init)] for _ in stack.configs]
+        for k, mass in enumerate(_euler_iterates(stack, model, _uniform_stack(stack),
+                                                 max(record)), start=1):
+            if k in record:  # each row is copied into its measure, and the stack let go
+                for run, row in zip(snapshots, mass):
+                    run.append((record[k], GridMeasure(grid, row)))
+        runs += snapshots
+    return runs
 
 
 @dataclass(frozen=True)
@@ -529,12 +528,12 @@ def solve_stationary(batch: DynamicBatch, model) -> list:
 def eta_convergence_table(base: DynamicConfig, model, etas, times) -> dict[str, list]:
     """Max-norm PDF error of positive-noise runs against the limit run.
 
-    The limit-equation reference and every eta run step together from
-    uniform, as the rows of one Euler stack (more stacks past STACK_CELLS
-    cells), and are compared at the requested times. Returns the columns eta,
-    time, error and rate that `write_table` takes: rows from the largest eta
-    down, times ascending; rate, None for the largest eta, is the observed
-    order log(err_a/err_b)/log(eta_a/eta_b) against the next larger.
+    The limit-equation reference and every eta run are the rows of one
+    `run_until` batch, compared at the requested times. Returns the columns
+    eta, time, error and rate that `write_table` takes: rows from the
+    largest eta down, times ascending; rate, None for the largest eta, is
+    the observed order log(err_a/err_b)/log(eta_a/eta_b) against the next
+    larger.
 
     A ConfigError names `etas` unless they are one or more distinct
     numbers, in any order; `record_steps` states the rule for `times`,
@@ -544,19 +543,10 @@ def eta_convergence_table(base: DynamicConfig, model, etas, times) -> dict[str, 
     if not etas or len(set(etas)) < len(etas):
         raise ConfigError([f"etas: one or more distinct numbers required (got {etas!r})"])
     etas, times = sorted(etas, reverse=True), sorted(float(t) for t in times)
-    record = record_steps(times, base.dt, base.max_steps)
-
-    configs = [replace(base, eta=eta) for eta in (LIMIT_NOISE, *etas)]
-    per_stack = max(1, STACK_CELLS // base.grid.n)
-    pdfs: dict[float, list] = {t: [] for t in times}  # limit row first, then the etas
-    for start in range(0, len(configs), per_stack):
-        batch = DynamicBatch(configs[start:start + per_stack])
-        stack = _uniform_stack(batch)
-        for t, masses in [(0.0, stack), *_recorded(batch, model, stack, record)]:
-            if t in pdfs:
-                pdfs[t].extend(pdf_values(GridMeasure(base.grid, mass)) for mass in masses)
-    errors = {(eta, t): float(np.abs(pdf - ref).max())
-              for t, (ref, *runs) in pdfs.items() for eta, pdf in zip(etas, runs)}
+    batch = DynamicBatch(replace(base, eta=eta) for eta in (LIMIT_NOISE, *etas))
+    ref, *runs = (dict(run) for run in run_until(batch, model, times))
+    errors = {(eta, t): float(np.abs(pdf_values(run[t]) - pdf_values(ref[t])).max())
+              for t in times for eta, run in zip(etas, runs)}
 
     table = {"eta": [], "time": [], "error": [], "rate": []}
     for prev, eta in zip([None, *etas], etas):  # the largest eta has no previous one

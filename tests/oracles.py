@@ -1,12 +1,13 @@
 """Reference code the tests check the library against.
 
-The CLI and the scripts run none of it: the kappa-exponential e_kappa and
-its relatives (written on the library's `log_e_kappa`), two ways to build a
-GridMeasure, the dense bilinear utility with its sampled Lipschitz ratio,
-the dense competition utility, the lstsq form of Anderson mixing, the
-one-row Anderson mixing and stationary solve that each row of the
-library's stacks must reproduce bit for bit, and the fit objective of one
-point solved on its own.
+The CLI and the scripts run none of it: the one-row calls of the
+library's batch-only weight map, Euler step and `run_until`, the
+kappa-exponential e_kappa and its relatives (written on the library's
+`log_e_kappa`), two ways to build a GridMeasure, the dense bilinear
+utility with its sampled Lipschitz ratio, the dense competition utility,
+the lstsq form of Anderson mixing, the one-row Anderson mixing and
+stationary solve that each row of the library's stacks must reproduce bit
+for bit, and the fit objective of one point solved on its own.
 """
 
 import math
@@ -17,11 +18,28 @@ import numpy as np
 
 from rational_logit.dynamics import (ANDERSON_BETA, ANDERSON_DEPTH, ANDERSON_GROWTH,
                                      ANDERSON_MAX_ITERATIONS, ANDERSON_PATIENCE,
-                                     ANDERSON_SAFE_BETA, DegenerateWeightsError,
-                                     StationarySolution, run_to_stationary, weights)
+                                     ANDERSON_SAFE_BETA, DegenerateWeightsError, DynamicBatch,
+                                     StationarySolution, euler_step, run_to_stationary,
+                                     run_until, weights)
 from rational_logit.kexp import log_e_kappa
 from rational_logit.measures import Grid, GridMeasure, mean_and_std, uniform, variational_distance
 from rational_logit.utility import CompetitionUtility
+
+
+def weights_row(config, u) -> np.ndarray:
+    """`weights` of one (N,) utility vector under one config, as a one-row stack."""
+    return weights(DynamicBatch([config]), np.asarray(u)[None])[0]
+
+
+def euler_row(config, model, mass) -> np.ndarray:
+    """`euler_step` of one (N,) mass vector under one config, as a one-row stack."""
+    return euler_step(DynamicBatch([config]), model, np.asarray(mass)[None])[0]
+
+
+def run_row(config, model, record_times) -> list:
+    """The snapshots of `run_until` on a batch of one config."""
+    [snapshots] = run_until(DynamicBatch([config]), model, record_times)
+    return snapshots
 
 
 def log_e(kappa: float, z):
@@ -184,7 +202,7 @@ def anderson_lstsq(config, model, mass: np.ndarray, beta: float,
     dx, df = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
     prev = None
     for k in range(max_iterations + 1):
-        f = weights(config, model.values(mass)) - mass
+        f = weights_row(config, model.values(mass)) - mass
         if n * float(np.max(np.abs(f))) <= config.delta:
             return mass, k, None
         if k == max_iterations:
@@ -237,7 +255,7 @@ def anderson_single(config, model, mass: np.ndarray, beta: float, budget: int,
     halved = 0  # the iteration at which it last halved
     for k in range(budget + 1):
         try:
-            f = weights(config, model.values(mass)) - mass
+            f = weights_row(config, model.values(mass)) - mass
         except DegenerateWeightsError as exc:
             return None, k, f"{exc} at Anderson iterate {k}"
         residual = float(np.abs(f).max())

@@ -13,12 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import BilinearUtility, d_e_kappa, e_kappa, refine, scaled_limit_residual
+from oracles import (BilinearUtility, d_e_kappa, e_kappa, euler_row, refine, run_row,
+                     scaled_limit_residual, weights_row)
 from rational_logit.calibration import empirical_stats
 from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config
 from rational_logit.dynamics import (LIMIT_NOISE, DynamicBatch, DynamicConfig,
                                      StationarySolution, euler_step, eta_convergence_table,
-                                     run_until, run_to_stationary, solve_stationary, weights)
+                                     run_to_stationary, solve_stationary)
 from rational_logit.kexp import log_e_kappa
 from rational_logit.measures import (Grid, GridMeasure, mean_and_std, pdf_values, uniform,
                                      variational_distance)
@@ -174,7 +175,7 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
     mass = uniform(GRID).mass
     worst = 0.0
     for _ in range(10_000):
-        mass = euler_step(config, fitted_model, mass)
+        mass = euler_row(config, fitted_model, mass)
         worst = max(worst, abs(float(mass.sum()) - 1.0))
         if mass.min() < 0.0:
             worst = max(worst, -float(mass.min()))
@@ -189,7 +190,7 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
         u = rng.uniform(-3.0, 3.0, size=50)
         direct = np.exp(u / 0.1)
         direct /= direct.sum()
-        worst = max(worst, float(np.max(np.abs(weights(cfg0, u) - direct))))
+        worst = max(worst, float(np.max(np.abs(weights_row(cfg0, u) - direct))))
     if worst > 1e-12:
         problems.append(f"(b) softmax mismatch {worst:.2e}")
 
@@ -217,7 +218,7 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
         g = Grid(n_cells)
         cfg = DynamicConfig(1.0, 0.05, g, DT, DELTA)
         model = BilinearUtility(g, f)
-        return run_until(cfg, model, [1.0])[-1][1]
+        return run_row(cfg, model, [1.0])[-1][1]
     ref = solve(800)
     dists = [variational_distance(refine(solve(n), 800 // n), ref)
              for n in (100, 200, 400)]
@@ -239,7 +240,7 @@ def test_criterion_5_property_suite(fitted_model, stationary_runs):
     # detected stationary state
     for (kappa, eta), (config, traj, _) in stationary_runs.items():
         mu = traj.final_measure
-        nxt = euler_step(config, fitted_model, mu.mass)
+        nxt = euler_row(config, fitted_model, mu.mass)
         residual = N * float(np.max(np.abs(nxt - mu.mass)))
         if residual > DELTA:
             problems.append(f"(g) residual {residual:.2e} at kappa={kappa} eta={eta}")
@@ -321,7 +322,7 @@ def test_vanishing_noise_error_monotone(eta_table):
 def test_parameter_continuity_triangle(fitted_model):
     def pdf_at_t1(eta):
         cfg = DynamicConfig(1.0, eta, GRID, DT, DELTA)
-        return pdf_values(run_until(cfg, fitted_model, [1.0])[-1][1])
+        return pdf_values(run_row(cfg, fitted_model, [1.0])[-1][1])
     p_limit = pdf_at_t1(None)
     p_big, p_small = pdf_at_t1(0.1), pdf_at_t1(0.01)
     gap = np.max(np.abs(p_big - p_small))
@@ -340,7 +341,7 @@ def assert_matches_euler(config, model, euler_measure):
     np.testing.assert_allclose(mean_and_std(mu), mean_and_std(euler_measure), rtol=0, atol=1e-9)
     assert float(np.max(np.abs(pdf_values(mu) - pdf_values(euler_measure)))) <= 1e-7
     n = config.grid.n
-    assert n * float(np.max(np.abs(euler_step(config, model, mu.mass) - mu.mass))) <= config.delta
+    assert n * float(np.max(np.abs(euler_row(config, model, mu.mass) - mu.mass))) <= config.delta
 
 
 def test_anderson_matches_euler_reference(fitted_model, stationary_runs):

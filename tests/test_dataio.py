@@ -7,10 +7,11 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
+from oracles import run_row
 from rational_logit.calibration import FitSpec
 from rational_logit.dataio import (RunConfig, bundled_catches_path, load_catches,
                                    load_run_config, write_table, write_trajectory_csv)
-from rational_logit.dynamics import DynamicConfig, run_until
+from rational_logit.dynamics import DynamicConfig
 from rational_logit.measures import ConfigError, Grid, GridMeasure, pdf_values, uniform
 from rational_logit.utility import CompetitionParams, CompetitionUtility
 
@@ -306,7 +307,7 @@ class TestCsvEmission:
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.5)
         model = CompetitionUtility(g, CompetitionParams())
-        snapshots = run_until(cfg, model, [0.5, 1.0])
+        snapshots = run_row(cfg, model, [0.5, 1.0])
         path = tmp_path / "t.csv"
         write_trajectory_csv(path, snapshots)
         lines = path.read_text().splitlines()

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (BilinearUtility, DenseCompetition, anderson_lstsq, from_masses,
-                     solve_stationary_single)
+from oracles import (BilinearUtility, DenseCompetition, anderson_lstsq, euler_row, from_masses,
+                     run_row, solve_stationary_single, weights_row)
 from rational_logit import dynamics
 from rational_logit.calibration import empirical_stats, fit_search
 from rational_logit.dataio import bundled_catches_path, load_catches, load_run_config
@@ -39,7 +39,7 @@ class FixedUtility:
         self.x = grid.midpoints
 
     def values(self, mass):
-        return self.x
+        return np.broadcast_to(self.x, np.shape(mass))
 
 
 class ChasingUtility:
@@ -111,7 +111,7 @@ def per_eta_reference(base, model, etas, times):
     run_until of the limit equation: the reference of the batched table."""
     def pdfs(eta):
         cfg = DynamicConfig(base.kappa, eta, base.grid, base.dt, base.delta)
-        snapshots = run_until(cfg, model, times)
+        snapshots = run_row(cfg, model, times)
         return {t: pdf_values(m) for t, m in snapshots if t in times}
 
     ref = pdfs(LIMIT_NOISE)
@@ -167,13 +167,13 @@ class TestConfig:
 class TestLogitWeights:
     def test_constant_utility_gives_uniform(self):
         cfg = DynamicConfig(0.7, 0.3, Grid(8))
-        w = weights(cfg, np.full(8, 2.5))
+        w = weights_row(cfg, np.full(8, 2.5))
         np.testing.assert_allclose(w, 1.0 / 8.0, atol=1e-15)
 
     def test_two_cell_frozen_value(self):
         # e_1(0.75) = 2, weights (1, 2) -> (1/3, 2/3)
         cfg = DynamicConfig(1.0, 1.0, Grid(2))
-        w = weights(cfg, np.array([0.0, 0.75]))
+        w = weights_row(cfg, np.array([0.0, 0.75]))
         np.testing.assert_allclose(w, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-14)
 
     @given(hnp.arrays(np.float64, 16, elements=st.floats(-5.0, 5.0)),
@@ -181,14 +181,14 @@ class TestLogitWeights:
     @settings(max_examples=200)
     def test_kappa_zero_matches_softmax(self, u, eta):
         cfg = DynamicConfig(0.0, eta, Grid(16))
-        w = weights(cfg, u)
+        w = weights_row(cfg, u)
         ref = np.exp(u / eta - np.max(u / eta))
         ref /= ref.sum()
         np.testing.assert_allclose(w, ref, atol=1e-12)
 
     def test_huge_utilities_do_not_overflow(self):
         cfg = DynamicConfig(0.0, 1e-4, Grid(4))
-        w = weights(cfg, np.array([0.0, 1.0, 2.0, 3.0]))
+        w = weights_row(cfg, np.array([0.0, 1.0, 2.0, 3.0]))
         assert np.all(np.isfinite(w))
         assert w[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -197,13 +197,13 @@ class TestLogitWeights:
         # at eta 1e-310 u/eta leaves the float range, at 1e-300 it does not
         u = np.linspace(-0.5, 0.5, 8)
         with pytest.raises(ValueError, match="eta is too small"):
-            weights(DynamicConfig(kappa, 1e-310, Grid(8)), u)
-        assert np.isfinite(weights(DynamicConfig(kappa, 1e-300, Grid(8)), u)).all()
+            weights_row(DynamicConfig(kappa, 1e-310, Grid(8)), u)
+        assert np.isfinite(weights_row(DynamicConfig(kappa, 1e-300, Grid(8)), u)).all()
 
     def test_huge_finite_utilities_are_in_range(self):
         # sqrt(u.u) overflows in the first case, and divided by 1e-300 it
         # would in the second; each row's own max |u| then decides
-        w = weights(DynamicConfig(1.0, 1.0, Grid(3)), np.array([-1e200, 0.0, 1e200]))
+        w = weights_row(DynamicConfig(1.0, 1.0, Grid(3)), np.array([-1e200, 0.0, 1e200]))
         assert np.isfinite(w).all() and w.argmax() == 2
         batch = DynamicBatch(DynamicConfig(1.0, eta, Grid(4)) for eta in (1e-300, 1.0))
         assert np.isfinite(weights(batch, np.array([np.full(4, 1e-10), np.full(4, 1e100)]))).all()
@@ -220,30 +220,30 @@ class TestLogitWeights:
 class TestLimitWeights:
     def test_linear_case(self):
         cfg = DynamicConfig(1.0, LIMIT_NOISE, Grid(3))
-        w = weights(cfg, np.array([1.0, 2.0, 3.0]))
+        w = weights_row(cfg, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(w, [1 / 6, 2 / 6, 3 / 6], rtol=1e-14)
 
     def test_square_case(self):
         cfg = DynamicConfig(0.5, LIMIT_NOISE, Grid(2))
-        w = weights(cfg, np.array([1.0, 2.0]))
+        w = weights_row(cfg, np.array([1.0, 2.0]))
         np.testing.assert_allclose(w, [0.2, 0.8], rtol=1e-14)
 
     def test_negative_part_clipped(self):
         cfg = DynamicConfig(1.0, LIMIT_NOISE, Grid(3))
-        w = weights(cfg, np.array([-1.0, 0.0, 2.0]))
+        w = weights_row(cfg, np.array([-1.0, 0.0, 2.0]))
         np.testing.assert_allclose(w, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_all_nonpositive_is_degenerate(self):
         cfg = DynamicConfig(1.0, LIMIT_NOISE, Grid(3))
         with pytest.raises(DegenerateWeightsError):
-            weights(cfg, np.array([-1.0, -0.5, 0.0]))
+            weights_row(cfg, np.array([-1.0, -0.5, 0.0]))
 
     def test_overflowing_ln_u_over_kappa_names_eta(self):
         # ln(u)/kappa leaves the float range at kappa 1e-310 but not at 1e-300
         u = np.array([-1.0, 0.5, 2.0])
         with pytest.raises(ValueError, match="eta is too small"):
-            weights(DynamicConfig(1e-310, LIMIT_NOISE, Grid(3)), u)
-        np.testing.assert_array_equal(weights(DynamicConfig(1e-300, LIMIT_NOISE, Grid(3)), u),
+            weights_row(DynamicConfig(1e-310, LIMIT_NOISE, Grid(3)), u)
+        np.testing.assert_array_equal(weights_row(DynamicConfig(1e-300, LIMIT_NOISE, Grid(3)), u),
                                       [0.0, 0.0, 1.0])
 
 
@@ -268,7 +268,7 @@ class TestBatch:
         u = np.random.default_rng(3).normal(0.1, 1.0, (len(self.ROWS), 64))
         w = weights(batch, u)
         for row, cfg, ui in zip(w, batch.configs, u):
-            np.testing.assert_array_equal(row, weights(cfg, ui))
+            np.testing.assert_array_equal(row, weights_row(cfg, ui))
 
     def test_euler_rows_match_single_steps_bit_for_bit(self):
         g = Grid(64)
@@ -278,9 +278,36 @@ class TestBatch:
         singles = list(stack)
         for _ in range(50):
             stack = euler_step(batch, model, stack)
-            singles = [euler_step(cfg, model, m) for cfg, m in zip(batch.configs, singles)]
+            singles = [euler_row(cfg, model, m) for cfg, m in zip(batch.configs, singles)]
         for row, single in zip(stack, singles):
             np.testing.assert_array_equal(row, single)
+
+    # the second case holds two rows per stack, so its three rows span two stacks
+    @pytest.mark.parametrize("rows, n, times, stacks", [
+        (ROWS, 64, [0.5, 1.0], 1), (ROWS[:3], STACK_CELLS // 2 - 1, [0.0, 0.3, 0.5], 2)])
+    def test_run_until_rows_match_batches_of_one(self, rows, n, times, stacks):
+        g = Grid(n)
+        configs = [DynamicConfig(kappa, eta, g, dt=0.1) for kappa, eta in rows]
+        model = CountingModel(CompetitionUtility(g, CompetitionParams()))
+        runs = run_until(DynamicBatch(configs), model, times)
+        assert model.calls == stacks * round(times[-1] / 0.1)
+        assert len(runs) == len(configs)
+        for run, cfg in zip(runs, configs):
+            alone = run_row(cfg, model.inner, times)
+            assert [t for t, _ in run] == [t for t, _ in alone] == sorted({0.0, *times})
+            for (_, mu), (_, nu) in zip(run, alone):
+                assert np.array_equal(mu.mass, nu.mass)
+
+    def test_run_until_checks_times_against_the_smallest_budget(self):
+        g = Grid(8)
+        batch = DynamicBatch(DynamicConfig(1.0, 0.5, g, dt=0.25, max_steps=m) for m in (4, 2, 3))
+        model = CountingModel(constant_model(g))
+        assert len(run_until(batch, model, [0.5])) == 3
+        model.calls = 0
+        with pytest.raises(ConfigError) as err:
+            run_until(batch, model, [0.5, 0.75])
+        assert err.value.problems == ["record time 0.75 is step 3 of dt=0.25, past max_steps=2"]
+        assert model.calls == 0
 
     def test_rejects_empty_and_mixed_rows(self):
         with pytest.raises(ValueError, match="at least one row"):
@@ -319,7 +346,7 @@ class TestRhsAndEuler:
         cfg = DynamicConfig(0.5, 0.2, g)
         model = constant_model(g)
         mass = uniform(g).mass
-        np.testing.assert_allclose(weights(cfg, model.values(mass)) - mass, 0.0, atol=1e-15)
+        np.testing.assert_allclose(weights_row(cfg, model.values(mass)) - mass, 0.0, atol=1e-15)
 
     def test_rhs_sums_to_zero(self):
         g = Grid(32)
@@ -328,7 +355,7 @@ class TestRhsAndEuler:
         rng = np.random.default_rng(0)
         for _ in range(20):
             mu = from_masses(g, rng.random(32))
-            assert abs((weights(cfg, model.values(mu.mass)) - mu.mass).sum()) <= 1e-12
+            assert abs((weights_row(cfg, model.values(mu.mass)) - mu.mass).sum()) <= 1e-12
 
     def test_point_mass_relaxes_to_uniform_rate(self):
         g = Grid(8)
@@ -337,7 +364,7 @@ class TestRhsAndEuler:
         raw = np.zeros(8)
         raw[3] = 1.0
         mu = GridMeasure(g, raw)
-        np.testing.assert_allclose(weights(cfg, model.values(mu.mass)) - mu.mass,
+        np.testing.assert_allclose(weights_row(cfg, model.values(mu.mass)) - mu.mass,
                                    1.0 / 8.0 - mu.mass, atol=1e-14)
 
     def test_full_replacement_at_dt_one(self):
@@ -346,14 +373,14 @@ class TestRhsAndEuler:
         model = constant_model(g)
         raw = np.zeros(8)
         raw[0] = 1.0
-        out = euler_step(cfg, model, GridMeasure(g, raw).mass)
+        out = euler_row(cfg, model, GridMeasure(g, raw).mass)
         np.testing.assert_allclose(out, 1.0 / 8.0, atol=1e-14)
 
     def test_stationary_point_is_fixed(self):
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g)
         model = constant_model(g)
-        out = euler_step(cfg, model, uniform(g).mass)
+        out = euler_row(cfg, model, uniform(g).mass)
         np.testing.assert_allclose(out, 1.0 / 8.0, atol=1e-15)
 
     def test_mass_drift_over_many_steps(self):
@@ -364,7 +391,7 @@ class TestRhsAndEuler:
         raw[0] = 1.0
         mass = GridMeasure(g, raw).mass
         for _ in range(10_000):
-            mass = euler_step(cfg, model, mass)
+            mass = euler_row(cfg, model, mass)
         assert abs(mass.sum() - 1.0) <= 1e-12
         assert np.all(mass >= 0.0)
 
@@ -375,14 +402,14 @@ class TestRunUntil:
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         model = constant_model(g)
         times = [0.25, 0.5, 0.75]
-        snapshots = run_until(cfg, model, times)
+        snapshots = run_row(cfg, model, times)
         assert len(snapshots) == 4
         assert [t for t, _ in snapshots] == [0.0, 0.25, 0.5, 0.75]
 
     def test_constant_utility_stays_uniform(self):
         g = Grid(6)
         cfg = DynamicConfig(0.3, 0.1, g, dt=0.1)
-        snapshots = run_until(cfg, constant_model(g), [0.5, 1.0])
+        snapshots = run_row(cfg, constant_model(g), [0.5, 1.0])
         for _, mu in snapshots:
             np.testing.assert_allclose(mu.mass, 1.0 / 6.0, atol=1e-12)
 
@@ -393,9 +420,9 @@ class TestRunUntil:
         dt = 0.001
         cfg = DynamicConfig(1.0, 0.5, g, dt=dt)
         model = FixedUtility(g)
-        w = GridMeasure(g, weights(cfg, model.values(None)))
+        w = GridMeasure(g, weights_row(cfg, model.x))
         times = [0.5, 1.0, 2.0]
-        snapshots = run_until(cfg, model, times)
+        snapshots = run_row(cfg, model, times)
         d0 = variational_distance(uniform(g), w)
         assert d0 > 0.1
         for t, mu in snapshots[1:]:
@@ -407,21 +434,21 @@ class TestRunUntil:
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError):
-            run_until(cfg, constant_model(g), [0.3])
+            run_row(cfg, constant_model(g), [0.3])
 
     @pytest.mark.parametrize("times", [[-0.25, 0.5], [0.5, -0.25]])
     def test_rejects_negative_record_time(self, times):
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError, match="record times must be >= 0"):
-            run_until(cfg, constant_model(g), times)
+            run_row(cfg, constant_model(g), times)
 
     @pytest.mark.parametrize("times", [[], [0.0], [0.0, 0]])
     def test_rejects_times_without_a_positive_one(self, times):
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError, match="positive maximum"):
-            run_until(cfg, constant_model(g), times)
+            run_row(cfg, constant_model(g), times)
 
     # both on step 2; a positive time within the tolerance of step 0
     @pytest.mark.parametrize("times, problem", [([0.5, 0.5], "both fall on step 2"),
@@ -431,14 +458,14 @@ class TestRunUntil:
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ValueError, match=problem):
-            run_until(cfg, constant_model(g), times)
+            run_row(cfg, constant_model(g), times)
 
     @pytest.mark.parametrize("times", [[math.nan, 1.0], [math.inf], [-math.inf, 0.5]])
     def test_rejects_non_finite_record_time(self, times):
         g = Grid(4)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25)
         with pytest.raises(ConfigError, match="is not a finite number"):
-            run_until(cfg, constant_model(g), times)
+            run_row(cfg, constant_model(g), times)
 
     # the config accepts a subnormal dt, on which even t = 1 is inf steps
     @pytest.mark.parametrize("times, dt", [([1e308], 0.001), ([0.5, 1.0], 1e-320)])
@@ -456,7 +483,7 @@ class TestRunUntil:
         model = CountingModel(constant_model(g))
         problem = "record time 0.75 is step 3 of dt=0.25, past max_steps=2"
         with pytest.raises(ConfigError) as single:
-            run_until(cfg, model, [0.5, 0.75])
+            run_row(cfg, model, [0.5, 0.75])
         with pytest.raises(ConfigError) as table:
             eta_convergence_table(cfg, model, [0.5], [0.5, 0.75])
         assert single.value.problems == table.value.problems == [problem]
@@ -468,7 +495,7 @@ class TestRunUntil:
         cfg = DynamicConfig(1.0, LIMIT_NOISE, g)
         model = BilinearUtility(g, lambda x, y: -1.0 - x * y)
         with pytest.raises(DegenerateWeightsError) as err:
-            run_until(cfg, model, [1.0])
+            run_row(cfg, model, [1.0])
         assert err.value.step == 0
 
 
@@ -505,9 +532,9 @@ class TestRunToStationary:
         mu = traj.final_measure
         # the stationarity check controls the per-step PDF change, which is
         # exactly dt * N * |rhs|; the detected state must satisfy that bound
-        residual = weights(cfg, model.values(mu.mass)) - mu.mass
+        residual = weights_row(cfg, model.values(mu.mass)) - mu.mass
         assert g.n * cfg.dt * np.max(np.abs(residual)) <= cfg.delta
-        w = GridMeasure(g, weights(cfg, model.values(mu.mass)))
+        w = GridMeasure(g, weights_row(cfg, model.values(mu.mass)))
         assert variational_distance(w, mu) <= cfg.delta / cfg.dt
 
     def test_nonfinite_utility_rejected_by_both_loops(self):
@@ -519,7 +546,7 @@ class TestRunToStationary:
         g = Grid(8)
         cfg = DynamicConfig(1.0, 0.5, g, dt=0.25, max_steps=10)
         with pytest.raises(ValueError, match="utility vector must be finite"):
-            run_until(cfg, NaNUtility(), [1.0])
+            run_row(cfg, NaNUtility(), [1.0])
         with pytest.raises(ValueError, match="utility vector must be finite"):
             run_to_stationary(cfg, NaNUtility())
 
@@ -560,7 +587,7 @@ class TestSolveStationary:
         [solution] = solve_stationary(DynamicBatch([cfg]), model)
         assert solution.solver == "anderson"
         mass = solution.final_measure.mass
-        residual = weights(cfg, model.values(mass)) - mass
+        residual = weights_row(cfg, model.values(mass)) - mass
         assert g.n * np.max(np.abs(residual)) <= cfg.delta
         assert np.all(mass >= 0.0) and abs(mass.sum() - 1.0) <= 1e-12
 
@@ -651,7 +678,8 @@ class TestSolveStationary:
                                                  give_up=case in ("growth", "patience"))
         assert (mass is None, k, reason) == (why is not None, iterations, why)
         if mass is not None:
-            assert cfg.grid.n * np.abs(weights(cfg, model.values(mass)) - mass).max() <= cfg.delta
+            residual = weights_row(cfg, model.values(mass)) - mass
+            assert cfg.grid.n * np.abs(residual).max() <= cfg.delta
         if case == "budget":  # the lstsq reference stops alike
             assert anderson_lstsq(cfg, model, start, ANDERSON_BETA, budget) == (None, k, why)
 
@@ -712,7 +740,7 @@ class TestSolveStationary:
         assert solution.solver == "anderson" and solution.fallback is None
         assert len(calls) == solution.steps - 1  # every update but the first
         mass = solution.final_measure.mass
-        assert g.n * np.max(np.abs(weights(cfg, model.values(mass)) - mass)) <= cfg.delta
+        assert g.n * np.max(np.abs(weights_row(cfg, model.values(mass)) - mass)) <= cfg.delta
 
     def test_first_fit_level_needs_no_lstsq(self, monkeypatch):
         calls = count_lstsq(monkeypatch)
@@ -993,7 +1021,7 @@ class TestEtaConvergenceTable:
         g = Grid(16)
         base = DynamicConfig(1.0, 0.1, g, dt=0.1)
         with pytest.raises(DegenerateWeightsError) as single:
-            run_until(DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.1), ChasingUtility(g), [4.0])
+            run_row(DynamicConfig(1.0, LIMIT_NOISE, g, dt=0.1), ChasingUtility(g), [4.0])
         with pytest.raises(DegenerateWeightsError) as batched:
             eta_convergence_table(base, ChasingUtility(g), [0.1, 0.01], [4.0])
         assert single.value.step == batched.value.step == 25
