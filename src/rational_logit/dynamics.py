@@ -1,10 +1,10 @@
 """The heavy-tailed logit dynamic on the discretized simplex.
 
 Semi-discrete evolution d mass_i / dt = weights_i(U(mu)) - mass_i, stepped
-with fixed-step forward Euler. The softmax weights use the
-kappa-exponential for positive noise eta, or the normalized positive-part
-power max{U, 0}^(1/kappa) in the vanishing-noise limit. All weight
-computations run in log space, so no finite u/eta can overflow them.
+with fixed-step forward Euler. The softmax weights use the kappa-exponential
+for positive noise eta, or the normalized positive-part power
+max{U, 0}^(1/kappa) in the vanishing-noise limit. They run in log space on
+a range checked row by row on max |u|, so no finite u/eta overflows them.
 
 Every solver steps raw (B, N) mass stacks under a DynamicBatch, whose
 rows share the grid and dt but each have their own kappa and eta (a row may
@@ -22,14 +22,15 @@ takes a DynamicBatch, of one row for a single run, and runs the whole
 chain. Anderson mixing, clipping each iterate to the simplex, runs first
 with a large mixing weight that gives up where it stalls, then from the
 start again with a small one. Each stage steps the rows still unsolved as
-one (B, N) stack, sharing every model evaluation and Gram solve, and a row
-leaves the stack when it stops. A stage that stops short for a row says
-why (the budget ran out, an update left no positive finite mass, the limit
-weight map degenerated, or the large weight gave up), and the next stage
-takes over: the small weight unless the budget ran out, then, row by row,
-the Euler `run_to_stationary`, the reference the tests compare against;
-`fallback` lists why each stage stopped short. The transients keep Euler
-from uniform, because there the transient is the object of study:
+one (B, N) stack, sharing every model evaluation and Gram solve; the rows
+that stop in an iteration leave at its one cut, after the residual test.
+A stage that stops short for a row says why (the budget ran out, an
+update left no positive finite mass and the row stepped on from uniform
+to the cut, the limit weight map degenerated, or the large weight gave
+up), and the next stage takes over: the small weight unless the budget
+ran out, then, row by row, the Euler `run_to_stationary`, the reference
+the tests compare against; `fallback` lists why each stage stopped short.
+The transients keep Euler from uniform, for there the transient is studied:
 `run_until` is the one stepping loop, and the eta table is `run_until` on
 its limit reference and every eta, as the rows of one batch.
 """
@@ -168,12 +169,9 @@ def weights(batch: DynamicBatch, u) -> np.ndarray:
     if u.shape != (len(batch.configs), batch.grid.n):
         raise ValueError(f"utility stack has shape {u.shape}, the batch has "
                          f"{len(batch.configs)} rows of {batch.grid.n} cells")
-    # max |u| over the whole stack bounds each row's (no BLAS call: OpenBLAS runs a dot
-    # product of more than 10,000 entries on every thread, which costs milliseconds)
-    try:
-        _check_range(batch.configs, itertools.repeat(float(np.abs(u).max())))
-    except ValueError:  # the bound may be loose: max |u| row by row decides
-        _check_range(batch.configs, np.maximum(u.max(axis=1), -u.min(axis=1)).tolist())
+    # each row's range is checked on its own max |u| (a reduction, not a BLAS call: OpenBLAS
+    # runs a dot product of more than 10,000 entries on every thread, which costs milliseconds)
+    _check_range(batch.configs, np.abs(u).max(axis=1).tolist())
     logw = np.empty_like(u)
     for rows, kappa, eta in batch.groups:
         logw[rows] = _log_weights(kappa, eta, u[rows])
@@ -184,8 +182,8 @@ def weights(batch: DynamicBatch, u) -> np.ndarray:
 
 
 def _check_range(configs, sizes):
-    """Raise ValueError unless each size, a bound on a row's |u|, is finite,
-    and so is its config's size/eta, or 745/kappa in the limit (|ln u| < 745)."""
+    """Raise ValueError unless each size, a row's max |u|, is finite, and so
+    is its config's size/eta, or 745/kappa in the limit (|ln u| < 745)."""
     for c, size in zip(configs, sizes):
         if not math.isfinite(size):
             raise ValueError("utility vector must be finite")
@@ -334,8 +332,9 @@ def _anderson(batch: DynamicBatch, model, mass: np.ndarray, beta: float, budgets
     evaluation, weight map and Gram solve, but each has its own delta,
     budget and give-up state, and gets the bits it would get on its own:
     every sum runs along a row, and each row's Gram system is solved on its
-    own. A row that stops leaves the stack, which is cut to the rows still
-    running.
+    own. Each iteration cuts the stack once, right after the residual test:
+    every row that stopped there is recorded and leaves. A row that stops
+    before the weight map skips the residual test and takes a stand-in u of 1.
 
     A row returns (mass, iterations, None) at its first iterate with N
     max|f| <= delta. The last ANDERSON_DEPTH differences of f and of g = m +
@@ -349,22 +348,24 @@ def _anderson(batch: DynamicBatch, model, mass: np.ndarray, beta: float, budgets
     simplex.
 
     A row that stops short returns (None, iterations so far, why): when its
-    budget runs out, its update leaves no positive finite mass, or it is a
-    limit row and no utility of an iterate is positive (its weight map
-    degenerates); with give_up, also when its max|f| grows past
-    ANDERSON_GROWTH times its best, or that best has not halved within
-    ANDERSON_PATIENCE iterations.
+    budget runs out, it is a limit row and no utility of an iterate is
+    positive (its weight map degenerates), or its update leaves no positive
+    finite mass (that row steps on from uniform and leaves at the next cut,
+    its iterations counting the update); with give_up, also when its max|f|
+    grows past ANDERSON_GROWTH times its best, or that best has not halved
+    within ANDERSON_PATIENCE iterations.
     """
     rows = [_AndersonRow(i, c, b) for i, (c, b) in enumerate(zip(batch.configs, budgets))]
     n, results = batch.grid.n, [None] * len(rows)
     df, dg = (np.empty((len(rows), ANDERSON_DEPTH, n)) for _ in range(2))
     gram = np.empty((len(rows), ANDERSON_DEPTH, ANDERSON_DEPTH))
-    prev = ()  # f and g of the previous iterate
+    prev, lost = (), {}  # f and g of the previous iterate; the rows its update lost
     for k in itertools.count():
         u = model.values(mass)
-        done = {i: (None, k, f"{DegenerateWeightsError()} at Anderson iterate {k}")
-                for i, row in enumerate(rows) if row.config.eta is None and (u[i] <= 0.0).all()}
-        if done:  # the degenerate limit rows stop here, on a stand-in u the weight map takes
+        done = lost | {i: (None, k, f"{DegenerateWeightsError()} at Anderson iterate {k}")
+                       for i, row in enumerate(rows)
+                       if i not in lost and row.config.eta is None and (u[i] <= 0.0).all()}
+        if done:  # the stopped rows leave at the cut below, on a stand-in u the weight map takes
             u = u.copy()
             u[list(done)] = 1.0
         f = weights(batch, u)
@@ -387,10 +388,14 @@ def _anderson(batch: DynamicBatch, model, mass: np.ndarray, beta: float, budgets
                     done[i] = (None, k, f"Anderson residual stalled for {ANDERSON_PATIENCE} "
                                         "iterations")
         if done:
+            for i, result in done.items():
+                results[rows[i].index] = result
             if len(done) == len(rows):
-                return _finished(results, rows, done)
-            rows, batch, model, (mass, f, df, dg, gram, *prev) = _cut(
-                results, rows, done, model, (mass, f, df, dg, gram, *prev))
+                return results
+            index = np.array([i for i in range(len(rows)) if i not in done])
+            rows = [rows[i] for i in index.tolist()]
+            batch, model = DynamicBatch(row.config for row in rows), model.rows(index)
+            mass, f, df, dg, gram, *prev = (a[index] for a in (mass, f, df, dg, gram, *prev))
         g = beta * f
         g += mass  # m + beta f
         nxt = g
@@ -413,14 +418,11 @@ def _anderson(batch: DynamicBatch, model, mass: np.ndarray, beta: float, budgets
         nxt = np.maximum(nxt, 0.0)
         totals = nxt.sum(axis=-1, keepdims=True)
         sums = totals.ravel().tolist()
-        done = {} if 0.0 < min(sums) and sum(sums) < math.inf else {  # a NaN sums to NaN
+        lost = {} if 0.0 < min(sums) and sum(sums) < math.inf else {  # a NaN sums to NaN
             i: (None, k + 1, f"Anderson update {k + 1} left no positive finite mass")
             for i, total in enumerate(sums) if not 0.0 < total < math.inf}
-        if done:
-            if len(done) == len(rows):
-                return _finished(results, rows, done)
-            rows, batch, model, (nxt, totals, df, dg, gram, *prev) = _cut(
-                results, rows, done, model, (nxt, totals, df, dg, gram, *prev))
+        if lost:  # a lost row steps on from uniform to the next cut
+            nxt[list(lost)], totals[list(lost)] = 1.0, n
         nxt /= totals
         mass = nxt
 
@@ -446,26 +448,6 @@ def _mixing(gram: np.ndarray, rhs: np.ndarray, df: np.ndarray, f: np.ndarray) ->
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(df.T, f, rcond=None)[0][:, None]
-
-
-def _finished(results: list, rows: list, done: dict) -> list:
-    """`results` with the result of each stack row in `done` ({row: result})
-    in its batch row."""
-    for i, result in done.items():
-        results[rows[i].index] = result
-    return results
-
-
-def _cut(results: list, rows: list, done: dict, model, stacks):
-    """Record the stack rows in `done` as `_finished` does and cut the rest of
-    the stack to the rows still running: returns their rows, batch, model and
-    each (B, ...) array of `stacks`."""
-    _finished(results, rows, done)
-    keep = [i for i in range(len(rows)) if i not in done]
-    index = np.array(keep)
-    rows = [rows[i] for i in keep]
-    return (rows, DynamicBatch(row.config for row in rows), model.rows(index),
-            [stack[index] for stack in stacks])
 
 
 def _uniform_stack(batch: DynamicBatch) -> np.ndarray:

@@ -799,23 +799,33 @@ class TestSolveStationary:
         with pytest.raises(ValueError, match="utility vector must be finite"):
             solve_stationary(DynamicBatch([cfg]), NaNUtility())
 
-    @pytest.mark.parametrize("eta", [0.01, LIMIT_NOISE], ids=["eta-0.01", "limit"])
-    def test_state_does_not_depend_on_the_start(self, eta):
+    @pytest.mark.parametrize("kappa, eta", [(1.0, 0.01), (1.0, LIMIT_NOISE), (0.0, 1e-3),
+                                            (0.1, LIMIT_NOISE)],
+                             ids=["eta-0.01", "limit", "kappa-0-eta-1e-3", "kappa-0.1-limit"])
+    def test_state_does_not_depend_on_the_start(self, kappa, eta):
         # sparse random starts, half of them floored at 1e-3, all reach the
-        # state the solver reaches from uniform, at the large weight alone
+        # state the solver reaches from uniform: at kappa 1 at the large weight
+        # alone, one start at a time; at the stiff points at the small weight
+        # without give-up, as one ten-row stack whose rows stop at different
+        # iterations and leave it at different cuts
         run = load_run_config(FITTED)
-        cfg = replace(run.dynamic, kappa=1.0, eta=eta)
+        cfg = replace(run.dynamic, kappa=kappa, eta=eta)
         model = CompetitionUtility(cfg.grid, run.utility)
-        batch = DynamicBatch([cfg])
-        [reference] = solve_stationary(batch, model)
+        [reference] = solve_stationary(DynamicBatch([cfg]), model)
         rng = np.random.default_rng(20261019)
+        starts = []
         for k in range(10):
             start = rng.dirichlet(np.full(cfg.grid.n, 0.05))
             if k % 2:
                 start = np.maximum(start, 1e-3)
                 start /= start.sum()
-            [(mass, _, why)] = dynamics._anderson(batch, model, start[None], ANDERSON_BETA,
-                                                  [ANDERSON_MAX_ITERATIONS], give_up=True)
+            starts.append(start)
+        beta, give_up = (ANDERSON_BETA, True) if kappa == 1.0 else (ANDERSON_SAFE_BETA, False)
+        stacks = [[start] for start in starts] if kappa == 1.0 else [starts]
+        results = [result for stack in stacks for result in dynamics._anderson(
+            DynamicBatch([cfg] * len(stack)), model, np.array(stack), beta,
+            [ANDERSON_MAX_ITERATIONS] * len(stack), give_up)]
+        for k, (mass, _, why) in enumerate(results):
             assert why is None, k
             assert np.abs(mass - reference.final_measure.mass).sum() <= 1e-10, k
 
